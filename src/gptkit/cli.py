@@ -225,34 +225,13 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
 
 def toy_suite(sides: int, shift: int, tol: float) -> list[dict]:
     _, report = poincare.toy_discrete_spacetime(sides, shift, tol)
+    labels = {"N": sides, "k": shift}
+    law = report.representation
     return [
-        {
-            "check": "toy-spacetime-homomorphism",
-            "samples": report.representation.samples,
-            "worst_deviation": report.representation.worst_deviation,
-            "tolerance": tol,
-            "pass": report.representation.passed,
-            "N": sides,
-            "k": shift,
-        },
-        {
-            "check": "toy-spacetime-invariance",
-            "samples": sides,
-            "worst_deviation": 0.0 if report.invariance_passed else float("inf"),
-            "tolerance": tol,
-            "pass": report.invariance_passed and report.permutation_passed,
-            "N": sides,
-            "k": shift,
-        },
-        {
-            "check": "toy-spacetime-nontrivial",
-            "samples": sides,
-            "worst_deviation": 0.0 if report.nontrivial else float("inf"),
-            "tolerance": tol,
-            "pass": report.nontrivial,
-            "N": sides,
-            "k": shift,
-        },
+        _check("toy-spacetime-homomorphism", law.samples, law.worst_deviation, tol, labels),
+        _check("toy-spacetime-invariance", sides, report.invariance_deviation, tol, labels),
+        _check("toy-spacetime-nontrivial", sides, 0.0 if report.nontrivial else float("inf"),
+               tol, labels),
     ]
 
 
@@ -274,44 +253,29 @@ def chsh_rows(locals_name: str, exact: bool, scenario_path: str | None) -> list[
 def zoo_rows() -> list[dict]:
     rows = []
     for name in ("bit", "simplex:2", "polygon:3", "polygon:4", "ball:3"):
-        theory = zoo.get_theory(name)
-        round_trip = theory_to_json(theory_from_json(theory_to_json(theory)))
-        rows.append(
-            {
-                "check": f"zoo-roundtrip-{name}",
-                "samples": 1,
-                "worst_deviation": 0.0 if round_trip == theory_to_json(theory) else float("inf"),
-                "tolerance": 0.0,
-                "pass": round_trip == theory_to_json(theory),
-            }
-        )
+        text = theory_to_json(zoo.get_theory(name))
+        same = theory_to_json(theory_from_json(text)) == text
+        rows.append(_check(f"zoo-roundtrip-{name}", 1, 0.0 if same else float("inf"), 0.0))
     return rows
 
 
 def _emit(rows, fmt: str, out: str | None) -> None:
     if fmt == "csv":
-        if rows and "scenario_id" in rows[0]:
-            text = composites.rows_to_csv(rows)
-        else:
-            import csv as _csv
-            import io as _io
-
-            buf = _io.StringIO()
-            writer = _csv.DictWriter(
-                buf, fieldnames=CHECK_COLUMNS, extrasaction="ignore", lineterminator="\n"
-            )
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-            text = buf.getvalue()
+        scenarios = rows and "scenario_id" in rows[0]
+        text = composites.rows_to_csv(rows, composites.CSV_COLUMNS if scenarios else CHECK_COLUMNS)
     else:
         text = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as err:
-            raise SystemExit(f"error: cannot write report to {out!r}: {err}")
+            print(f"error: cannot write report to {out!r}: {err}", file=sys.stderr)
+            raise SystemExit(2)
     else:
         sys.stdout.write(text)
 
@@ -340,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_zoo.add_argument("--name", type=str, default=None)
     p_zoo.add_argument("--list", action="store_true")
     p_zoo.add_argument("--out", type=str, default=None)
-    p_zoo.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_chsh = sub.add_parser("chsh-scan", help="CHSH optimization over named locals")
     p_chsh.add_argument("--locals", type=str, default="polygon:4")
@@ -374,12 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    if getattr(args, "tol", 1e-9) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
-    if getattr(args, "n", 3) < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
-        return 2
+    for invalid, message in (
+        (not 0 < getattr(args, "tol", 1e-9) < np.inf, "--tol must be positive and finite"),
+        (getattr(args, "n", 3) < 1, "--n must be at least 1"),
+        (getattr(args, "samples", 1) < 1, "--samples must be at least 1"),
+        (not 0 < getattr(args, "mass", 1.0) < np.inf, "--mass must be positive and finite"),
+        (getattr(args, "seed", 0) < 0, "--seed must be nonnegative"),
+    ):
+        if invalid:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
 
     if args.command == "zoo":
         if args.list or not args.name:
@@ -390,12 +357,7 @@ def main(argv=None) -> int:
         except (KeyError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        text = theory_to_json(theory) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(theory_to_json(theory) + "\n", args.out)
         return 0
 
     if args.command == "chsh-scan":
@@ -416,7 +378,11 @@ def main(argv=None) -> int:
     elif args.command == "invariance-checks":
         rows = invariance_suite(args.n, args.mass, args.samples, args.seed, args.tol)
     elif args.command == "toy-spacetime":
-        rows = toy_suite(args.N, args.k, args.tol)
+        try:
+            rows = toy_suite(args.N, args.k, args.tol)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     elif args.command == "report":
         rows = []
         for n in (2, 3, 4):
@@ -428,16 +394,8 @@ def main(argv=None) -> int:
         rows += zoo_rows()
         scan = chsh_rows("polygon:4", args.exact, None) + chsh_rows("bit", args.exact, None)
         for row in scan:
-            expected = 4.0 if row["local_a"] == "polygon:4" else 2.0
-            rows.append(
-                {
-                    "check": f"chsh-{row['local_a']}",
-                    "samples": 1,
-                    "worst_deviation": abs(row["chsh_value"] - expected),
-                    "tolerance": 1e-6,
-                    "pass": abs(row["chsh_value"] - expected) <= 1e-6,
-                }
-            )
+            gap = abs(row["chsh_value"] - (4.0 if row["local_a"] == "polygon:4" else 2.0))
+            rows.append(_check(f"chsh-{row['local_a']}", 1, gap, 1e-6))
     else:  # pragma: no cover
         return 2
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import lp
 from .core import Ball, BallEffects, Polytope, TheorySpec, unit_effect
-from .rotations import deterministic_sphere_points
 from .zoo import get_theory
 
 SEPARABILITY_K = 200
@@ -86,42 +85,16 @@ def marginal(phi: JointState, side: str) -> np.ndarray:
     raise ValueError("side must be 'a' or 'b'")
 
 
-def _extreme_states(theory: TheorySpec, k: int) -> np.ndarray:
-    if isinstance(theory.states, Polytope):
-        return theory.states.vertices
-    pts = deterministic_sphere_points(theory.dim, k)
-    return np.hstack([np.ones((k, 1)), pts])
-
-
 def _effect_rows(theory: TheorySpec, k: int) -> np.ndarray:
-    """Extremal effects plus the unit effect (zero dropped: its row is trivial)."""
-    if isinstance(theory.effects, BallEffects):
-        pts = deterministic_sphere_points(theory.dim, k)
-        ext = 0.5 * np.hstack([np.ones((k, 1)), pts])
-    else:
-        gens = theory.effects.generators
-        keep = [g for g in gens if np.linalg.norm(g) > 1e-12]
-        ext = np.array(keep)
-    unit = unit_effect(theory.dim)
-    if not any(np.allclose(row, unit, atol=1e-12) for row in ext):
-        ext = np.vstack([ext, unit])
-    return ext
+    """Effect generators without the zero effect, whose row is trivial."""
+    gens = theory.effect_generators(k)
+    return gens[np.linalg.norm(gens, axis=1) > 1e-12]
 
 
 def extremal_effects(theory: TheorySpec, k: int = MAX_TENSOR_K) -> np.ndarray:
     """Extremal effect list without the zero and unit effects."""
-    if isinstance(theory.effects, BallEffects):
-        pts = deterministic_sphere_points(theory.dim, k)
-        return 0.5 * np.hstack([np.ones((k, 1)), pts])
-    gens = theory.effects.generators
-    unit = unit_effect(theory.dim)
-    return np.array(
-        [
-            g
-            for g in gens
-            if np.linalg.norm(g) > 1e-12 and not np.allclose(g, unit, atol=1e-12)
-        ]
-    )
+    rows = _effect_rows(theory, k)
+    return rows[~np.all(np.isclose(rows, theory.unit, atol=1e-12), axis=1)]
 
 
 def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
@@ -163,8 +136,8 @@ def is_separable(
     which the discretized decomposition fails.
     """
     discretized = isinstance(phi.local_a.states, Ball) or isinstance(phi.local_b.states, Ball)
-    pts_a = _extreme_states(phi.local_a, k)
-    pts_b = _extreme_states(phi.local_b, k)
+    pts_a = phi.local_a.extreme_states(k)
+    pts_b = phi.local_b.extreme_states(k)
     products = np.einsum("ai,bj->abij", pts_a, pts_b).reshape(
         len(pts_a) * len(pts_b), -1
     )
@@ -177,55 +150,34 @@ def is_separable(
     return SeparabilityVerdict("entangled", res.margin, None, None)
 
 
-def _min_ball_pairing(m: np.ndarray) -> float:
-    """Minimum of (1, v)/2 . m over unit v: half of m0 - ||m reduced||."""
-    return 0.5 * (float(m[0]) - float(np.linalg.norm(m[1:])))
+def _min_ball_pairing(m: np.ndarray) -> np.ndarray:
+    """Minimum of (1, v)/2 . m over unit v, per column: half of m0 - ||m reduced||."""
+    return 0.5 * (m[0] - np.linalg.norm(m[1:], axis=0))
 
 
 def in_max_tensor(phi: JointState, tol: float = 1e-9, k: int = MAX_TENSOR_K) -> bool:
     """Normalization plus nonnegativity on all product effects.
 
-    Polytope sides contribute their finitely many generators; ball sides are
-    handled with the closed-form minimum over extremal effects whenever the
-    other factor is fixed, swept over a K-point discretization when both
-    sides are balls.
+    Two polytope sides are checked on every pair of their effect rows.  A
+    ball side is closed analytically: against each effect row of the other
+    side (K-point discretized if that side is a ball too) the pairing with
+    every extremal effect of the ball is at least `_min_ball_pairing`, and
+    the pairing with its unit effect is the first entry.
     """
     mat = phi.matrix
     if abs(mat[0, 0] - 1.0) > tol:
         return False
     a_ball = isinstance(phi.local_a.effects, BallEffects)
     b_ball = isinstance(phi.local_b.effects, BallEffects)
-    if not a_ball and not b_ball:
-        rows_a = _effect_rows(phi.local_a, k)
-        rows_b = _effect_rows(phi.local_b, k)
-        values = rows_a @ mat @ rows_b.T
+    if not (a_ball or b_ball):
+        values = _effect_rows(phi.local_a, k) @ mat @ _effect_rows(phi.local_b, k).T
         return bool(values.min() >= -tol)
-    if a_ball and not b_ball:
-        for eb in _effect_rows(phi.local_b, k):
-            m = mat @ eb
-            if _min_ball_pairing(m) < -tol or m[0] < -tol:
-                return False
-        return True
-    if not a_ball and b_ball:
-        for ea in _effect_rows(phi.local_a, k):
-            m = ea @ mat
-            if _min_ball_pairing(m) < -tol or m[0] < -tol:
-                return False
-        return True
-    # both sides balls: discretize one side, close the other analytically
-    for w in deterministic_sphere_points(phi.local_b.dim, k):
-        eb = 0.5 * np.concatenate([[1.0], w])
-        if _min_ball_pairing(mat @ eb) < -tol:
-            return False
-    for v in deterministic_sphere_points(phi.local_a.dim, k):
-        ea = 0.5 * np.concatenate([[1.0], v])
-        if _min_ball_pairing(ea @ mat) < -tol:
-            return False
-    if _min_ball_pairing(mat @ unit_effect(phi.local_b.dim)) < -tol:
-        return False
-    if _min_ball_pairing(unit_effect(phi.local_a.dim) @ mat) < -tol:
-        return False
-    return True
+    columns = []  # one column per effect row of the side facing a ball
+    if a_ball:
+        columns.append(mat @ _effect_rows(phi.local_b, k).T)
+    if b_ball:
+        columns.append((_effect_rows(phi.local_a, k) @ mat).T)
+    return all(min(m[0].min(), _min_ball_pairing(m).min()) >= -tol for m in columns)
 
 
 def binary_measurements(
@@ -240,14 +192,7 @@ def binary_measurements(
     """
     u = theory.unit
     if isinstance(theory.effects, BallEffects):
-        dirs = deterministic_sphere_points(theory.dim, count)
-        return [
-            (
-                0.5 * np.concatenate([[1.0], v]),
-                0.5 * np.concatenate([[1.0], -v]),
-            )
-            for v in dirs
-        ]
+        return [(e, u - e) for e in extremal_effects(theory, count)]
     ext = extremal_effects(theory)
     pairs = []
     used = set()
@@ -275,34 +220,15 @@ def no_signalling_check(
 ) -> bool:
     """Marginals of either side must not depend on the other side's choice.
 
-    States outside the maximal tensor product fail outright (they do not
-    define valid joint probabilities).  For members the marginal
-    distributions of every complete binary measurement are compared across
-    all measurement choices on the far side.
+    Every binary measurement (e, u - e) sums to the unit effect, so summing
+    the joint outcome probabilities over the far side's outcomes pairs the
+    state with e (x) u whatever the far side measured: by linearity no
+    marginal can depend on the far setting.  What remains is that the state
+    defines valid joint probabilities at all, i.e. membership in the maximal
+    tensor product, whose states are no-signalling by construction (Barrett,
+    PRA 75, 032304, 2007).
     """
-    if not in_max_tensor(phi, tol, k):
-        return False
-    meas_a = binary_measurements(phi.local_a)
-    meas_b = binary_measurements(phi.local_b)
-    if not meas_a or not meas_b:
-        return True
-    for ma in meas_a:
-        margins = [
-            [sum(phi.pair_product(ea, eb) for eb in mb) for ea in ma] for mb in meas_b
-        ]
-        base = margins[0]
-        for other in margins[1:]:
-            if max(abs(x - y) for x, y in zip(base, other)) > tol:
-                return False
-    for mb in meas_b:
-        margins = [
-            [sum(phi.pair_product(ea, eb) for ea in ma) for eb in mb] for ma in meas_a
-        ]
-        base = margins[0]
-        for other in margins[1:]:
-            if max(abs(x - y) for x, y in zip(base, other)) > tol:
-                return False
-    return True
+    return in_max_tensor(phi, tol, k)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +492,10 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
 CSV_COLUMNS = ["scenario_id", "local_a", "local_b", "chsh_value", "separability_verdict"]
 
 
-def rows_to_csv(rows: list[dict]) -> str:
+def rows_to_csv(rows: list[dict], columns=CSV_COLUMNS) -> str:
+    """CSV text of `rows` over `columns`; keys outside `columns` are left out."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)

@@ -173,18 +173,28 @@ class TheorySpec:
         return zero_effect(self.dim)
 
     def extreme_states(self, count: int = 64) -> np.ndarray:
-        """Vertices for polytopes, a deterministic sphere sample for balls."""
+        """Vertices for polytopes; (1, v) at `count` fixed sphere points for balls.
+
+        With `effect_generators`, the only place a ball is discretized.
+        """
         if isinstance(self.states, Polytope):
             return self.states.vertices
-        pts = deterministic_sphere_points(self.dim, count)
-        return np.hstack([np.ones((count, 1)), pts])
+        return _sphere_states(self.dim, count)
 
     def effect_generators(self, count: int = 64) -> np.ndarray:
+        """Generator rows of the effect space at resolution `count`.
+
+        Polytope effect spaces return their generators as given.  Ball effect
+        spaces return the zero effect, then the `count` extremal effects
+        (1, v)/2 at the sphere points of `extreme_states`, then the unit.
+        """
         if isinstance(self.effects, PolytopeEffects):
             return self.effects.generators
-        pts = deterministic_sphere_points(self.dim, count)
-        extremal = 0.5 * np.hstack([np.ones((count, 1)), pts])
-        return np.vstack([self.zero, self.unit, extremal])
+        return np.vstack([self.zero, 0.5 * _sphere_states(self.dim, count), self.unit])
+
+
+def _sphere_states(dim: int, count: int) -> np.ndarray:
+    return np.hstack([np.ones((count, 1)), deterministic_sphere_points(dim, count)])
 
 
 def probability(effect: np.ndarray, state: np.ndarray) -> float:

@@ -105,8 +105,35 @@ def test_csv_format_for_checks(capsys):
 def test_invalid_config_rejected(capsys):
     assert main(["minkowski-checks", "--tol", "-1"]) == 2
     assert main(["minkowski-checks", "--n", "0"]) == 2
-    with pytest.raises(SystemExit):
-        main(["minkowski-checks", "--samples", "2", "--out", "/nonexistent/dir/x.json"])
+    for argv in (
+        ["minkowski-checks", "--samples", "2", "--out", "/nonexistent/dir/x.json"],
+        ["zoo", "--name", "bit", "--out", "/nonexistent/dir/x.json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    for argv in (
+        ["minkowski-checks", "--samples", "0"],
+        ["little-group-checks", "--samples", "-3"],
+        ["invariance-checks", "--samples", "0"],
+        ["report", "--samples", "0"],
+        ["minkowski-checks", "--mass", "0"],
+        ["little-group-checks", "--mass", "-1"],
+        ["minkowski-checks", "--mass", "nan"],
+        ["minkowski-checks", "--tol", "nan"],
+        ["toy-spacetime", "--tol", "inf"],
+        ["invariance-checks", "--seed", "-1"],
+        ["toy-spacetime", "--N", "2"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_zoo_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zoo", "--name", "bit", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_transform_log(tmp_path, capsys):

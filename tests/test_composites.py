@@ -25,6 +25,8 @@ from gptkit.composites import (
     tensor,
     two_qubit_gpt,
 )
+from gptkit.core import BallEffects
+from gptkit.rotations import deterministic_sphere_points
 from gptkit.zoo import (
     box_world_pair,
     classical_simplex,
@@ -268,6 +270,102 @@ def test_min_subset_of_max():
             phi = JointState(vec, local, local)
             assert is_separable(phi).status == "separable"
             assert in_max_tensor(phi)
+
+
+def _loop_in_max_tensor(phi, tol=1e-9, k=64):
+    """Reference: the per-row loop form of in_max_tensor for ball sides."""
+
+    def rows(theory):  # extremal effects plus the unit, zero dropped
+        if isinstance(theory.effects, BallEffects):
+            ext = 0.5 * np.hstack([np.ones((k, 1)), deterministic_sphere_points(theory.dim, k)])
+        else:
+            ext = np.array([g for g in theory.effects.generators if np.linalg.norm(g) > 1e-12])
+        if not any(np.allclose(row, theory.unit, atol=1e-12) for row in ext):
+            ext = np.vstack([ext, theory.unit])
+        return ext
+
+    def min_ball(m):
+        return 0.5 * (float(m[0]) - float(np.linalg.norm(m[1:])))
+
+    mat = phi.matrix
+    if abs(mat[0, 0] - 1.0) > tol:
+        return False
+    a_ball = isinstance(phi.local_a.effects, BallEffects)
+    b_ball = isinstance(phi.local_b.effects, BallEffects)
+    assert a_ball or b_ball
+    if not b_ball:
+        return all(min_ball(mat @ eb) >= -tol and (mat @ eb)[0] >= -tol for eb in rows(phi.local_b))
+    if not a_ball:
+        return all(min_ball(ea @ mat) >= -tol and (ea @ mat)[0] >= -tol for ea in rows(phi.local_a))
+    for w in deterministic_sphere_points(phi.local_b.dim, k):
+        if min_ball(mat @ (0.5 * np.concatenate([[1.0], w]))) < -tol:
+            return False
+    for v in deterministic_sphere_points(phi.local_a.dim, k):
+        if min_ball((0.5 * np.concatenate([[1.0], v])) @ mat) < -tol:
+            return False
+    return (
+        min_ball(mat @ phi.local_b.unit) >= -tol and min_ball(phi.local_a.unit @ mat) >= -tol
+    )
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("ball:3", "polygon:4"), ("polygon:4", "ball:3"), ("ball:3", "ball:3"), ("ball:2", "bit")],
+)
+def test_in_max_tensor_ball_sides_match_loop_reference(names):
+    rng = np.random.default_rng(29)
+    a, b = (get_theory(name) for name in names)
+    states_a, states_b = a.extreme_states(20), b.extreme_states(20)
+    verdicts = []
+    for _ in range(200):
+        w = rng.dirichlet(np.ones(3))
+        picks = zip(rng.integers(len(states_a), size=3), rng.integers(len(states_b), size=3))
+        vec = sum(wi * tensor(states_a[i], states_b[j]) for wi, (i, j) in zip(w, picks))
+        vec = vec + rng.uniform(0.0, 0.6) * rng.standard_normal(vec.shape)
+        vec[0] = 1.0
+        phi = JointState(vec, a, b, check=False)
+        verdict = in_max_tensor(phi)
+        assert verdict == _loop_in_max_tensor(phi)
+        swapped = JointState(phi.matrix.T.reshape(-1), b, a, check=False)
+        assert in_max_tensor(swapped) == verdict
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)  # both verdicts are exercised
+
+
+def test_in_max_tensor_two_qubit_states():
+    rng = np.random.default_rng(30)
+    paulis = (np.eye(2, dtype=complex),) + _SG
+    for _ in range(50):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        bloch = np.array(
+            [[np.trace(rho @ np.kron(p, q)).real for q in paulis] for p in paulis]
+        )
+        phi = two_qubit_gpt(bloch[1:, 0], bloch[0, 1:], bloch[1:, 1:])
+        assert in_max_tensor(phi)
+        assert no_signalling_check(phi)
+    for c in (1.001, 1.5, 3.0):
+        mat = np.zeros((4, 4))
+        mat[0, 0] = 1.0
+        mat[1:, 1:] = -c * np.eye(3)
+        phi = JointState(mat.reshape(-1), BALL3, BALL3, check=False)
+        assert not in_max_tensor(phi)
+        assert not no_signalling_check(phi)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["bit", "simplex:2", "simplex:3", "polygon:3", "polygon:4", "polygon:5", "polygon:8",
+     "boxworld", "ball:1", "ball:2", "ball:3", "ball:4"],
+)
+def test_binary_measurements_sum_to_unit(name):
+    # the identity no_signalling_check rests on: far marginals see only the unit
+    theory = get_theory(name)
+    pairs = binary_measurements(theory)
+    assert pairs
+    for e, f in pairs:
+        assert np.max(np.abs(e + f - theory.unit)) <= 1e-10
 
 
 def test_singlet_pairings_match_quantum_oracle():

@@ -22,6 +22,7 @@ from gptkit.poincare import (
     classical_pairing,
     detector_effects,
     detector_sphere_experiment,
+    invariance_deviation,
     little_group_internal_map,
     orbit_ball_reconstruction,
     rotation_rep,
@@ -126,6 +127,27 @@ def test_invariance_fails_for_mismatched_effect_rep():
     # the transpose-inverse default on the same shear restores invariance
     fixed = RepMap(state_map=lambda g: shear)
     assert check_invariance([(effect, state)], None, fixed, tol=1e-10)
+
+
+def test_invariance_deviation_measures_the_worst_change():
+    shear = np.eye(4)
+    shear[1, 2] = 0.7
+    broken = RepMap(state_map=lambda g: shear, effect_map=lambda g: shear)
+    state = np.array([1.0, 0.5, 0.3, 0.0])
+    effect = np.array([0.5, 0.2, 0.0, 0.1])
+    before = effect @ state
+    after = (shear @ effect) @ (shear @ state)
+    worst = invariance_deviation([(effect, state), (effect, effect)], None, broken)
+    assert worst >= abs(after - before) > 0.0
+    fixed = RepMap(state_map=lambda g: shear)
+    assert invariance_deviation([(effect, state)], None, fixed) <= 1e-15
+
+
+@pytest.mark.parametrize("sides", range(3, 9))
+def test_toy_report_carries_measured_deviation(sides):
+    _, report = toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
+    assert 0.0 <= report.invariance_deviation <= 1e-12
+    assert report.invariance_passed
 
 
 def test_invariance_trivial_rep():
