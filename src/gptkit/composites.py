@@ -8,11 +8,12 @@ with a product effect e (x) f into  e . Phi . f.
 The separable set is the hull of products of local extreme states; the
 maximal set contains every normalized vector that is nonnegative on all
 product effects.  Membership in either is decided by linear programming:
-floating point for interactive runs, exact rational pivoting for acceptance
-runs.  For ball-shaped locals the separability LP is discretized at a stated
-resolution K; an infeasible discretized LP is reported as inconclusive-at-K
-(with its residual margin), never as an entanglement verdict - those require
-a CHSH value above the separable bound 2.
+one LP, solved in floating point for interactive runs or by exact rational
+pivoting for acceptance runs.  For ball-shaped locals the separability LP is
+discretized at a stated resolution K; an infeasible discretized LP is
+reported as inconclusive-at-K (with its residual margin), never as an
+entanglement verdict - those require a CHSH value above the separable
+bound 2.
 """
 
 from __future__ import annotations
@@ -129,11 +130,12 @@ def is_separable(
 ) -> SeparabilityVerdict:
     """Decide membership in the hull of products of local extreme states.
 
-    Polytope locals give definite verdicts (LP infeasibility is a proof
-    there, and exact pivoting removes solver doubt).  Ball locals are
-    discretized with K sphere points per side, so only "separable" and
-    "inconclusive" can be returned; the reported margin is the distance by
-    which the discretized decomposition fails.
+    The margin is the l1 residual of the best decomposition, and `tol`
+    decides membership on both paths; the exact path computes the margin
+    exactly from the given floats.  Polytope locals give definite verdicts.
+    Ball locals are discretized with K sphere points per side, so only
+    "separable" and "inconclusive" can be returned; the margin is then the
+    distance by which the discretized decomposition fails.
     """
     discretized = isinstance(phi.local_a.states, Ball) or isinstance(phi.local_b.states, Ball)
     pts_a = phi.local_a.extreme_states(k)

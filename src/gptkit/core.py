@@ -231,8 +231,11 @@ def validate_state(
 ) -> MembershipReport:
     """Membership test for a candidate state vector.
 
-    Polytopes are decided by LP feasibility (exact rational pivoting on
-    request); balls analytically via the norm of the reduced part.
+    Polytopes are decided by hull membership: the margin is the l1 residual
+    of the best convex decomposition, and the state is a member when it is
+    at most `tol`, on both paths; the exact path computes the margin exactly
+    from the given floats.  Balls are decided analytically via the norm of
+    the reduced part.
     """
     vec = np.asarray(v, dtype=float)
     if vec.ndim != 1 or vec.shape[0] != space.dim + 1:

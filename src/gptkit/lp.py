@@ -1,13 +1,13 @@
 """Linear-programming backends.
 
-Two deliberately separate paths:
+Each problem builds one LP and hands it to one of two solvers:
 
-* a floating-point path on top of ``scipy.optimize.linprog`` (HiGHS) with an
-  explicit feasibility slack, used for interactive-scale runs, and
-* an exact path: a two-phase primal simplex over ``fractions.Fraction`` with
-  Bland's rule, used for acceptance runs.  Float inputs are converted with
-  ``Fraction(float)``, which is exact, so no rounding happens after that
-  point and verdicts near polytope facets cannot flip due to pivoting error.
+* floating point: ``scipy.optimize.linprog`` (HiGHS), used for
+  interactive-scale runs, and
+* exact: a two-phase primal simplex over ``fractions.Fraction`` with Bland's
+  rule, used for acceptance runs.  Float inputs are converted with
+  ``Fraction(float)``, which is exact, so the exact solver returns the exact
+  optimum of the LP built from the given floats, with no pivoting error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class LpSolution:
 class HullMembership:
     member: bool
     weights: np.ndarray | None
-    margin: float  # residual of the best decomposition (0 for members)
+    margin: float  # l1 residual of the best decomposition; member iff margin <= tol
 
 
 def _as_fraction_rows(a) -> list[list[Fraction]]:
@@ -179,36 +179,6 @@ def exact_linprog(
     return "optimal", x, value
 
 
-def exact_hull_membership(points: np.ndarray, target: np.ndarray) -> HullMembership:
-    """Exact test for target in the convex cone/hull span of the point rows.
-
-    Solves the phase-1 problem for   points^T w = target, w >= 0.  The
-    returned margin is the minimal artificial mass (an exact infeasibility
-    certificate when positive).
-    """
-    pts = np.asarray(points, dtype=object)
-    tgt = np.asarray(target, dtype=object)
-    nw = pts.shape[0]
-    a_eq = pts.T
-    status, w, _ = exact_linprog([0] * nw, a_eq=a_eq, b_eq=tgt)
-    if status == "optimal":
-        weights = np.array([float(v) for v in w])
-        return HullMembership(True, weights, 0.0)
-    # recover the infeasibility mass by minimizing the l1 residual explicitly
-    ncols = nw + 2 * len(tgt)
-    c = [0] * nw + [1] * (2 * len(tgt))
-    rows = []
-    for i in range(len(tgt)):
-        row = [Fraction(v) for v in pts[:, i]]
-        resid = [Fraction(0)] * (2 * len(tgt))
-        resid[2 * i] = Fraction(1)
-        resid[2 * i + 1] = Fraction(-1)
-        rows.append(row + resid)
-    status2, _, val = exact_linprog(c, a_eq=rows, b_eq=tgt, nonneg=[True] * ncols)
-    margin = float(val) if status2 == "optimal" else float("inf")
-    return HullMembership(False, None, margin)
-
-
 def hull_membership(
     points: np.ndarray,
     target: np.ndarray,
@@ -217,30 +187,31 @@ def hull_membership(
 ) -> HullMembership:
     """Is `target` a convex combination of the rows of `points`?
 
-    The normalization constraint rides along in coordinate 0 whenever the
-    points carry a leading 1.  Float path minimizes the l-infinity residual t
-    of  points^T w = target  over w >= 0 and declares membership when
-    t <= tol; t is reported as the margin either way.
+    One LP on either backend: minimize the l1 residual sum(s+ + s-) subject
+    to  points^T w + s+ - s- = target  over w, s+, s- >= 0.  The optimum is
+    the margin, and `target` is a member when margin <= tol.  The exact path
+    computes that optimum exactly from the given floats.  The normalization
+    constraint rides along in coordinate 0 whenever the points carry a
+    leading 1.
     """
-    if exact:
-        return exact_hull_membership(points, target)
     pts = np.asarray(points, dtype=float)
     tgt = np.asarray(target, dtype=float)
     npts, dim = pts.shape
-    # variables: w (npts), t (1); minimize t
-    c = np.zeros(npts + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * dim, npts + 1))
-    a_ub[:dim, :npts] = pts.T
-    a_ub[dim:, :npts] = -pts.T
-    a_ub[:, -1] = -1.0
-    b_ub = np.concatenate([tgt, -tgt])
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * (npts + 1), method="highs")
-    if not res.success:  # pragma: no cover - the relaxation is always feasible
-        raise RuntimeError(f"membership LP failed: {res.message}")
-    margin = float(res.x[-1])
+    eye = np.eye(dim)
+    a_eq = np.hstack([pts.T, eye, -eye])
+    c = np.concatenate([np.zeros(npts), np.ones(2 * dim)])
+    if exact:
+        _, x, value = exact_linprog(c, a_eq=a_eq, b_eq=tgt)  # feasible, bounded below by 0
+        weights = np.array([float(v) for v in x[:npts]])
+        margin = float(value)
+    else:
+        res = linprog(c, A_eq=a_eq, b_eq=tgt, bounds=(0, None), method="highs")
+        if not res.success:  # pragma: no cover - the relaxation is always feasible
+            raise RuntimeError(f"membership LP failed: {res.message}")
+        weights = res.x[:npts].copy()
+        margin = float(res.fun)
     if margin <= tol:
-        return HullMembership(True, res.x[:npts].copy(), margin)
+        return HullMembership(True, weights, margin)
     return HullMembership(False, None, margin)
 
 

@@ -140,8 +140,8 @@ def invariance_deviation(
                 (rep.effect(element) @ np.asarray(effect))
                 @ (rep.state(element) @ np.asarray(state))
             )
-        worst = max(worst, abs(after - before))
-    return worst
+        worst = np.maximum(worst, abs(after - before))
+    return float(worst)
 
 
 def check_invariance(
@@ -185,13 +185,12 @@ def check_representation(
     Verifies R(identity) = 1 and R(g2) R(g1) = R(g2 o g1), reports the worst
     matrix deviation, and flags trivial assignments (every map the identity).
     """
-    worst = 0.0
     ident = rep.state(sample.identity)
     dim = ident.shape[0]
-    worst = max(worst, float(np.max(np.abs(ident - np.eye(dim)))))
+    worst = np.max(np.abs(ident - np.eye(dim)))
     trivial = True
     for g in sample.elements:
-        if np.max(np.abs(rep.state(g) - np.eye(dim))) > tol:
+        if not np.max(np.abs(rep.state(g) - np.eye(dim))) <= tol:
             trivial = False
             break
     count = 0
@@ -199,13 +198,13 @@ def check_representation(
         for g2 in sample.elements:
             lhs = rep.state(g2) @ rep.state(g1)
             rhs = rep.state(sample.compose(g2, g1))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
             count += 1
     return CheckReport(
         check="representation-law",
         samples=count,
-        worst_deviation=worst,
-        passed=worst <= tol,
+        worst_deviation=float(worst),
+        passed=bool(worst <= tol),
         trivial=trivial,
     )
 
@@ -379,14 +378,14 @@ def toy_discrete_spacetime(
     states = theory.states.vertices
     effects = theory.effect_generators()
     pairs = [(e, z) for e in effects for z in states]
-    invariance = max(invariance_deviation(pairs, k, rep) for k in range(sides))
+    invariance = np.max([invariance_deviation(pairs, k, rep) for k in range(sides)])
     rot = polygon_rotation(sides, shift)
     permutation = float(np.max(np.abs(states @ rot.T - np.roll(states, -shift, axis=0))))
     report = ToySpacetimeReport(
         sides=sides,
         shift=shift,
         representation=rep_report,
-        invariance_deviation=max(invariance, permutation),
+        invariance_deviation=float(np.maximum(invariance, permutation)),
         tolerance=tol,
         nontrivial=not rep_report.trivial,
     )
@@ -461,8 +460,8 @@ def orbit_ball_reconstruction(
         o = sample_special_orthogonal(n, rng)
         point = o @ r
         orbit.append(point)
-        worst = max(worst, abs(float(np.linalg.norm(point)) - 1.0))
-    orbit_pure = worst <= tol
+        worst = np.maximum(worst, abs(float(np.linalg.norm(point)) - 1.0))
+    orbit_pure = bool(worst <= tol)
 
     hull_inside = True
     for _ in range(20):
@@ -477,7 +476,7 @@ def orbit_ball_reconstruction(
     for point in orbit[:20]:
         o = rotation_between(r, point)
         dev = float(np.max(np.abs(o @ r - point)))
-        worst = max(worst, dev)
+        worst = np.maximum(worst, dev)
         transitive = transitive and dev <= tol
 
     effects_extremal = True
@@ -495,7 +494,7 @@ def orbit_ball_reconstruction(
         ]
     )
     dist_dev = float(np.max(np.abs(gram - np.eye(2))))
-    worst = max(worst, dist_dev)
+    worst = np.maximum(worst, dist_dev)
     distinguishability = dist_dev <= tol
 
     mixture = 0.5 * plus + 0.5 * minus
@@ -507,5 +506,5 @@ def orbit_ball_reconstruction(
         transitive=transitive,
         effects_extremal=effects_extremal,
         distinguishability=distinguishability,
-        worst_deviation=worst,
+        worst_deviation=float(worst),
     )

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from gptkit import minkowski
 from gptkit.cli import main
 from gptkit.core import theory_from_json
 
@@ -156,3 +158,19 @@ def test_failing_suite_exits_nonzero(capsys):
     assert code == 1
     rows = json.loads(out)
     assert any(not row["pass"] for row in rows)
+    # every row's pass agrees with its own columns, the orbit row included
+    code, out = run_cli(["invariance-checks", "--samples", "20", "--tol", "1e-16"], capsys)
+    assert code == 1
+    rows = json.loads(out)
+    assert all(not row["pass"] or row["worst_deviation"] <= row["tolerance"] for row in rows)
+    orbit = next(row for row in rows if row["check"] == "ball-orbit-reconstruction")
+    assert orbit["worst_deviation"] > orbit["tolerance"] and not orbit["pass"]
+
+
+def test_nan_deviation_fails_its_row(monkeypatch, capsys):
+    monkeypatch.setattr(minkowski, "interval", lambda x, y: float("nan"))
+    code, out = run_cli(["minkowski-checks", "--samples", "5"], capsys)
+    assert code == 1
+    row = next(row for row in json.loads(out) if row["check"] == "interval-invariance")
+    assert math.isnan(row["worst_deviation"])
+    assert not row["pass"]

@@ -214,6 +214,19 @@ def test_classical_locals_kill_entanglement():
         assert is_separable(phi).status == "separable"
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_box_world_product_vertices_are_separable(exact):
+    # a rank-1 vertex of the maximal tensor product is a product of local
+    # vertices; Fraction(float) rounding must not push it out of the hull
+    square = get_theory("polygon:4")
+    vertices = max_tensor_vertices(square, square)
+    products = [v for v in vertices if np.linalg.matrix_rank(v.reshape(3, 3), tol=1e-9) == 1]
+    assert len(products) == 16
+    for v in products:
+        verdict = is_separable(JointState(v, square, square), exact=exact)
+        assert verdict.status == "separable"
+
+
 def test_separable_states_respect_chsh_bound():
     rng = np.random.default_rng(26)
     local = BOX.local

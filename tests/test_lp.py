@@ -3,7 +3,6 @@ import pytest
 from fractions import Fraction
 
 from gptkit.lp import (
-    exact_hull_membership,
     exact_linprog,
     hull_membership,
     linear_program,
@@ -76,6 +75,14 @@ def test_exact_membership_matches_scipy_on_random_instances():
         target_in = w @ pts
         assert hull_membership(pts, target_in, exact=True).member
         assert hull_membership(pts, target_in).member
+        target_out = target_in.copy()
+        target_out[1] = pts[:, 1].max() + rng.uniform(0.1, 1.0)  # beyond every point
+        for target in (target_in, target_out):
+            f = hull_membership(pts, target)
+            e = hull_membership(pts, target, exact=True)
+            assert abs(f.margin - e.margin) < 1e-9
+            assert f.member == e.member
+        assert not hull_membership(pts, target_out, exact=True).member
 
 
 def test_linear_program_exact_vs_float():
@@ -94,7 +101,7 @@ def test_linear_program_exact_vs_float():
 
 def test_exact_hull_membership_reports_positive_margin():
     pts = np.array([[1.0, 1.0], [1.0, -1.0]])
-    res = exact_hull_membership(pts, np.array([1.0, 2.0]))
+    res = hull_membership(pts, np.array([1.0, 2.0]), exact=True)
     assert not res.member
     assert res.margin >= 1.0 - 1e-12
 

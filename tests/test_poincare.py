@@ -176,6 +176,18 @@ def test_check_representation_flags_trivial():
     assert report.trivial
 
 
+def test_nan_deviations_fail():
+    nan_rep = RepMap(state_map=lambda g: np.full((3, 3), np.nan))
+    sample = GroupSample(elements=(0, 1, 2), compose=lambda a, b: (a + b) % 3, identity=0)
+    report = check_representation(sample, nan_rep, tol=1e-10)
+    assert np.isnan(report.worst_deviation)
+    assert not report.passed
+    assert not report.trivial
+    pairs = [(np.array([0.5, 0.0, 0.5]), np.array([1.0, 0.3, 0.4]))]
+    assert np.isnan(invariance_deviation(pairs, 0, nan_rep))
+    assert not check_invariance(pairs, 0, nan_rep, tol=1e-10)
+
+
 def test_check_representation_off_by_one_fails():
     sides = 6
     sample = GroupSample(
