@@ -4,14 +4,22 @@ Each problem builds one LP and hands it to one of two solvers:
 
 * floating point: ``scipy.optimize.linprog`` (HiGHS), used for
   interactive-scale runs, and
-* exact: a two-phase primal simplex over ``fractions.Fraction`` with Bland's
-  rule, used for acceptance runs.  Float inputs are converted with
-  ``Fraction(float)``, which is exact, so the exact solver returns the exact
-  optimum of the LP built from the given floats, with no pivoting error.
+* exact: a two-phase primal simplex with Bland's rule, used for acceptance
+  runs.  Inputs are converted once with ``Fraction(v)``, which is exact for
+  floats, and each tableau row, the cost row included, is kept as Python
+  ints over one positive denominator.  A pivot is integer multiply-subtract
+  plus one gcd per row (Edmonds, J. Res. NBS 71B, 1967); Bland's decisions
+  need only signs and cross-multiplied ratios, so no pivoting error enters
+  and the solver returns the exact optimum of the LP built from the given
+  floats.  Phase 1 starts from the LP's own unit columns: a column that
+  reads +e_i after the rhs sign flip (the slack of a <= row with b >= 0, a
+  residual of a hull row) is row i's first basic column, and artificials
+  go only on the rows left over.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,41 +48,57 @@ def _as_fraction_rows(a) -> list[list[Fraction]]:
     return [[Fraction(v) for v in row] for row in np.atleast_2d(np.asarray(a, dtype=object))]
 
 
-def _pivot(rows, cost, basis, r, c) -> None:
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
+def _int_row(values: list[Fraction]) -> tuple[list[int], int]:
+    """The integer numerators of `values` over one positive common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _eliminate(row, den, prow, pden, col) -> tuple[list[int], int]:
+    """row - row[col] * prow, where prow reads 1 in column col (prow[col] == pden)."""
+    f = row[col]
+    return _lowest([v * pden - f * w for v, w in zip(row, prow)], den * pden)
+
+
+def _pivot(rows, dens, cost, basis, r, c) -> None:
+    """Pivot on (r, c); `cost` is the [ints, den] pair of the cost row, updated in place."""
+    p = rows[r][c]
+    prow, pden = _lowest(rows[r] if p > 0 else [-v for v in rows[r]], abs(p))
+    rows[r], dens[r] = prow, pden
     for i, row in enumerate(rows):
         if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [v - f * w for v, w in zip(row, rows[r])]
-    if cost[c] != 0:
-        f = cost[c]
-        for j, w in enumerate(rows[r]):
-            cost[j] -= f * w
+            rows[i], dens[i] = _eliminate(row, dens[i], prow, pden, c)
+    if cost[0][c] != 0:
+        cost[:] = _eliminate(*cost, prow, pden, c)
     basis[r] = c
 
 
-def _iterate(rows, cost, basis) -> str:
-    ncols = len(cost) - 1
+def _iterate(rows, dens, cost, basis) -> str:
+    ncols = len(cost[0]) - 1
     while True:
-        entering = -1
-        for j in range(ncols):
-            if cost[j] < 0:
-                entering = j  # Bland: smallest index
-                break
+        # denominators are positive, so a numerator's sign is its value's sign
+        entering = next((j for j in range(ncols) if cost[0][j] < 0), -1)  # Bland: smallest index
         if entering < 0:
             return "optimal"
-        ratio = None
-        leaving = -1
+        leaving, best_a, best_b = -1, 1, 0
         for i, row in enumerate(rows):
-            if row[entering] > 0:
-                r = row[-1] / row[entering]
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leaving]):
-                    ratio = r
-                    leaving = i
+            a = row[entering]
+            if a > 0:
+                # the ratio is row[-1] / a, as the row's denominator cancels;
+                # compare it with the best so far by cross-multiplying
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if leaving < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, best_a, best_b = i, a, row[-1]
         if leaving < 0:
             return "unbounded"
-        _pivot(rows, cost, basis, leaving, entering)
+        _pivot(rows, dens, cost, basis, leaving, entering)
 
 
 def exact_linprog(
@@ -116,57 +140,68 @@ def exact_linprog(
         if not nonneg[j]:
             col_of.append((j, -1))
     n_struct = len(col_of)
-    n_total = n_struct + n_le + m
+    art0 = n_struct + n_le
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     for i in range(m):
-        row = [Fraction(0)] * (n_total + 1)
-        for k, (j, sgn) in enumerate(col_of):
-            row[k] = sgn * rows_in[i][j]
+        row = [sgn * rows_in[i][j] for j, sgn in col_of] + [Fraction(0)] * n_le
         if i >= n_eq:
             row[n_struct + (i - n_eq)] = Fraction(1)
-        row[-1] = rhs_in[i]
+        row.append(rhs_in[i])
         if row[-1] < 0:
             row = [-v for v in row]
-        row[n_struct + n_le + i] = Fraction(1)
-        rows.append(row)
-    basis = [n_struct + n_le + i for i in range(m)]
+        ints, den = _int_row(row)
+        rows.append(ints)
+        dens.append(den)
+
+    # start basis: a column that reads +e_i is row i's basic column (the slack
+    # of a <= row with b >= 0, a residual of a hull row); artificials go only
+    # on the rows left over
+    basis = [-1] * m
+    for j, column in enumerate(list(zip(*rows))[:art0]):
+        nonzero = [i for i, v in enumerate(column) if v != 0]
+        if len(nonzero) == 1:
+            i = nonzero[0]
+            if column[i] == dens[i] and basis[i] < 0:
+                basis[i] = j
+    left = [i for i in range(m) if basis[i] < 0]
+    for k, i in enumerate(left):
+        basis[i] = art0 + k
+    for i, row in enumerate(rows):
+        art = [0] * len(left)
+        if basis[i] >= art0:
+            art[basis[i] - art0] = dens[i]
+        rows[i] = row[:-1] + art + row[-1:]
 
     # phase 1: minimize the artificial mass
-    cost = [Fraction(0)] * (n_total + 1)
-    for row in rows:
-        for j in range(n_struct + n_le):
-            cost[j] -= row[j]
-        cost[-1] -= row[-1]
-    status = _iterate(rows, cost, basis)
+    cost = [[0] * art0 + [1] * len(left) + [0], 1]
+    for i in left:
+        cost[:] = _eliminate(*cost, rows[i], dens[i], basis[i])
+    status = _iterate(rows, dens, cost, basis)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         return "infeasible", None, None
-    if -cost[-1] > 0:
+    if cost[0][-1] < 0:  # the cost row's last entry is minus the artificial mass
         return "infeasible", None, None
 
     # drive leftover zero-value artificials out of the basis
-    art0 = n_struct + n_le
     for i in range(m - 1, -1, -1):
         if basis[i] >= art0:
             piv_col = next((j for j in range(art0) if rows[i][j] != 0), -1)
             if piv_col >= 0:
-                _pivot(rows, cost, basis, i, piv_col)
+                _pivot(rows, dens, cost, basis, i, piv_col)
             else:
                 del rows[i]
+                del dens[i]
                 del basis[i]
 
     # phase 2 on the original objective, artificial columns frozen out
-    rows = [row[:art0] + [row[-1]] for row in rows]
-    cost2 = [Fraction(0)] * (art0 + 1)
-    for k, (j, sgn) in enumerate(col_of):
-        cost2[k] = sgn * c[j]
-    for i, row in enumerate(rows):
-        cb = cost2[basis[i]]
-        if cb != 0:
-            for j in range(art0 + 1):
-                cost2[j] -= cb * row[j]
-            cost2[basis[i]] = Fraction(0)
-    status = _iterate(rows, cost2, basis)
+    rows = [row[:art0] + row[-1:] for row in rows]
+    cost = list(_int_row([sgn * c[j] for j, sgn in col_of] + [Fraction(0)] * (n_le + 1)))
+    for i, b in enumerate(basis):
+        if cost[0][b] != 0:
+            cost[:] = _eliminate(*cost, rows[i], dens[i], b)
+    status = _iterate(rows, dens, cost, basis)
     if status == "unbounded":
         return "unbounded", None, None
 
@@ -174,7 +209,7 @@ def exact_linprog(
     for i, b in enumerate(basis):
         if b < n_struct:
             j, sgn = col_of[b]
-            x[j] += sgn * rows[i][-1]
+            x[j] += sgn * Fraction(rows[i][-1], dens[i])
     value = sum(ci * xi for ci, xi in zip(c, x))
     return "optimal", x, value
 

@@ -96,6 +96,16 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
+def test_exact_report_matches_float_report(capsys):
+    # --exact solves the chsh-polygon:4 and chsh-bit rows' LPs exactly; they
+    # hit 4 and 2 on both paths, so every byte of the report agrees
+    args = ["report", "--seed", "3", "--samples", "40"]
+    float_code, float_out = run_cli(args, capsys)
+    exact_code, exact_out = run_cli(args + ["--exact"], capsys)
+    assert float_code == exact_code == 0
+    assert exact_out == float_out
+
+
 def test_csv_format_for_checks(capsys):
     code, out = run_cli(
         ["minkowski-checks", "--samples", "10", "--format", "csv"], capsys

@@ -1,6 +1,8 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from gptkit.lp import (
     exact_linprog,
@@ -134,3 +136,204 @@ def test_exact_linprog_matches_scipy_on_random_bounded_problems():
         )
         assert ref.success and sol.status == "optimal"
         assert abs(sol.value - ref.fun) < 1e-7
+
+
+def test_exact_linprog_without_rows():
+    assert exact_linprog([1], nonneg=[True]) == ("optimal", [Fraction(0)], Fraction(0))
+    assert exact_linprog([-1], nonneg=[True])[0] == "unbounded"
+
+
+def test_exact_linprog_zero_and_dependent_rows():
+    # 0.x = 0 constrains nothing; its artificial row is dropped after phase 1
+    status, x, value = exact_linprog([1, 1], a_eq=[[0, 0]], b_eq=[0])
+    assert (status, x, value) == ("optimal", [Fraction(0), Fraction(0)], Fraction(0))
+    # the second row is twice the first: one of them is dropped
+    status, x, value = exact_linprog([1, 2], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
+    assert (status, x, value) == ("optimal", [Fraction(1), Fraction(0)], Fraction(1))
+
+
+def test_exact_linprog_mixed_int_and_fraction_inputs():
+    # max x/3 + y  st  x + y/2 <= 3/2,  y <= 1,  x, y >= 0  ->  (1, 1), value 4/3
+    status, x, value = exact_linprog(
+        [Fraction(-1, 3), -1],
+        a_le=[[1, Fraction(1, 2)], [0, 1]],
+        b_le=[Fraction(3, 2), 1],
+    )
+    assert status == "optimal"
+    assert x == [Fraction(1), Fraction(1)]
+    assert value == Fraction(-4, 3)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the dense Fraction tableau, started from one artificial per row
+# ---------------------------------------------------------------------------
+
+
+def _ref_pivot(rows, cost, basis, r, c):
+    piv = rows[r][c]
+    rows[r] = [v / piv for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [v - f * w for v, w in zip(row, rows[r])]
+    if cost[c] != 0:
+        f = cost[c]
+        for j, w in enumerate(rows[r]):
+            cost[j] -= f * w
+    basis[r] = c
+
+
+def _ref_iterate(rows, cost, basis):
+    while True:
+        entering = next((j for j in range(len(cost) - 1) if cost[j] < 0), -1)
+        if entering < 0:
+            return "optimal"
+        ratio, leaving = None, -1
+        for i, row in enumerate(rows):
+            if row[entering] > 0:
+                r = row[-1] / row[entering]
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leaving]):
+                    ratio, leaving = r, i
+        if leaving < 0:
+            return "unbounded"
+        _ref_pivot(rows, cost, basis, leaving, entering)
+
+
+def _reference_linprog(c, a_eq=None, b_eq=None, a_le=None, b_le=None, nonneg=None):
+    c = [Fraction(v) for v in c]
+    nonneg = [True] * len(c) if nonneg is None else nonneg
+    eqs = [([Fraction(v) for v in row], Fraction(b)) for row, b in zip(a_eq or [], b_eq or [])]
+    les = [([Fraction(v) for v in row], Fraction(b)) for row, b in zip(a_le or [], b_le or [])]
+    col_of = [(j, s) for j in range(len(c)) for s in ((1, -1) if not nonneg[j] else (1,))]
+    n_struct, n_le, m = len(col_of), len(les), len(eqs) + len(les)
+    art0 = n_struct + n_le
+    rows = []
+    for i, (row_in, b) in enumerate(eqs + les):
+        row = [Fraction(0)] * (art0 + m + 1)
+        for k, (j, s) in enumerate(col_of):
+            row[k] = s * row_in[j]
+        if i >= len(eqs):
+            row[n_struct + i - len(eqs)] = Fraction(1)
+        row[-1] = b
+        if b < 0:
+            row = [-v for v in row]
+        row[art0 + i] = Fraction(1)
+        rows.append(row)
+    basis = [art0 + i for i in range(m)]
+    cost = [Fraction(0)] * (art0 + m + 1)
+    for row in rows:
+        for j in list(range(art0)) + [-1]:
+            cost[j] -= row[j]
+    _ref_iterate(rows, cost, basis)
+    if cost[-1] < 0:
+        return "infeasible", None, None
+    for i in range(m - 1, -1, -1):
+        if basis[i] >= art0:
+            col = next((j for j in range(art0) if rows[i][j] != 0), -1)
+            if col >= 0:
+                _ref_pivot(rows, cost, basis, i, col)
+            else:
+                del rows[i], basis[i]
+    rows = [row[:art0] + [row[-1]] for row in rows]
+    cost = [s * c[j] for j, s in col_of] + [Fraction(0)] * (n_le + 1)
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb != 0:
+            cost = [v - cb * w for v, w in zip(cost, rows[i])]
+    if _ref_iterate(rows, cost, basis) == "unbounded":
+        return "unbounded", None, None
+    x = [Fraction(0)] * len(c)
+    for i, b in enumerate(basis):
+        if b < n_struct:
+            j, s = col_of[b]
+            x[j] += s * rows[i][-1]
+    return "optimal", x, sum(ci * xi for ci, xi in zip(c, x))
+
+
+def _coef(rng):
+    """A small int, a simple Fraction or a dyadic float."""
+    return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                       rng.randint(-6, 6) / 4])
+
+
+def _random_lp(seed):
+    """Seeded LPs of six shapes; each shape tests one path of the tableau."""
+    rng = random.Random(seed)
+    kind = seed % 6
+    nvar = rng.randint(2, 4)
+    c = [_coef(rng) for _ in range(nvar)]
+    rand_rows = lambda k: [[_coef(rng) for _ in range(nvar)] for _ in range(k)]
+    box = [[int(i == j) * s for j in range(nvar)] for i in range(nvar) for s in (1, -1)]
+    if kind == 0:  # free and nonneg variables, rows with negative rhs, a box
+        return dict(c=c, a_le=rand_rows(3) + box, b_le=[rng.randint(-2, 3) for _ in range(3)]
+                    + [3] * len(box), nonneg=[rng.random() < 0.5 for _ in range(nvar)])
+    if kind == 1:  # hull-shaped: points^T w + s+ - s- = target, all >= 0
+        npts, dim = rng.randint(2, 4), rng.randint(2, 3)
+        pts = [[1] + [rng.randint(-2, 2) for _ in range(dim - 1)] for _ in range(npts)]
+        a_eq = [[p[i] for p in pts] + [int(i == k) for k in range(dim)]
+                + [-int(i == k) for k in range(dim)] for i in range(dim)]
+        target = [1] + [_coef(rng) for _ in range(dim - 1)]
+        return dict(c=[0] * npts + [1] * (2 * dim), a_eq=a_eq, b_eq=target)
+    if kind == 2:  # b = 0 degenerate rows through a point with x_0 = 1, free variables
+        point = [1] + [rng.randint(-2, 2) for _ in range(nvar - 1)]
+        cone = [row if sum(a * p for a, p in zip(row, point)) <= 0 else [-a for a in row]
+                for row in rand_rows(4)]
+        return dict(c=c, a_eq=[[1] + [0] * (nvar - 1)], b_eq=[1],
+                    a_le=cone + box, b_le=[0] * 4 + [2] * len(box), nonneg=[False] * nvar)
+    if kind == 3:  # duplicated and scaled equality rows
+        rows = rand_rows(2)
+        point = [rng.randint(0, 2) for _ in range(nvar)]
+        rows += [rows[0], [2 * v for v in rows[1]]]
+        b = [sum(a * p for a, p in zip(row, point)) for row in rows]
+        return dict(c=[abs(v) for v in c], a_eq=rows, b_eq=b)
+    if kind == 4:  # infeasible: a.x <= b and a.x >= b + 1
+        row = rand_rows(1)[0]
+        b = rng.randint(-2, 2)
+        return dict(c=c, a_le=[row, [-v for v in row]] + rand_rows(1), b_le=[b, -b - 1, 2],
+                    nonneg=[rng.random() < 0.5 for _ in range(nvar)])
+    # unbounded: few rows over free variables
+    return dict(c=c, a_le=rand_rows(rng.randint(1, 2)), b_le=[rng.randint(-1, 2), 1],
+                nonneg=[False] * nvar)
+
+
+def _exactly_feasible(lp, x):
+    dot = lambda row: sum(Fraction(a) * v for a, v in zip(row, x))
+    nonneg = lp.get("nonneg") or [True] * len(x)
+    return (
+        all(dot(row) == Fraction(b) for row, b in zip(lp.get("a_eq", []), lp.get("b_eq", [])))
+        and all(dot(row) <= Fraction(b) for row, b in zip(lp.get("a_le", []), lp.get("b_le", [])))
+        and all(v >= 0 for v, pos in zip(x, nonneg) if pos)
+    )
+
+
+def test_exact_linprog_matches_fraction_reference():
+    statuses = []
+    for seed in range(54):
+        lp = _random_lp(seed)
+        status, x, value = exact_linprog(**lp)
+        ref_status, _, ref_value = _reference_linprog(**lp)
+        assert status == ref_status, (seed, lp)
+        assert value == ref_value, (seed, lp)
+        if status == "optimal":
+            assert isinstance(value, Fraction) and all(isinstance(v, Fraction) for v in x)
+            assert _exactly_feasible(lp, x), (seed, lp, x)
+            assert sum(Fraction(ci) * xi for ci, xi in zip(lp["c"], x)) == value
+        statuses.append(status)
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+
+
+def test_exact_linprog_keeps_the_reference_pivots_from_an_artificial_start():
+    # a.x + 2 s = 0 (b = 0, degenerate) and sum(x) + 2 s' = 1 over x, s >= 0:
+    # no column reads +e_i, so every row starts on an artificial as in the
+    # reference, Bland's rule repeats its pivots and x is equal too.  On a few
+    # of these the optimum is not unique and the ratio tie-break decides x.
+    for seed in range(300):
+        rng = random.Random(seed)
+        nvar, k = rng.randint(3, 5), rng.randint(2, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(nvar)] for _ in range(k)] + [[1] * nvar]
+        lp = dict(
+            c=[rng.randint(-3, 2) for _ in range(nvar)] + [0] * len(rows),
+            a_eq=[row + [2 * (i == j) for j in range(len(rows))] for i, row in enumerate(rows)],
+            b_eq=[0] * k + [1],
+        )
+        assert exact_linprog(**lp) == _reference_linprog(**lp), (seed, lp)
