@@ -21,7 +21,11 @@ import numpy as np
 
 from . import composites, minkowski, poincare, zoo
 from .core import theory_from_json, theory_to_json
-from .rotations import sample_special_orthogonal
+from .rotations import (
+    sample_special_orthogonal,
+    special_orthogonal_draws,
+    special_orthogonal_from_gaussian,
+)
 
 CHECK_COLUMNS = ["check", "samples", "worst_deviation", "tolerance", "pass"]
 
@@ -39,6 +43,26 @@ def _check(name: str, samples: int, worst: float, tolerance: float, extra=None) 
     return row
 
 
+# Samples per stack in the geometry suites, so their arrays stay bounded
+# for any --samples.
+SAMPLE_CHUNK = 256
+
+
+def _chunks(samples: int):
+    """Sizes of the successive stacks that make up `samples`."""
+    for start in range(0, samples, SAMPLE_CHUNK):
+        yield min(SAMPLE_CHUNK, samples - start)
+
+
+def _stacked(draws) -> list:
+    """Stack per-sample tuples of draws position by position; a position
+    holding tuples is stacked the same way, into a list."""
+    return [
+        _stacked(column) if isinstance(column[0], tuple) else np.array(column)
+        for column in zip(*draws)
+    ]
+
+
 def minkowski_suite(
     n: int,
     mass: float,
@@ -54,36 +78,51 @@ def minkowski_suite(
     worst_shell = 0.0
     worst_lorentz = 0.0
     transforms = []
-    for _ in range(samples):
-        p = minkowski.random_poincare(n, rng)
-        transforms.append(p)
-        x = rng.uniform(-3, 3, n + 1)
-        y = rng.uniform(-3, 3, n + 1)
-        dev = abs(
+    for size in _chunks(samples):
+        p_draws, x, y, q_draws = _stacked(
+            (
+                minkowski.poincare_draws(n, rng),
+                rng.uniform(-3, 3, n + 1),
+                rng.uniform(-3, 3, n + 1),
+                minkowski.proper_orthochronous_draws(n, rng),
+            )
+            for _ in range(size)
+        )
+        p = minkowski.poincare_from_draws(*p_draws)
+        if log_transforms:
+            transforms.append(p)
+        dev = np.abs(
             minkowski.interval(x, y)
             - minkowski.interval(minkowski.apply_poincare(p, x), minkowski.apply_poincare(p, y))
         )
-        worst_interval = np.maximum(worst_interval, dev)
-        q = minkowski.random_momentum(mass, n, rng)
-        shell = abs(minkowski.minkowski_norm2(p.lorentz @ q.vector) + mass**2)
-        worst_shell = np.maximum(worst_shell, shell)
-        defect = np.max(np.abs(p.lorentz.T @ eta @ p.lorentz - eta))
+        worst_interval = np.maximum(worst_interval, np.max(dev))
+        q = minkowski.momentum_from_draws(mass, *q_draws)
+        shell = np.abs(
+            minkowski.minkowski_norm2(minkowski.apply_lorentz(p.lorentz, q.vector)) + mass**2
+        )
+        worst_shell = np.maximum(worst_shell, np.max(shell))
+        defect = np.max(np.abs(np.swapaxes(p.lorentz, -1, -2) @ eta @ p.lorentz - eta))
         worst_lorentz = np.maximum(worst_lorentz, defect)
 
     worst_assoc = 0.0
-    for _ in range(samples):
-        a, b, c = (minkowski.random_poincare(n, rng) for _ in range(3))
+    for size in _chunks(samples):
+        a, b, c = (
+            minkowski.poincare_from_draws(*draws)
+            for draws in _stacked(
+                tuple(minkowski.poincare_draws(n, rng) for _ in range(3)) for _ in range(size)
+            )
+        )
         left = minkowski.compose(minkowski.compose(a, b), c)
         right = minkowski.compose(a, minkowski.compose(b, c))
         worst_assoc = np.max([
             worst_assoc,
-            float(np.max(np.abs(left.translation - right.translation))),
-            float(np.max(np.abs(left.lorentz - right.lorentz))),
+            np.max(np.abs(left.translation - right.translation)),
+            np.max(np.abs(left.lorentz - right.lorentz)),
         ])
 
     worst_boost = 0.0
-    for _ in range(samples):
-        p_mag = rng.uniform(0.0, 2.0)
+    for size in _chunks(samples):
+        p_mag = rng.uniform(0.0, 2.0, size)
         s = minkowski.boost_x(p_mag, mass, n)
         s_inv = minkowski.boost_x(-p_mag, mass, n)
         worst_boost = np.maximum(worst_boost, np.max(np.abs(s @ s_inv - np.eye(n + 1))))
@@ -103,58 +142,60 @@ def minkowski_suite(
 
 def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float) -> list[dict]:
     rng = np.random.default_rng(seed)
-    rest = minkowski.rest_momentum(mass, n)
-    origin = np.zeros(n + 1)
+    rest = minkowski.rest_momentum(mass, n).vector
     eta = minkowski.metric(n)
+    axis = np.zeros(n + 1)
+    axis[0] = 1.0
+    frame = minkowski.proper_orthochronous_draws
+
+    def point():
+        return rng.uniform(-2, 2, n + 1)
 
     worst_fix = 0.0
     worst_so = 0.0
-    for _ in range(samples):
-        a = rng.uniform(-2, 2, n + 1)
-        x = rng.uniform(-2, 2, n + 1)
-        lam = minkowski.random_proper_orthochronous(n, rng)
-        p = minkowski.random_momentum(mass, n, rng)
+    for size in _chunks(samples):
+        a, x, lam_draws, p_draws = _stacked(
+            (point(), point(), frame(n, rng), frame(n, rng)) for _ in range(size)
+        )
+        lam = minkowski.proper_orthochronous_from_draws(*lam_draws)
+        p = minkowski.momentum_from_draws(mass, *p_draws)
         g = minkowski.little_group_element(a, x, lam, p)
-        b2, q2 = minkowski.apply_to_pair(g, origin, rest.vector)
-        worst_fix = np.max([
-            worst_fix,
-            float(np.max(np.abs(b2))),
-            float(np.max(np.abs(q2 - rest.vector))),
-        ])
+        b2, q2 = minkowski.apply_to_pair(g, np.zeros_like(a), rest)
+        worst_fix = np.max([worst_fix, np.max(np.abs(b2)), np.max(np.abs(q2 - rest))])
         w = minkowski.wigner_rotation(lam, p)
-        axis = np.zeros(n + 1)
-        axis[0] = 1.0
         worst_so = np.max([
             worst_so,
-            float(np.max(np.abs(w.T @ eta @ w - eta))),
-            abs(float(np.linalg.det(w)) - 1.0),
-            float(np.max(np.abs(w[0] - axis))),
-            float(np.max(np.abs(w[:, 0] - axis))),
+            np.max(np.abs(np.swapaxes(w, -1, -2) @ eta @ w - eta)),
+            np.max(np.abs(np.linalg.det(w) - 1.0)),
+            np.max(np.abs(w[..., 0, :] - axis)),
+            np.max(np.abs(w[..., :, 0] - axis)),
         ])
 
     worst_rotation = 0.0
-    for _ in range(samples):
-        rot = np.eye(n + 1)
-        rot[1:, 1:] = sample_special_orthogonal(n, rng)
-        a = rng.uniform(-2, 2, n + 1)
-        x = rng.uniform(-2, 2, n + 1)
-        p = minkowski.random_momentum(mass, n, rng)
+    for size in _chunks(samples):
+        gauss, a, x, p_draws = _stacked(
+            (special_orthogonal_draws(n, rng), point(), point(), frame(n, rng))
+            for _ in range(size)
+        )
+        rot = minkowski.spatial_rotation(special_orthogonal_from_gaussian(gauss))
+        p = minkowski.momentum_from_draws(mass, *p_draws)
         g = minkowski.little_group_element(a, x, rot, p)
         worst_rotation = np.max([
             worst_rotation,
-            float(np.max(np.abs(g.translation))),
-            float(np.max(np.abs(g.lorentz - rot))),
+            np.max(np.abs(g.translation)),
+            np.max(np.abs(g.lorentz - rot)),
         ])
 
     worst_comp = 0.0
-    for _ in range(samples):
-        a = rng.uniform(-2, 2, n + 1)
-        a2 = rng.uniform(-2, 2, n + 1)
-        x = rng.uniform(-2, 2, n + 1)
-        lam1 = minkowski.random_proper_orthochronous(n, rng)
-        lam2 = minkowski.random_proper_orthochronous(n, rng)
-        p = minkowski.random_momentum(mass, n, rng)
-        moved = minkowski.MassiveMomentum(lam1 @ p.vector, mass)
+    for size in _chunks(samples):
+        a, a2, x, lam1_draws, lam2_draws, p_draws = _stacked(
+            (point(), point(), point(), frame(n, rng), frame(n, rng), frame(n, rng))
+            for _ in range(size)
+        )
+        lam1 = minkowski.proper_orthochronous_from_draws(*lam1_draws)
+        lam2 = minkowski.proper_orthochronous_from_draws(*lam2_draws)
+        p = minkowski.momentum_from_draws(mass, *p_draws)
+        moved = minkowski.MassiveMomentum(minkowski.apply_lorentz(lam1, p.vector), mass)
         left = minkowski.compose(
             minkowski.little_group_element(a2, x + a, lam2, moved),
             minkowski.little_group_element(a, x, lam1, p),
@@ -162,8 +203,8 @@ def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float)
         right = minkowski.little_group_element(a + a2, x, lam2 @ lam1, p)
         worst_comp = np.max([
             worst_comp,
-            float(np.max(np.abs(left.translation - right.translation))),
-            float(np.max(np.abs(left.lorentz - right.lorentz))),
+            np.max(np.abs(left.translation - right.translation)),
+            np.max(np.abs(left.lorentz - right.lorentz)),
         ])
 
     return [

@@ -11,6 +11,11 @@ spatial rotation that element reduces to.
 Lorentz inverses are always computed through the exact relation
 L^-1 = eta L^t eta, never by general matrix inversion, so the group
 structure survives to machine precision.
+
+The kernels take leading sample axes: a stack of points, momenta, frame
+changes or transforms is processed as one array, with one BLAS product
+per sample, so a stacked result equals the one-sample result bit for bit.
+A single sample is the stack with no leading axis.
 """
 
 from __future__ import annotations
@@ -21,9 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rotations import (
+    dots,
+    norms,
     rotation_angle_from_trace,
     rotation_taking_first_axis,
-    sample_special_orthogonal,
+    special_orthogonal_draws,
+    special_orthogonal_from_gaussian,
 )
 
 DEFAULT_TOL = 1e-9
@@ -38,48 +46,67 @@ def metric(n: int) -> np.ndarray:
     return eta
 
 
-def interval(x: np.ndarray, y: np.ndarray) -> float:
-    """Signed squared interval -(y0-x0)^2 + sum (yi-xi)^2."""
-    dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    if dx.ndim != 1:
-        raise ValueError("spacetime points must be vectors")
-    return float(-dx[0] ** 2 + dx[1:] @ dx[1:])
+def _identities(shape: tuple, dim: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(dim), shape + (dim, dim)).copy()
 
 
-def minkowski_norm2(p: np.ndarray) -> float:
-    """p . eta . p for a 1+n vector."""
+def apply_lorentz(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """lam @ v for matrices (..., d, d) and vectors (..., d), broadcast over
+    leading sample axes; one BLAS matrix-vector product per sample."""
+    return (np.asarray(lam, dtype=float) @ np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
+def minkowski_norm2(p: np.ndarray) -> float | np.ndarray:
+    """p . eta . p for a 1+n vector; an array of them for leading sample axes."""
     v = np.asarray(p, dtype=float)
-    return float(-v[0] ** 2 + v[1:] @ v[1:])
+    out = -v[..., 0] ** 2 + dots(v[..., 1:], v[..., 1:])
+    return float(out) if v.ndim == 1 else out
+
+
+def interval(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Signed squared interval -(y0-x0)^2 + sum (yi-xi)^2, over any leading
+    sample axes of the two points."""
+    dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    if dx.ndim < 1:
+        raise ValueError("spacetime points must be vectors")
+    return minkowski_norm2(dx)
 
 
 def is_lorentz(lam: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Does L^t eta L = eta hold within tol?"""
+    """Does L^t eta L = eta hold within tol, for every matrix of a stack?"""
     m = np.asarray(lam, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    eta = metric(m.shape[0] - 1)
-    return bool(np.max(np.abs(m.T @ eta @ m - eta)) <= tol)
+    eta = metric(m.shape[-1] - 1)
+    return bool(np.max(np.abs(np.swapaxes(m, -1, -2) @ eta @ m - eta)) <= tol)
 
 
 def is_proper_orthochronous(lam: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Lorentz, determinant +1, and no time reversal (L00 >= 1)."""
+    """Lorentz, determinant +1, and no time reversal (L00 >= 1), for every
+    matrix of a stack."""
     m = np.asarray(lam, dtype=float)
     return (
         is_lorentz(m, tol)
-        and abs(np.linalg.det(m) - 1.0) <= tol
-        and m[0, 0] >= 1.0 - tol
+        and bool(np.all(np.abs(np.linalg.det(m) - 1.0) <= tol))
+        and bool(np.all(m[..., 0, 0] >= 1.0 - tol))
     )
 
 
 def lorentz_inverse(lam: np.ndarray) -> np.ndarray:
+    """eta L^t eta, over any leading sample axes."""
     m = np.asarray(lam, dtype=float)
-    eta = metric(m.shape[0] - 1)
-    return eta @ m.T @ eta
+    eta = metric(m.shape[-1] - 1)
+    return eta @ np.swapaxes(m, -1, -2) @ eta
 
 
 @dataclass(frozen=True)
 class PoincareTransform:
-    """Pair (a, L): translation vector plus Lorentz matrix, acting x -> Lx + a."""
+    """Pair (a, L): translation vector plus Lorentz matrix, acting x -> Lx + a.
+
+    Both may carry the same leading sample axes, (..., 1+n) and
+    (..., 1+n, 1+n): a stack of transforms, which every function below
+    acts on sample by sample.
+    """
 
     translation: np.ndarray
     lorentz: np.ndarray
@@ -87,7 +114,7 @@ class PoincareTransform:
     def __post_init__(self):
         a = np.array(self.translation, dtype=float)
         m = np.array(self.lorentz, dtype=float)
-        if a.ndim != 1 or m.shape != (a.shape[0], a.shape[0]):
+        if a.ndim < 1 or m.shape != a.shape + a.shape[-1:]:
             raise ValueError("translation and Lorentz matrix dimensions must match")
         a.setflags(write=False)
         m.setflags(write=False)
@@ -96,7 +123,7 @@ class PoincareTransform:
 
     @property
     def n(self) -> int:
-        return self.translation.shape[0] - 1
+        return self.translation.shape[-1] - 1
 
 
 def identity_transform(n: int) -> PoincareTransform:
@@ -107,7 +134,7 @@ def apply_poincare(p: PoincareTransform, x: np.ndarray) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != p.translation.shape:
         raise ValueError("point dimension does not match the transformation")
-    return p.lorentz @ v + p.translation
+    return apply_lorentz(p.lorentz, v) + p.translation
 
 
 def apply_to_pair(p: PoincareTransform, b: np.ndarray, q: np.ndarray):
@@ -115,7 +142,7 @@ def apply_to_pair(p: PoincareTransform, b: np.ndarray, q: np.ndarray):
 
     Momenta are translation-insensitive; only the Lorentz part acts on them.
     """
-    return apply_poincare(p, b), p.lorentz @ np.asarray(q, dtype=float)
+    return apply_poincare(p, b), apply_lorentz(p.lorentz, q)
 
 
 def compose(second: PoincareTransform, first: PoincareTransform) -> PoincareTransform:
@@ -123,19 +150,23 @@ def compose(second: PoincareTransform, first: PoincareTransform) -> PoincareTran
     if second.n != first.n:
         raise ValueError("cannot compose transformations of different dimension")
     return PoincareTransform(
-        second.translation + second.lorentz @ first.translation,
+        second.translation + apply_lorentz(second.lorentz, first.translation),
         second.lorentz @ first.lorentz,
     )
 
 
 def inverse(p: PoincareTransform) -> PoincareTransform:
     inv = lorentz_inverse(p.lorentz)
-    return PoincareTransform(-(inv @ p.translation), inv)
+    return PoincareTransform(-apply_lorentz(inv, p.translation), inv)
 
 
 @dataclass(frozen=True)
 class MassiveMomentum:
-    """On-shell momentum: p.eta.p = -m^2 with positive energy and m > 0."""
+    """On-shell momentum: p.eta.p = -m^2 with positive energy and m > 0.
+
+    `vector` may carry leading sample axes, (..., 1+n), all of one mass;
+    construction fails if any of them is off the mass shell.
+    """
 
     vector: np.ndarray
     mass: float
@@ -144,20 +175,21 @@ class MassiveMomentum:
         v = np.array(self.vector, dtype=float)
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if v[0] <= 0:
+        if np.any(v[..., 0] <= 0):
             raise ValueError("energy component must be positive")
-        if abs(minkowski_norm2(v) + self.mass**2) > 1e-6 * max(1.0, self.mass**2):
+        shell = np.abs(minkowski_norm2(v) + self.mass**2)
+        if np.any(shell > 1e-6 * max(1.0, self.mass**2)):
             raise ValueError("momentum is off the mass shell")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 
     @property
     def n(self) -> int:
-        return self.vector.shape[0] - 1
+        return self.vector.shape[-1] - 1
 
     @property
     def spatial(self) -> np.ndarray:
-        return self.vector[1:]
+        return self.vector[..., 1:]
 
 
 def rest_momentum(mass: float, n: int) -> MassiveMomentum:
@@ -172,30 +204,38 @@ def momentum_from_spatial(mass: float, spatial: np.ndarray) -> MassiveMomentum:
     return MassiveMomentum(np.concatenate([[energy], s]), mass)
 
 
-def boost_x(p_first_axis: float, mass: float, n: int) -> np.ndarray:
+def boost_x(p_first_axis: float | np.ndarray, mass: float, n: int) -> np.ndarray:
     """Pure boost along the first spatial axis parametrized by momentum.
 
     gamma = sqrt(p^2 + m^2)/m and the off-diagonal entry is p/m, so negating
-    the momentum argument yields the inverse boost.
+    the momentum argument yields the inverse boost.  An array of momenta
+    gives a stack of boosts.
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
-    gamma = float(np.sqrt(p_first_axis**2 + mass**2) / mass)
-    out = np.eye(n + 1)
-    out[0, 0] = gamma
-    out[1, 1] = gamma
-    out[0, 1] = p_first_axis / mass
-    out[1, 0] = p_first_axis / mass
+    p = np.asarray(p_first_axis, dtype=float)
+    gamma = np.sqrt(p**2 + mass**2) / mass
+    out = _identities(p.shape, n + 1)
+    out[..., 0, 0] = gamma
+    out[..., 1, 1] = gamma
+    out[..., 0, 1] = p / mass
+    out[..., 1, 0] = p / mass
+    return out
+
+
+def spatial_rotation(o: np.ndarray) -> np.ndarray:
+    """The (1+n) matrix fixing time and acting as the n x n block o on space,
+    over any leading sample axes."""
+    o = np.asarray(o, dtype=float)
+    n = o.shape[-1]
+    out = _identities(o.shape[:-2], n + 1)
+    out[..., 1:, 1:] = o
     return out
 
 
 def rotation_to_axis(direction: np.ndarray) -> np.ndarray:
     """Pure rotation (1+n matrix) taking the first spatial axis to `direction`."""
-    d = np.asarray(direction, dtype=float)
-    n = d.shape[0]
-    out = np.eye(n + 1)
-    out[1:, 1:] = rotation_taking_first_axis(d)
-    return out
+    return spatial_rotation(rotation_taking_first_axis(direction))
 
 
 def standard_boost(p: MassiveMomentum) -> np.ndarray:
@@ -204,17 +244,22 @@ def standard_boost(p: MassiveMomentum) -> np.ndarray:
     Factored as Q(p_hat) S(|p|) Q(p_hat)^-1: rotate the first axis onto the
     momentum direction, boost along it, rotate back.  Zero spatial momentum
     returns the identity (the continuous limit; the direction is undefined
-    there).
+    there).  A stack of momenta gives a stack of boosts.
     """
     spatial = p.spatial
-    norm = float(np.linalg.norm(spatial))
-    if norm < _ZERO_MOMENTUM_EPS:
-        return np.eye(p.n + 1)
+    norm = norms(spatial)
+    at_rest = norm < _ZERO_MOMENTUM_EPS
     if p.n == 1:
-        return boost_x(float(spatial[0]), p.mass, 1)
-    q = rotation_to_axis(spatial / norm)
-    s = boost_x(norm, p.mass, p.n)
-    return q @ s @ lorentz_inverse(q)
+        boost = boost_x(spatial[..., 0], p.mass, 1)
+    else:
+        # any unit vector stands in for the undefined direction at rest
+        first_axis = np.eye(p.n)[0]
+        direction = np.where(
+            at_rest[..., None], first_axis, spatial / np.where(at_rest, 1.0, norm)[..., None]
+        )
+        q = rotation_to_axis(direction)
+        boost = q @ boost_x(norm, p.mass, p.n) @ lorentz_inverse(q)
+    return np.where(at_rest[..., None, None], np.eye(p.n + 1), boost)
 
 
 def little_group_element(
@@ -231,6 +276,9 @@ def little_group_element(
     transformed momentum.  The pair (0, p_rest) travels to (x, p), then to
     (x + a, lam p), then back to (0, p_rest), so the result lies in the
     stabilizer of the rest pair: a pure spatial rotation.
+
+    Stacks of a, x, lam and p give a stack of elements.  Every frame change
+    in the stack must be proper orthochronous.
     """
     lam = np.asarray(lam, dtype=float)
     if not is_proper_orthochronous(lam, tol):
@@ -238,11 +286,11 @@ def little_group_element(
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     boost_p = standard_boost(p)
-    moved = MassiveMomentum(lam @ p.vector, p.mass)
+    moved = MassiveMomentum(apply_lorentz(lam, p.vector), p.mass)
     boost_moved_inv = lorentz_inverse(standard_boost(moved))
     first = PoincareTransform(x, boost_p)
-    middle = PoincareTransform(x + a - lam @ x, lam)
-    last = PoincareTransform(-(boost_moved_inv @ (x + a)), boost_moved_inv)
+    middle = PoincareTransform(x + a - apply_lorentz(lam, x), lam)
+    last = PoincareTransform(-apply_lorentz(boost_moved_inv, x + a), boost_moved_inv)
     return compose(last, compose(middle, first))
 
 
@@ -251,10 +299,11 @@ def wigner_rotation(lam: np.ndarray, p: MassiveMomentum) -> np.ndarray:
 
     Lambda_rest(lam p)^-1 . lam . Lambda_rest(p): fixes the time axis and its
     spatial block is special orthogonal.  Pure rotations come back unchanged;
-    boosts collinear with p give the identity.
+    boosts collinear with p give the identity.  Stacks of lam and p give a
+    stack of rotations.
     """
     lam = np.asarray(lam, dtype=float)
-    moved = MassiveMomentum(lam @ p.vector, p.mass)
+    moved = MassiveMomentum(apply_lorentz(lam, p.vector), p.mass)
     return lorentz_inverse(standard_boost(moved)) @ lam @ standard_boost(p)
 
 
@@ -265,52 +314,86 @@ def rotation_block_angle(w: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Seeded samplers for property suites
+#
+# Each sampler is split in two: `*_draws` takes one sample's random numbers
+# from the generator, in the order the sampler always drew them, and
+# `*_from_draws` builds the objects from stacked draws over a leading
+# sample axis.  A suite draws sample by sample, which keeps the stream of a
+# seed fixed, and then does the linear algebra once per stack.
 # ---------------------------------------------------------------------------
 
 
-def random_rotation_transform(n: int, rng: np.random.Generator) -> np.ndarray:
-    out = np.eye(n + 1)
-    out[1:, 1:] = sample_special_orthogonal(n, rng)
-    return out
-
-
-def random_boost(n: int, rng: np.random.Generator, max_rapidity: float = 1.5) -> np.ndarray:
-    """Boost in a random direction with rapidity drawn up to max_rapidity."""
+def proper_orthochronous_draws(n: int, rng: np.random.Generator, max_rapidity: float = 1.5):
+    """One sample's (Gaussian matrix, boost direction, rapidity)."""
+    gauss = special_orthogonal_draws(n, rng)
     direction = rng.standard_normal(n)
-    direction /= np.linalg.norm(direction)
     rapidity = rng.uniform(-max_rapidity, max_rapidity)
-    q = rotation_to_axis(direction) if n > 1 else np.eye(2)
-    s = np.eye(n + 1)
-    s[0, 0] = s[1, 1] = np.cosh(rapidity)
-    s[0, 1] = s[1, 0] = np.sinh(rapidity)
-    return q @ s @ lorentz_inverse(q)
+    return gauss, direction, rapidity
+
+
+def proper_orthochronous_from_draws(gauss, direction, rapidity) -> np.ndarray:
+    """Rotation times boost, over any leading sample axes of the draws: the
+    boost has the given rapidity along `direction`, the rotation is built
+    from the Gaussian matrix `gauss`."""
+    direction = np.asarray(direction, dtype=float)
+    rapidity = np.asarray(rapidity, dtype=float)
+    n = direction.shape[-1]
+    unit = direction / norms(direction)[..., None]
+    q = rotation_to_axis(unit) if n > 1 else np.eye(2)
+    s = _identities(rapidity.shape, n + 1)
+    s[..., 0, 0] = s[..., 1, 1] = np.cosh(rapidity)
+    s[..., 0, 1] = s[..., 1, 0] = np.sinh(rapidity)
+    rotation = spatial_rotation(special_orthogonal_from_gaussian(gauss))
+    return rotation @ (q @ s @ lorentz_inverse(q))
 
 
 def random_proper_orthochronous(
     n: int, rng: np.random.Generator, max_rapidity: float = 1.5
 ) -> np.ndarray:
-    return random_rotation_transform(n, rng) @ random_boost(n, rng, max_rapidity)
+    return proper_orthochronous_from_draws(*proper_orthochronous_draws(n, rng, max_rapidity))
+
+
+def poincare_draws(
+    n: int, rng: np.random.Generator, max_rapidity: float = 1.5, span: float = 5.0
+):
+    """One sample's (translation, *proper_orthochronous_draws)."""
+    return (rng.uniform(-span, span, n + 1), *proper_orthochronous_draws(n, rng, max_rapidity))
+
+
+def poincare_from_draws(translation, gauss, direction, rapidity) -> PoincareTransform:
+    return PoincareTransform(
+        translation, proper_orthochronous_from_draws(gauss, direction, rapidity)
+    )
 
 
 def random_poincare(
     n: int, rng: np.random.Generator, max_rapidity: float = 1.5, span: float = 5.0
 ) -> PoincareTransform:
-    return PoincareTransform(
-        rng.uniform(-span, span, n + 1),
-        random_proper_orthochronous(n, rng, max_rapidity),
-    )
+    return poincare_from_draws(*poincare_draws(n, rng, max_rapidity, span))
+
+
+def momentum_from_draws(mass: float, gauss, direction, rapidity) -> MassiveMomentum:
+    """The rest momentum moved by proper_orthochronous_from_draws."""
+    lam = proper_orthochronous_from_draws(gauss, direction, rapidity)
+    rest = rest_momentum(mass, lam.shape[-1] - 1)
+    return MassiveMomentum(apply_lorentz(lam, rest.vector), mass)
 
 
 def random_momentum(
     mass: float, n: int, rng: np.random.Generator, max_rapidity: float = 1.5
 ) -> MassiveMomentum:
-    lam = random_proper_orthochronous(n, rng, max_rapidity)
-    return MassiveMomentum(lam @ rest_momentum(mass, n).vector, mass)
+    return momentum_from_draws(mass, *proper_orthochronous_draws(n, rng, max_rapidity))
 
 
 def transforms_to_json(transforms: list[PoincareTransform]) -> str:
-    """Log a transform list as a JSON array of {a, Lambda}, row-major matrices."""
-    doc = [
-        {"a": t.translation.tolist(), "Lambda": t.lorentz.tolist()} for t in transforms
-    ]
+    """Log a transform list as a JSON array of {a, Lambda}, row-major matrices.
+
+    A stacked transform in the list contributes one entry per sample.
+    """
+    doc = []
+    for t in transforms:
+        dim = t.n + 1
+        translations = t.translation.reshape(-1, dim).tolist()
+        matrices = t.lorentz.reshape(-1, dim, dim).tolist()
+        doc.extend({"a": a, "Lambda": lam} for a, lam in zip(translations, matrices))
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import validate_state
 from .minkowski import MassiveMomentum, PoincareTransform, wigner_rotation
-from .rotations import sample_special_orthogonal
+from .rotations import norms, sample_special_orthogonal
 from .zoo import polygon_rotation, polygon_theory
 
 DEFAULT_P_TOL = 1e-9
@@ -453,14 +453,9 @@ def orbit_ball_reconstruction(
     rng = np.random.default_rng(seed)
     theory = euclidean_ball(n)
     ball = Ball(n)
-    worst = 0.0
 
-    orbit = []
-    for _ in range(rotation_count):
-        o = sample_special_orthogonal(n, rng)
-        point = o @ r
-        orbit.append(point)
-        worst = np.maximum(worst, abs(float(np.linalg.norm(point)) - 1.0))
+    orbit = sample_special_orthogonal(n, rng, rotation_count) @ r
+    worst = np.max(np.abs(norms(orbit) - 1.0))
     orbit_pure = bool(worst <= tol)
 
     hull_inside = True

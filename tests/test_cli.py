@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gptkit import minkowski
@@ -178,9 +179,19 @@ def test_failing_suite_exits_nonzero(capsys):
 
 
 def test_nan_deviation_fails_its_row(monkeypatch, capsys):
-    monkeypatch.setattr(minkowski, "interval", lambda x, y: float("nan"))
-    code, out = run_cli(["minkowski-checks", "--samples", "5"], capsys)
-    assert code == 1
-    row = next(row for row in json.loads(out) if row["check"] == "interval-invariance")
-    assert math.isnan(row["worst_deviation"])
-    assert not row["pass"]
+    for command, kernel, nan_kernel, check in (
+        ("minkowski-checks", "interval", lambda x, y: float("nan"), "interval-invariance"),
+        (
+            "little-group-checks",
+            "wigner_rotation",
+            lambda lam, p: np.full(np.shape(lam), np.nan),
+            "induced-rotation-in-so-n",
+        ),
+    ):
+        with monkeypatch.context() as patch, np.errstate(invalid="ignore"):
+            patch.setattr(minkowski, kernel, nan_kernel)
+            code, out = run_cli([command, "--samples", "5"], capsys)
+        assert code == 1
+        row = next(row for row in json.loads(out) if row["check"] == check)
+        assert math.isnan(row["worst_deviation"])
+        assert not row["pass"]
