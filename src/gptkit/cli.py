@@ -21,6 +21,7 @@ import numpy as np
 
 from . import composites, minkowski, poincare, zoo
 from .core import theory_from_json, theory_to_json
+from .poincare import CheckRow
 from .rotations import (
     sample_special_orthogonal,
     special_orthogonal_draws,
@@ -28,20 +29,6 @@ from .rotations import (
 )
 
 CHECK_COLUMNS = ["check", "samples", "worst_deviation", "tolerance", "pass"]
-
-
-def _check(name: str, samples: int, worst: float, tolerance: float, extra=None) -> dict:
-    row = {
-        "check": name,
-        "samples": samples,
-        "worst_deviation": float(worst),
-        "tolerance": tolerance,
-        "pass": bool(worst <= tolerance),
-    }
-    if extra:
-        row.update(extra)
-    return row
-
 
 # Samples per stack in the geometry suites, so their arrays stay bounded
 # for any --samples.
@@ -70,7 +57,7 @@ def minkowski_suite(
     seed: int,
     tol: float,
     log_transforms: str | None = None,
-) -> list[dict]:
+) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     eta = minkowski.metric(n)
 
@@ -132,15 +119,15 @@ def minkowski_suite(
             fh.write(minkowski.transforms_to_json(transforms) + "\n")
 
     return [
-        _check("interval-invariance", samples, worst_interval, tol, {"n": n}),
-        _check("mass-shell-preservation", samples, worst_shell, tol, {"n": n}),
-        _check("metric-preservation", samples, worst_lorentz, tol, {"n": n}),
-        _check("composition-associativity", samples, worst_assoc, tol, {"n": n}),
-        _check("boost-inverse-roundtrip", samples, worst_boost, tol, {"n": n}),
+        CheckRow("interval-invariance", samples, worst_interval, tol, {"n": n}),
+        CheckRow("mass-shell-preservation", samples, worst_shell, tol, {"n": n}),
+        CheckRow("metric-preservation", samples, worst_lorentz, tol, {"n": n}),
+        CheckRow("composition-associativity", samples, worst_assoc, tol, {"n": n}),
+        CheckRow("boost-inverse-roundtrip", samples, worst_boost, tol, {"n": n}),
     ]
 
 
-def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float) -> list[dict]:
+def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     rest = minkowski.rest_momentum(mass, n).vector
     eta = minkowski.metric(n)
@@ -208,14 +195,14 @@ def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float)
         ])
 
     return [
-        _check("little-group-fixes-rest-pair", samples, worst_fix, tol, {"n": n}),
-        _check("pure-rotation-reduction", samples, worst_rotation, tol, {"n": n}),
-        _check("induced-rotation-in-so-n", samples, worst_so, tol, {"n": n}),
-        _check("little-group-composition-law", samples, worst_comp, 10 * tol, {"n": n}),
+        CheckRow("little-group-fixes-rest-pair", samples, worst_fix, tol, {"n": n}),
+        CheckRow("pure-rotation-reduction", samples, worst_rotation, tol, {"n": n}),
+        CheckRow("induced-rotation-in-so-n", samples, worst_so, tol, {"n": n}),
+        CheckRow("little-group-composition-law", samples, worst_comp, 10 * tol, {"n": n}),
     ]
 
 
-def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -> list[dict]:
+def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     rep = poincare.rotation_rep(n)
     rest = minkowski.rest_momentum(mass, n)
@@ -234,7 +221,7 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
         )
         worst_pairing = np.maximum(worst_pairing, abs(after - before))
 
-    rows = [_check("pairing-invariance", samples, worst_pairing, tol / 10, {"n": n})]
+    rows = [CheckRow("pairing-invariance", samples, worst_pairing, tol / 10, {"n": n})]
 
     if n == 3:
         detectors = np.vstack([np.eye(3), -np.eye(3)])
@@ -246,8 +233,8 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
             result = poincare.detector_sphere_experiment(state, detectors, rotation)
             worst_det = np.maximum(worst_det, result.worst_deviation)
             worst_total = np.maximum(worst_total, abs(result.total_before - 1.0))
-        rows.append(_check("detector-sphere-invariance", samples, worst_det, tol / 10))
-        rows.append(_check("detector-sphere-total-probability", samples, worst_total, tol / 1000))
+        rows.append(CheckRow("detector-sphere-invariance", samples, worst_det, tol / 10))
+        rows.append(CheckRow("detector-sphere-total-probability", samples, worst_total, tol / 1000))
 
     seedling = np.zeros(n)
     seedling[-1] = 1.0
@@ -255,27 +242,14 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
         n, seedling, rotation_count=samples, seed=seed, tol=tol / 10
     )
     rows.append(
-        _check(
-            "ball-orbit-reconstruction",
-            samples,
-            orbit.worst_deviation,
-            tol / 10,
-            {"n": n, "pass": orbit.passed},
-        )
+        CheckRow("ball-orbit-reconstruction", samples, orbit.worst_deviation, tol / 10, {"n": n})
     )
     return rows
 
 
-def toy_suite(sides: int, shift: int, tol: float) -> list[dict]:
+def toy_suite(sides: int, shift: int, tol: float) -> list[CheckRow]:
     _, report = poincare.toy_discrete_spacetime(sides, shift, tol)
-    labels = {"N": sides, "k": shift}
-    law = report.representation
-    return [
-        _check("toy-spacetime-homomorphism", law.samples, law.worst_deviation, tol, labels),
-        _check("toy-spacetime-invariance", sides, report.invariance_deviation, tol, labels),
-        _check("toy-spacetime-nontrivial", sides, 0.0 if report.nontrivial else float("inf"),
-               tol, labels),
-    ]
+    return list(report.rows)
 
 
 def chsh_rows(locals_name: str, exact: bool, scenario_path: str | None) -> list[dict]:
@@ -293,21 +267,20 @@ def chsh_rows(locals_name: str, exact: bool, scenario_path: str | None) -> list[
     return [composites.run_scenario(doc, exact=exact) for doc in docs]
 
 
-def zoo_rows() -> list[dict]:
+def zoo_rows() -> list[CheckRow]:
     rows = []
     for name in ("bit", "simplex:2", "polygon:3", "polygon:4", "ball:3"):
         text = theory_to_json(zoo.get_theory(name))
         same = theory_to_json(theory_from_json(text)) == text
-        rows.append(_check(f"zoo-roundtrip-{name}", 1, 0.0 if same else float("inf"), 0.0))
+        rows.append(CheckRow(f"zoo-roundtrip-{name}", 1, 0.0 if same else float("inf"), 0.0))
     return rows
 
 
-def _emit(rows, fmt: str, out: str | None) -> None:
+def _emit(docs: list[dict], fmt: str, out: str | None, columns=CHECK_COLUMNS) -> None:
     if fmt == "csv":
-        scenarios = rows and "scenario_id" in rows[0]
-        text = composites.rows_to_csv(rows, composites.CSV_COLUMNS if scenarios else CHECK_COLUMNS)
+        text = composites.rows_to_csv(docs, columns)
     else:
-        text = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n"
     _write(text, out)
 
 
@@ -321,10 +294,6 @@ def _write(text: str, out: str | None) -> None:
             raise SystemExit(2)
     else:
         sys.stdout.write(text)
-
-
-def _all_pass(rows) -> bool:
-    return all(row.get("pass", True) for row in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +378,7 @@ def main(argv=None) -> int:
         except (KeyError, ValueError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        _emit(rows, args.format, args.out)
+        _emit(rows, args.format, args.out, composites.CSV_COLUMNS)
         return 0
 
     if args.command == "minkowski-checks":
@@ -438,12 +407,12 @@ def main(argv=None) -> int:
         scan = chsh_rows("polygon:4", args.exact, None) + chsh_rows("bit", args.exact, None)
         for row in scan:
             gap = abs(row["chsh_value"] - (4.0 if row["local_a"] == "polygon:4" else 2.0))
-            rows.append(_check(f"chsh-{row['local_a']}", 1, gap, 1e-6))
+            rows.append(CheckRow(f"chsh-{row['local_a']}", 1, gap, 1e-6))
     else:  # pragma: no cover
         return 2
 
-    _emit(rows, args.format, args.out)
-    return 0 if _all_pass(rows) else 1
+    _emit([row.as_dict() for row in rows], args.format, args.out)
+    return 0 if all(row.passed for row in rows) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -173,12 +173,12 @@ class MassiveMomentum:
 
     def __post_init__(self):
         v = np.array(self.vector, dtype=float)
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError("mass must be positive")
-        if np.any(v[..., 0] <= 0):
+        if not np.all(v[..., 0] > 0):
             raise ValueError("energy component must be positive")
         shell = np.abs(minkowski_norm2(v) + self.mass**2)
-        if np.any(shell > 1e-6 * max(1.0, self.mass**2)):
+        if not np.all(shell <= 1e-6 * max(1.0, self.mass**2)):
             raise ValueError("momentum is off the mass shell")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)

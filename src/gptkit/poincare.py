@@ -12,13 +12,13 @@ the transpose inverse of the state map by default: that is the unique linear
 choice keeping every outcome probability invariant.
 
 Representation checking is extensional: group elements are sampled (or
-enumerated), composed, and the assigned maps compared.  Reports serialize to
-JSON as {check, samples, worst_deviation, pass}.
+enumerated), composed, and the assigned maps compared.  Every check ends in a
+`CheckRow`: the worst measured deviation over its samples against a
+tolerance, which alone decides whether it passes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -156,43 +156,46 @@ def check_invariance(
 
 
 @dataclass(frozen=True)
-class CheckReport:
+class CheckRow:
+    """One verified fact: the worst deviation measured over `samples` trials
+    against `tolerance`.  `labels` (such as n, N, k) ride along in the row.
+    """
+
     check: str
     samples: int
     worst_deviation: float
-    passed: bool
-    trivial: bool | None = None
-    notes: dict = field(default_factory=dict)
+    tolerance: float
+    labels: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        doc = {
+    @property
+    def passed(self) -> bool:
+        """The one place a row's pass is decided; a NaN deviation fails."""
+        return bool(self.worst_deviation <= self.tolerance)
+
+    def as_dict(self) -> dict:
+        """The labels plus {check, samples, worst_deviation, tolerance, pass},
+        which no label can override."""
+        return {
+            **self.labels,
             "check": self.check,
             "samples": self.samples,
-            "worst_deviation": self.worst_deviation,
+            "worst_deviation": float(self.worst_deviation),
+            "tolerance": self.tolerance,
             "pass": self.passed,
         }
-        if self.trivial is not None:
-            doc["trivial"] = self.trivial
-        doc.update(self.notes)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def check_representation(
     sample: GroupSample, rep: RepMap, tol: float = 1e-10
-) -> CheckReport:
+) -> CheckRow:
     """Extensional homomorphism test over all ordered element pairs.
 
-    Verifies R(identity) = 1 and R(g2) R(g1) = R(g2 o g1), reports the worst
-    matrix deviation, and flags trivial assignments (every map the identity).
+    Verifies R(identity) = 1 and R(g2) R(g1) = R(g2 o g1) and reports the
+    worst matrix deviation.  A trivial assignment passes this law; telling it
+    apart takes a check of what the maps do (see `toy_discrete_spacetime`).
     """
     ident = rep.state(sample.identity)
-    dim = ident.shape[0]
-    worst = np.max(np.abs(ident - np.eye(dim)))
-    trivial = True
-    for g in sample.elements:
-        if not np.max(np.abs(rep.state(g) - np.eye(dim))) <= tol:
-            trivial = False
-            break
+    worst = np.max(np.abs(ident - np.eye(ident.shape[0])))
     count = 0
     for g1 in sample.elements:
         for g2 in sample.elements:
@@ -200,13 +203,7 @@ def check_representation(
             rhs = rep.state(sample.compose(g2, g1))
             worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
             count += 1
-    return CheckReport(
-        check="representation-law",
-        samples=count,
-        worst_deviation=float(worst),
-        passed=bool(worst <= tol),
-        trivial=trivial,
-    )
+    return CheckRow("representation-law", count, float(worst), tol)
 
 
 def rotation_rep(n: int) -> RepMap:
@@ -255,7 +252,6 @@ class DetectorSphereResult:
     after: np.ndarray
     worst_deviation: float
     total_before: float
-    passed: bool
 
 
 def detector_effects(detectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +279,6 @@ def detector_sphere_experiment(
     internal_state: np.ndarray,
     detectors: np.ndarray,
     rotation: np.ndarray,
-    tol: float = 1e-10,
 ) -> DetectorSphereResult:
     """Detection distribution before and after a rigid frame rotation.
 
@@ -301,14 +296,12 @@ def detector_sphere_experiment(
     z_rot = block @ z
     effects_rot = effects @ block.T  # orthogonal: transpose inverse = itself
     after = effects_rot @ z_rot
-    worst = float(np.max(np.abs(after - before)))
     return DetectorSphereResult(
         weights=weights,
         before=before,
         after=after,
-        worst_deviation=worst,
+        worst_deviation=float(np.max(np.abs(after - before))),
         total_before=float(before.sum()),
-        passed=worst <= tol,
     )
 
 
@@ -319,35 +312,29 @@ def detector_sphere_experiment(
 
 @dataclass(frozen=True)
 class ToySpacetimeReport:
-    sides: int
-    shift: int
-    representation: CheckReport
-    invariance_deviation: float  # worst probability change or vertex misplacement
-    tolerance: float
-    nontrivial: bool
+    """The toy model's homomorphism, invariance and nontriviality rows."""
+
+    rows: tuple[CheckRow, CheckRow, CheckRow]
+
+    @property
+    def representation(self) -> CheckRow:
+        return self.rows[0]
+
+    @property
+    def invariance_deviation(self) -> float:
+        return self.rows[1].worst_deviation
 
     @property
     def invariance_passed(self) -> bool:
-        return self.invariance_deviation <= self.tolerance
+        return self.rows[1].passed
+
+    @property
+    def nontrivial(self) -> bool:
+        return self.rows[2].passed
 
     @property
     def passed(self) -> bool:
-        return self.representation.passed and self.invariance_passed and self.nontrivial
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": "toy-spacetime",
-                "N": self.sides,
-                "k": self.shift,
-                "samples": self.representation.samples,
-                "worst_deviation": self.representation.worst_deviation,
-                "pass": self.passed,
-                "nontrivial": self.nontrivial,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return all(row.passed for row in self.rows)
 
 
 def toy_translation_rep(sides: int) -> RepMap:
@@ -363,7 +350,10 @@ def toy_discrete_spacetime(
     Translations compose additively; the assigned rotations must compose the
     same way (checked exhaustively mod N), leave all outcome probabilities
     unchanged, and permute the pure states by the translation amount.  The
-    assignment is nontrivial, which is what makes the wiring acceptable.
+    assignment must also be nontrivial: the generator (one lattice step) has
+    to move each pure state onto the next one.  A trivial wiring leaves each
+    state in place and so reads the largest coordinate gap between
+    neighbouring vertices (0.5 to 2.4 for N = 3 ... 12).
     """
     if sides < 3:
         raise ValueError("toy model needs a polygon with at least 3 sides")
@@ -373,23 +363,29 @@ def toy_discrete_spacetime(
         compose=lambda k1, k2: (k1 + k2) % sides,
         identity=0,
     )
-    rep_report = check_representation(sample, rep, tol)
+    law = check_representation(sample, rep, tol)
     theory = polygon_theory(sides)
     states = theory.states.vertices
     effects = theory.effect_generators()
     pairs = [(e, z) for e in effects for z in states]
     invariance = np.max([invariance_deviation(pairs, k, rep) for k in range(sides)])
-    rot = polygon_rotation(sides, shift)
-    permutation = float(np.max(np.abs(states @ rot.T - np.roll(states, -shift, axis=0))))
-    report = ToySpacetimeReport(
-        sides=sides,
-        shift=shift,
-        representation=rep_report,
-        invariance_deviation=float(np.maximum(invariance, permutation)),
-        tolerance=tol,
-        nontrivial=not rep_report.trivial,
+
+    def shift_residual(k: int) -> float:
+        return float(np.max(np.abs(states @ rep.state(k).T - np.roll(states, -k, axis=0))))
+
+    labels = {"N": sides, "k": shift}
+    rows = (
+        CheckRow("toy-spacetime-homomorphism", law.samples, law.worst_deviation, tol, labels),
+        CheckRow(
+            "toy-spacetime-invariance",
+            sides,
+            float(np.maximum(invariance, shift_residual(shift))),
+            tol,
+            labels,
+        ),
+        CheckRow("toy-spacetime-nontrivial", sides, shift_residual(1), tol, labels),
     )
-    return rep, report
+    return rep, ToySpacetimeReport(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +395,9 @@ def toy_discrete_spacetime(
 
 @dataclass(frozen=True)
 class OrbitReport:
+    """Each property holds when its own measured deviation is at most the
+    tolerance; `worst_deviation` is the largest of the five deviations."""
+
     orbit_pure: bool
     hull_inside: bool
     transitive: bool
@@ -416,17 +415,6 @@ class OrbitReport:
             and self.distinguishability
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": "ball-orbit",
-                "worst_deviation": self.worst_deviation,
-                "pass": self.passed,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
 
 def orbit_ball_reconstruction(
     n: int,
@@ -437,48 +425,40 @@ def orbit_ball_reconstruction(
 ) -> OrbitReport:
     """Rotate a pure ball state around and verify the orbit geometry.
 
-    The orbit stays on the unit sphere, convex mixtures of orbit points stay
-    inside the ball, any target direction is reachable with a constructed
-    rotation, rotated extremal effects remain normalized extremal effects,
-    and antipodal pairs are perfectly distinguished by half their own
-    vectors.
+    Measured as deviations: the orbit stays on the unit sphere (norm - 1),
+    convex mixtures of orbit points stay inside the ball (the membership
+    margin), any target direction is reachable with a constructed rotation
+    (|O r - target|), rotated extremal effects (1, v)/2 keep reduced norm 1/2
+    and so stay normalized extremal effects, and antipodal pairs are
+    perfectly distinguished by half their own vectors (Gram matrix - 1).
     """
-    from .core import Ball, is_normalized_effect
+    from .core import Ball
     from .rotations import rotation_between
-    from .zoo import euclidean_ball
 
     r = np.asarray(seed_direction, dtype=float)
-    if abs(np.linalg.norm(r) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(r) - 1.0) <= 1e-9:
         raise ValueError("seed direction must be a unit vector")
     rng = np.random.default_rng(seed)
-    theory = euclidean_ball(n)
     ball = Ball(n)
 
     orbit = sample_special_orthogonal(n, rng, rotation_count) @ r
-    worst = np.max(np.abs(norms(orbit) - 1.0))
-    orbit_pure = bool(worst <= tol)
+    pure_dev = np.max(np.abs(norms(orbit) - 1.0))
 
-    hull_inside = True
+    hull_dev = 0.0
     for _ in range(20):
         w = rng.dirichlet(np.ones(4))
         idx = rng.integers(len(orbit), size=4)
         mix = sum(wi * orbit[i] for wi, i in zip(w, idx))
         state = np.concatenate([[1.0], mix])
-        report = validate_state(ball, state, tol=1e-9)
-        hull_inside = hull_inside and report.member
+        hull_dev = np.maximum(hull_dev, validate_state(ball, state).margin)
 
-    transitive = True
+    transitive_dev = 0.0
     for point in orbit[:20]:
         o = rotation_between(r, point)
-        dev = float(np.max(np.abs(o @ r - point)))
-        worst = np.maximum(worst, dev)
-        transitive = transitive and dev <= tol
+        transitive_dev = np.maximum(transitive_dev, np.max(np.abs(o @ r - point)))
 
-    effects_extremal = True
-    for point in orbit:
-        eff = 0.5 * np.concatenate([[1.0], point])
-        extremal = abs(eff[0] - 0.5) <= tol and abs(np.linalg.norm(eff[1:]) - 0.5) <= tol
-        effects_extremal = effects_extremal and extremal and is_normalized_effect(theory, eff)
+    # the effects (1, v)/2 have first entry exactly 1/2
+    effect_dev = np.max(np.abs(norms(0.5 * orbit) - 0.5))
 
     plus = np.concatenate([[1.0], r])
     minus = np.concatenate([[1.0], -r])
@@ -488,18 +468,19 @@ def orbit_ball_reconstruction(
             [0.5 * minus @ plus, 0.5 * minus @ minus],
         ]
     )
-    dist_dev = float(np.max(np.abs(gram - np.eye(2))))
-    worst = np.maximum(worst, dist_dev)
-    distinguishability = dist_dev <= tol
+    dist_dev = np.max(np.abs(gram - np.eye(2)))
 
     mixture = 0.5 * plus + 0.5 * minus
-    hull_inside = hull_inside and validate_state(ball, mixture, tol=1e-9).member
+    hull_dev = np.maximum(hull_dev, validate_state(ball, mixture).margin)
 
+    deviations = {
+        "orbit_pure": pure_dev,
+        "hull_inside": hull_dev,
+        "transitive": transitive_dev,
+        "effects_extremal": effect_dev,
+        "distinguishability": dist_dev,
+    }
     return OrbitReport(
-        orbit_pure=orbit_pure,
-        hull_inside=hull_inside,
-        transitive=transitive,
-        effects_extremal=effects_extremal,
-        distinguishability=distinguishability,
-        worst_deviation=float(worst),
+        **{name: bool(dev <= tol) for name, dev in deviations.items()},
+        worst_deviation=float(np.max(list(deviations.values()))),
     )

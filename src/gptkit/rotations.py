@@ -43,8 +43,10 @@ def rotation_taking_first_axis(direction: np.ndarray) -> np.ndarray:
     """
     d = np.asarray(direction, dtype=float)
     n = d.shape[-1]
-    if np.any(np.abs(norms(d) - 1.0) > 1e-9):
+    if not np.all(np.abs(norms(d) - 1.0) <= 1e-9):
         raise ValueError("direction must be a unit vector")
+    if n == 1 and not np.all(d > 0):
+        raise ValueError("SO(1) holds no rotation taking e1 to -e1")
     e1 = np.zeros(n)
     e1[0] = 1.0
     v = d - e1

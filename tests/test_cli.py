@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gptkit import minkowski
+from gptkit import minkowski, poincare
 from gptkit.cli import main
 from gptkit.core import theory_from_json
 
@@ -169,13 +169,35 @@ def test_failing_suite_exits_nonzero(capsys):
     assert code == 1
     rows = json.loads(out)
     assert any(not row["pass"] for row in rows)
-    # every row's pass agrees with its own columns, the orbit row included
-    code, out = run_cli(["invariance-checks", "--samples", "20", "--tol", "1e-16"], capsys)
+    # every row's pass agrees with its own columns, the orbit and toy rows
+    # included, and the exit status agrees with the rows
+    for argv in (
+        ["invariance-checks", "--samples", "20"],
+        ["report", "--samples", "20"],
+        ["toy-spacetime"],
+    ):
+        for tol in ([], ["--tol", "1e-16"]):
+            code, out = run_cli(argv + tol, capsys)
+            rows = json.loads(out)
+            assert all(row["pass"] == (row["worst_deviation"] <= row["tolerance"]) for row in rows)
+            assert code == (0 if all(row["pass"] for row in rows) else 1)
+            assert code == (1 if tol else 0)
+            _, csv_out = run_cli(argv + tol + ["--format", "csv"], capsys)
+            assert csv_out.split("\n")[0] == "check,samples,worst_deviation,tolerance,pass"
+            if tol and argv[0] == "invariance-checks":
+                orbit = next(row for row in rows if row["check"] == "ball-orbit-reconstruction")
+                assert orbit["worst_deviation"] > orbit["tolerance"] and not orbit["pass"]
+
+
+def test_trivial_toy_wiring_fails_with_a_measured_deviation(monkeypatch, capsys):
+    monkeypatch.setattr(poincare, "toy_translation_rep", lambda sides: poincare.trivial_rep(3))
+    code, out = run_cli(["toy-spacetime"], capsys)
     assert code == 1
-    rows = json.loads(out)
-    assert all(not row["pass"] or row["worst_deviation"] <= row["tolerance"] for row in rows)
-    orbit = next(row for row in rows if row["check"] == "ball-orbit-reconstruction")
-    assert orbit["worst_deviation"] > orbit["tolerance"] and not orbit["pass"]
+    rows = {row["check"]: row for row in json.loads(out)}
+    assert rows["toy-spacetime-homomorphism"]["pass"]  # the law cannot see it
+    nontrivial = rows["toy-spacetime-nontrivial"]
+    assert 0.5 < nontrivial["worst_deviation"] < math.inf
+    assert not nontrivial["pass"]
 
 
 def test_nan_deviation_fails_its_row(monkeypatch, capsys):

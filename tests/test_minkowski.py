@@ -180,6 +180,25 @@ def test_massive_momentum_validation():
         MassiveMomentum(np.array([-1.0, 0.0, 0.0, 0.0]), 1.0)  # negative energy
     with pytest.raises(ValueError):
         rest_momentum(-1.0, 3)
+    # NaN fails every bound instead of slipping past it
+    for vector, mass in (
+        ([np.nan, 0.3, 0.0, 0.0], 1.0),
+        ([np.sqrt(1.09), np.nan, 0.0, 0.0], 1.0),
+        ([1.0, 0.0, 0.0, 0.0], np.nan),
+    ):
+        with pytest.raises(ValueError):
+            MassiveMomentum(np.array(vector), mass)
+
+
+def test_rotation_taking_first_axis_rejects_nan_and_minus_e1_in_so1():
+    e3 = np.array([0.0, 0.0, 1.0])
+    for bad in (np.array([np.nan, 0.0, 1.0]), np.vstack([e3, [0.0, np.nan, 1.0], e3])):
+        with pytest.raises(ValueError, match="unit vector"):
+            rotation_taking_first_axis(bad)
+    assert np.array_equal(rotation_taking_first_axis(np.array([1.0])), [[1.0]])
+    for bad in (np.array([-1.0]), np.array([[1.0], [-1.0]])):
+        with pytest.raises(ValueError, match="SO\\(1\\)"):
+            rotation_taking_first_axis(bad)
 
 
 def test_little_group_element_identity_case():
@@ -517,6 +536,10 @@ def test_batches_with_one_bad_sample_raise():
     off_shell[7, 0] += 0.5
     with pytest.raises(ValueError, match="mass shell"):
         MassiveMomentum(off_shell, 1.0)
+    not_a_number = vectors.copy()
+    not_a_number[7, 2] = np.nan
+    with pytest.raises(ValueError, match="mass shell"):
+        MassiveMomentum(not_a_number, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -699,6 +722,6 @@ def test_suites_across_chunk_boundaries_match_reference_loops(monkeypatch, n):
         (cli.little_group_suite, _reference_little_group_rows),
     ):
         rows = suite(n, 1.3, 20, 21 + n, 1e-9)
-        assert [row["samples"] for row in rows] == [20] * len(rows)
-        assert [row["worst_deviation"] for row in rows] == reference(n, 1.3, 20, 21 + n, 1e-9)
-        assert all(row["pass"] for row in rows)
+        assert [row.samples for row in rows] == [20] * len(rows)
+        assert [row.worst_deviation for row in rows] == reference(n, 1.3, 20, 21 + n, 1e-9)
+        assert all(row.passed for row in rows)

@@ -1,8 +1,10 @@
-import json
+import math
 
 import numpy as np
 import pytest
 
+from gptkit import poincare
+from gptkit.core import MembershipReport
 from gptkit.minkowski import (
     MassiveMomentum,
     PoincareTransform,
@@ -12,7 +14,7 @@ from gptkit.minkowski import (
     rest_momentum,
 )
 from gptkit.poincare import (
-    CheckReport,
+    CheckRow,
     ClassicalMomentumEffect,
     ClassicalMomentumState,
     GroupSample,
@@ -165,15 +167,15 @@ def test_check_representation_toy_translations():
     )
     report = check_representation(sample, toy_translation_rep(sides), tol=1e-12)
     assert report.passed
-    assert not report.trivial
     assert report.samples == sides * sides
 
 
-def test_check_representation_flags_trivial():
+def test_check_representation_passes_trivial_rep():
+    # the law alone cannot tell a trivial assignment apart
     sample = GroupSample(elements=(0, 1, 2), compose=lambda a, b: (a + b) % 3, identity=0)
     report = check_representation(sample, trivial_rep(3), tol=1e-12)
     assert report.passed
-    assert report.trivial
+    assert report.worst_deviation == 0.0
 
 
 def test_nan_deviations_fail():
@@ -182,7 +184,6 @@ def test_nan_deviations_fail():
     report = check_representation(sample, nan_rep, tol=1e-10)
     assert np.isnan(report.worst_deviation)
     assert not report.passed
-    assert not report.trivial
     pairs = [(np.array([0.5, 0.0, 0.5]), np.array([1.0, 0.3, 0.4]))]
     assert np.isnan(invariance_deviation(pairs, 0, nan_rep))
     assert not check_invariance(pairs, 0, nan_rep, tol=1e-10)
@@ -201,14 +202,24 @@ def test_check_representation_off_by_one_fails():
 
 
 def test_check_report_json():
-    report = CheckReport(check="representation-law", samples=4, worst_deviation=0.0, passed=True)
-    doc = json.loads(report.to_json())
+    row = CheckRow("representation-law", 4, np.float64(2e-13), 1e-12, {"N": 5, "k": 2})
+    doc = row.as_dict()
     assert doc == {
         "check": "representation-law",
         "samples": 4,
-        "worst_deviation": 0.0,
+        "worst_deviation": 2e-13,
+        "tolerance": 1e-12,
         "pass": True,
+        "N": 5,
+        "k": 2,
     }
+    assert type(doc["worst_deviation"]) is float
+    # pass is derived from the columns, never stored
+    assert not CheckRow("law", 4, 2e-12, 1e-12).as_dict()["pass"]
+    assert CheckRow("law", 4, 1e-12, 1e-12).passed
+    for bad in (math.nan, math.inf):
+        row = CheckRow("law", 4, bad, 1e-12)
+        assert not row.passed and row.as_dict()["pass"] is False
 
 
 def test_detector_effects_antipodal_pair():
@@ -250,7 +261,7 @@ def test_detector_sphere_six_axis_regression():
     result = detector_sphere_experiment(state, detectors, rotation)
     assert np.allclose(result.weights, np.full(6, 1.0 / 3.0), atol=1e-12)
     assert np.allclose(result.before, SIX_DETECTOR_DISTRIBUTION, atol=1e-12)
-    assert result.passed
+    assert result.worst_deviation <= 1e-10
     assert abs(result.total_before - 1.0) < 1e-12
 
 
@@ -260,8 +271,8 @@ def test_detector_sphere_invariance_many_rotations():
     for _ in range(50):
         state = sample_ball_state(3, rng)
         rotation = sample_special_orthogonal(3, rng)
-        result = detector_sphere_experiment(state, detectors, rotation, tol=1e-10)
-        assert result.passed
+        result = detector_sphere_experiment(state, detectors, rotation)
+        assert result.worst_deviation <= 1e-10
         assert abs(result.total_before - 1.0) < 1e-12
 
 
@@ -270,8 +281,12 @@ def test_toy_discrete_spacetime_five_two():
     assert report.passed
     assert report.nontrivial
     assert report.representation.worst_deviation <= 1e-12
-    doc = json.loads(report.to_json())
-    assert doc["N"] == 5 and doc["k"] == 2 and doc["pass"] is True
+    assert [row.check for row in report.rows] == [
+        "toy-spacetime-homomorphism",
+        "toy-spacetime-invariance",
+        "toy-spacetime-nontrivial",
+    ]
+    assert all(row.labels == {"N": 5, "k": 2} and row.passed for row in report.rows)
 
 
 def test_toy_discrete_spacetime_identity_shift():
@@ -315,8 +330,18 @@ def test_orbit_ball_reconstruction():
     report = orbit_ball_reconstruction(3, np.array([0.0, 0.0, 1.0]))
     assert report.passed
     assert report.worst_deviation <= 1e-10
-    doc = json.loads(report.to_json())
-    assert doc["pass"] is True
+    # each property is its own deviation against tol, so they fail together
+    tight = orbit_ball_reconstruction(3, np.array([0.0, 0.0, 1.0]), tol=1e-16)
+    assert tight.worst_deviation > 1e-16 and not tight.passed
+
+
+def test_orbit_worst_deviation_counts_the_hull_margin(monkeypatch):
+    monkeypatch.setattr(
+        poincare, "validate_state", lambda space, v: MembershipReport(True, 0.25)
+    )
+    report = orbit_ball_reconstruction(3, np.array([0.0, 0.0, 1.0]))
+    assert report.worst_deviation == 0.25
+    assert not report.hull_inside and not report.passed
 
 
 def test_orbit_ball_reconstruction_other_dimensions():
@@ -325,8 +350,9 @@ def test_orbit_ball_reconstruction_other_dimensions():
     e4 = np.zeros(4)
     e4[0] = 1.0
     assert orbit_ball_reconstruction(4, e4, rotation_count=50).passed
-    with pytest.raises(ValueError):
-        orbit_ball_reconstruction(3, np.array([0.0, 0.0, 0.5]))
+    for bad in ([0.0, 0.0, 0.5], [np.nan, 0.0, 1.0]):
+        with pytest.raises(ValueError):
+            orbit_ball_reconstruction(3, np.array(bad))
 
 
 def test_classical_pairing_is_bilinear_in_internals():
