@@ -55,10 +55,10 @@ from .poincare import (
     ClassicalMomentumState,
     GroupSample,
     RepMap,
-    check_invariance,
     check_representation,
     classical_pairing,
     detector_sphere_experiment,
+    invariance_deviation,
     orbit_ball_reconstruction,
     toy_discrete_spacetime,
     transform_classical,

@@ -11,6 +11,10 @@ internal vectors through an assigned representation.  Effects transform with
 the transpose inverse of the state map by default: that is the unique linear
 choice keeping every outcome probability invariant.
 
+The pairing, the frame changes, the invariance deviation and the detector
+experiment take leading sample axes, as the `minkowski` kernels do, with one
+BLAS product per sample: a stack equals one-sample calls bit for bit.
+
 Representation checking is extensional: group elements are sampled (or
 enumerated), composed, and the assigned maps compared.  Every check ends in a
 `CheckRow`: the worst measured deviation over its samples against a
@@ -25,8 +29,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import validate_state
-from .minkowski import MassiveMomentum, PoincareTransform, wigner_rotation
-from .rotations import norms, sample_special_orthogonal
+from .minkowski import MassiveMomentum, PoincareTransform, apply_lorentz, spatial_rotation
+from .rotations import dots, norms, sample_special_orthogonal
 from .zoo import polygon_rotation, polygon_theory
 
 DEFAULT_P_TOL = 1e-9
@@ -73,7 +77,7 @@ class RepMap:
     def effect(self, g) -> np.ndarray:
         if self.effect_map is not None:
             return np.asarray(self.effect_map(g), dtype=float)
-        return np.linalg.inv(self.state(g)).T
+        return np.swapaxes(np.linalg.inv(self.state(g)), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -89,29 +93,29 @@ def classical_pairing(
     effect: ClassicalMomentumEffect,
     state: ClassicalMomentumState,
     p_tol: float = DEFAULT_P_TOL,
-) -> float:
-    """Kronecker label agreement times the internal dot product."""
-    if effect.internal.shape != state.internal.shape:
+) -> float | np.ndarray:
+    """Kronecker label agreement times the internal dot product; an array of
+    them for leading sample axes."""
+    if effect.internal.shape[-1] != state.internal.shape[-1]:
         raise ValueError("effect and state internals belong to different theories")
-    gap = np.max(np.abs(effect.momentum.vector - state.momentum.vector))
-    if gap > p_tol:
-        return 0.0
-    return float(effect.internal @ state.internal)
+    gap = np.max(np.abs(effect.momentum.vector - state.momentum.vector), axis=-1)
+    out = np.where(gap > p_tol, 0.0, dots(effect.internal, state.internal))
+    return float(out) if out.ndim == 0 else out
 
 
 def transform_classical(
     p: PoincareTransform, z: ClassicalMomentumState, rep: RepMap
 ) -> ClassicalMomentumState:
     """(label, internal) -> (Lambda label, R_state internal)."""
-    moved = MassiveMomentum(p.lorentz @ z.momentum.vector, z.momentum.mass)
-    return ClassicalMomentumState(moved, rep.state(p) @ z.internal)
+    moved = MassiveMomentum(apply_lorentz(p.lorentz, z.momentum.vector), z.momentum.mass)
+    return ClassicalMomentumState(moved, apply_lorentz(rep.state(p), z.internal))
 
 
 def transform_classical_effect(
     p: PoincareTransform, e: ClassicalMomentumEffect, rep: RepMap
 ) -> ClassicalMomentumEffect:
-    moved = MassiveMomentum(p.lorentz @ e.momentum.vector, e.momentum.mass)
-    return ClassicalMomentumEffect(moved, rep.effect(p) @ e.internal)
+    moved = MassiveMomentum(apply_lorentz(p.lorentz, e.momentum.vector), e.momentum.mass)
+    return ClassicalMomentumEffect(moved, apply_lorentz(rep.effect(p), e.internal))
 
 
 def _pair(effect, state, p_tol: float) -> float:
@@ -140,19 +144,8 @@ def invariance_deviation(
                 (rep.effect(element) @ np.asarray(effect))
                 @ (rep.state(element) @ np.asarray(state))
             )
-        worst = np.maximum(worst, abs(after - before))
+        worst = np.maximum(worst, np.max(np.abs(after - before)))
     return float(worst)
-
-
-def check_invariance(
-    pairs,
-    element,
-    rep: RepMap,
-    tol: float = 1e-10,
-    p_tol: float = DEFAULT_P_TOL,
-) -> bool:
-    """Do all outcome probabilities survive the frame change within `tol`?"""
-    return invariance_deviation(pairs, element, rep, p_tol) <= tol
 
 
 @dataclass(frozen=True)
@@ -212,13 +205,13 @@ def rotation_rep(n: int) -> RepMap:
     Valid for frame changes whose Lorentz part is a pure rotation; the matrix
     itself is the internal map (the dimension-n internal space rides in the
     last n slots).  Orthogonality makes the effect action the same matrix.
+    A stack of frame changes gives a stack of maps.
     """
 
     def state_map(p: PoincareTransform) -> np.ndarray:
         lam = p.lorentz
-        e0 = np.zeros(lam.shape[0])
-        e0[0] = 1.0
-        if np.max(np.abs(lam[0] - e0)) > 1e-9 or np.max(np.abs(lam[:, 0] - e0)) > 1e-9:
+        e0 = np.eye(lam.shape[-1])[0]
+        if np.max(np.abs(lam[..., 0, :] - e0)) > 1e-9 or np.max(np.abs(lam[..., 0] - e0)) > 1e-9:
             raise ValueError("rotation representation applied to a non-rotation")
         return lam
 
@@ -227,17 +220,6 @@ def rotation_rep(n: int) -> RepMap:
 
 def trivial_rep(dim: int) -> RepMap:
     return RepMap(state_map=lambda g: np.eye(dim))
-
-
-def little_group_internal_map(lam: np.ndarray, p: MassiveMomentum) -> np.ndarray:
-    """Internal map induced by a frame change at momentum label p.
-
-    The spatial rotation extracted by returning the transformed pair to rest;
-    with internal dimension equal to the spatial dimension, this is the
-    fundamental choice and the assignment is a representation of the
-    stabilizer group.
-    """
-    return wigner_rotation(lam, p)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +233,7 @@ class DetectorSphereResult:
     before: np.ndarray
     after: np.ndarray
     worst_deviation: float
-    total_before: float
+    total_before: float | np.ndarray
 
 
 def detector_effects(detectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,24 +266,22 @@ def detector_sphere_experiment(
 
     The state and the detector effects transform with the same rotation, so
     the distribution is unchanged; the result carries both distributions and
-    the worst pointwise deviation.
+    the worst pointwise deviation.  Stacks of states and rotations share one
+    detector set; the deviation is then the worst over the stack.
     """
     z = np.asarray(internal_state, dtype=float)
-    o = np.asarray(rotation, dtype=float)
-    dim = z.shape[0] - 1
     effects, weights = detector_effects(detectors)
-    before = effects @ z
-    block = np.eye(dim + 1)
-    block[1:, 1:] = o
-    z_rot = block @ z
-    effects_rot = effects @ block.T  # orthogonal: transpose inverse = itself
-    after = effects_rot @ z_rot
+    before = apply_lorentz(effects, z)
+    block = spatial_rotation(rotation)
+    # orthogonal: transpose inverse = itself
+    after = apply_lorentz(effects @ np.swapaxes(block, -1, -2), apply_lorentz(block, z))
+    total = before.sum(axis=-1)
     return DetectorSphereResult(
         weights=weights,
         before=before,
         after=after,
         worst_deviation=float(np.max(np.abs(after - before))),
-        total_before=float(before.sum()),
+        total_before=float(total) if total.ndim == 0 else total,
     )
 
 
@@ -452,10 +432,8 @@ def orbit_ball_reconstruction(
         state = np.concatenate([[1.0], mix])
         hull_dev = np.maximum(hull_dev, validate_state(ball, state).margin)
 
-    transitive_dev = 0.0
-    for point in orbit[:20]:
-        o = rotation_between(r, point)
-        transitive_dev = np.maximum(transitive_dev, np.max(np.abs(o @ r - point)))
+    targets = orbit[:20]
+    transitive_dev = np.max(np.abs(apply_lorentz(rotation_between(r, targets), r) - targets))
 
     # the effects (1, v)/2 have first entry exactly 1/2
     effect_dev = np.max(np.abs(norms(0.5 * orbit) - 0.5))

@@ -65,10 +65,12 @@ def rotation_taking_first_axis(direction: np.ndarray) -> np.ndarray:
 
 
 def rotation_between(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rotation O in SO(n) mapping one unit vector onto another."""
-    qs = rotation_taking_first_axis(np.asarray(source, dtype=float))
-    qt = rotation_taking_first_axis(np.asarray(target, dtype=float))
-    return qt @ qs.T
+    """Rotation O in SO(n) mapping one unit vector onto another, over any
+    leading sample axes of either."""
+    s, t = np.asarray(source, dtype=float), np.asarray(target, dtype=float)
+    if s.shape[-1] == 1:  # SO(1) = {1} maps -1 onto -1 only: make the source +1
+        s, t = s * np.sign(s), t * np.sign(s)
+    return rotation_taking_first_axis(t) @ np.swapaxes(rotation_taking_first_axis(s), -1, -2)
 
 
 def plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:

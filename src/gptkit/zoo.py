@@ -25,6 +25,7 @@ from .core import (
     unit_effect,
     zero_effect,
 )
+from .minkowski import spatial_rotation
 from .rotations import plane_rotation, rotation_between, sample_special_orthogonal
 
 DEFAULT_NORM_TOL = 1e-9
@@ -173,9 +174,7 @@ def euclidean_ball(d: int) -> TheorySpec:
         gens = []
         for i in range(d):
             for j in range(i + 1, d):
-                m = np.eye(d + 1)
-                m[1:, 1:] = plane_rotation(d, i, j, np.pi / 2)
-                gens.append(m)
+                gens.append(spatial_rotation(plane_rotation(d, i, j, np.pi / 2)))
         reversibles = tuple(gens)
     return TheorySpec(
         name=f"ball:{d}",
@@ -189,20 +188,12 @@ def euclidean_ball(d: int) -> TheorySpec:
 
 def ball_rotation_to(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Reversible ball map taking the pure state along `source` to `target`."""
-    d = len(source)
-    out = np.eye(d + 1)
-    out[1:, 1:] = rotation_between(source, target)
-    return out
+    return spatial_rotation(rotation_between(source, target))
 
 
 def sample_ball_rotations(d: int, count: int, seed: int = 0) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        m = np.eye(d + 1)
-        m[1:, 1:] = sample_special_orthogonal(d, rng)
-        out.append(m)
-    return out
+    return list(spatial_rotation(sample_special_orthogonal(d, rng, count)))
 
 
 def sample_ball_state(d: int, rng: np.random.Generator, pure: bool = False) -> np.ndarray:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gptkit import minkowski, poincare
+from gptkit import cli
 from gptkit.cli import main
-from gptkit.core import theory_from_json
+from gptkit.core import theory_from_dict, theory_from_json
 
 
 def run_cli(args, capsys):
@@ -201,19 +202,53 @@ def test_trivial_toy_wiring_fails_with_a_measured_deviation(monkeypatch, capsys)
 
 
 def test_nan_deviation_fails_its_row(monkeypatch, capsys):
-    for command, kernel, nan_kernel, check in (
-        ("minkowski-checks", "interval", lambda x, y: float("nan"), "interval-invariance"),
+    for command, module, kernel, nan_kernel, check in (
+        (
+            "minkowski-checks",
+            minkowski,
+            "interval",
+            lambda x, y: float("nan"),
+            "interval-invariance",
+        ),
         (
             "little-group-checks",
+            minkowski,
             "wigner_rotation",
             lambda lam, p: np.full(np.shape(lam), np.nan),
             "induced-rotation-in-so-n",
         ),
+        (
+            "invariance-checks",
+            poincare,
+            "classical_pairing",
+            lambda effect, state, p_tol=0.0: float("nan"),
+            "pairing-invariance",
+        ),
     ):
         with monkeypatch.context() as patch, np.errstate(invalid="ignore"):
-            patch.setattr(minkowski, kernel, nan_kernel)
+            patch.setattr(module, kernel, nan_kernel)
             code, out = run_cli([command, "--samples", "5"], capsys)
         assert code == 1
         row = next(row for row in json.loads(out) if row["check"] == check)
         assert math.isnan(row["worst_deviation"])
         assert not row["pass"]
+
+
+def test_zoo_roundtrip_rows_measure_the_largest_entry_change(monkeypatch, capsys):
+    code, out = run_cli(["report", "--samples", "5"], capsys)
+    assert code == 0
+    rows = [row for row in json.loads(out) if row["check"].startswith("zoo-roundtrip-")]
+    assert len(rows) == 5 and all(row["worst_deviation"] == 0.0 for row in rows)
+
+    def shifted(text):
+        # the unit row of every reversible is (1, 0, ..., 0): shift a zero
+        doc = json.loads(text)
+        doc["reversibles"][0][0][1] += 1e-3
+        return theory_from_dict(doc)
+
+    monkeypatch.setattr(cli, "theory_from_json", shifted)
+    code, out = run_cli(["report", "--samples", "5"], capsys)
+    assert code == 1
+    rows = [row for row in json.loads(out) if row["check"].startswith("zoo-roundtrip-")]
+    assert len(rows) == 5
+    assert all(row["worst_deviation"] == 1e-3 and not row["pass"] for row in rows)

@@ -30,7 +30,11 @@ from gptkit.minkowski import (
     transforms_to_json,
     wigner_rotation,
 )
-from gptkit.rotations import rotation_taking_first_axis, sample_special_orthogonal
+from gptkit.rotations import (
+    rotation_between,
+    rotation_taking_first_axis,
+    sample_special_orthogonal,
+)
 
 
 def test_interval_examples():
@@ -199,6 +203,18 @@ def test_rotation_taking_first_axis_rejects_nan_and_minus_e1_in_so1():
     for bad in (np.array([-1.0]), np.array([[1.0], [-1.0]])):
         with pytest.raises(ValueError, match="SO\\(1\\)"):
             rotation_taking_first_axis(bad)
+
+
+def test_rotation_between_in_so1_is_the_identity_or_nothing():
+    minus, plus = np.array([-1.0]), np.array([1.0])
+    for source in (minus, plus):
+        assert np.array_equal(rotation_between(source, source), [[1.0]])
+    assert np.array_equal(rotation_between(minus, np.array([[-1.0], [-1.0]])), [[[1.0]], [[1.0]]])
+    for source, target in ((plus, minus), (minus, plus), (minus, np.array([[-1.0], [1.0]]))):
+        with pytest.raises(ValueError, match="SO\\(1\\)"):
+            rotation_between(source, target)
+    with pytest.raises(ValueError, match="unit vector"):
+        rotation_between(np.array([np.nan]), minus)
 
 
 def test_little_group_element_identity_case():
@@ -712,6 +728,44 @@ def _reference_little_group_rows(n, mass, samples, seed, tol):
     return [worst_fix, worst_rotation, worst_so, worst_comp]
 
 
+def _reference_invariance_rows(n, mass, samples, seed, tol):
+    """invariance_suite's checks as a per-sample loop over single-sample calls."""
+    from gptkit import minkowski, poincare, zoo
+
+    rng = np.random.default_rng(seed)
+    rep = poincare.rotation_rep(n)
+    rest = minkowski.rest_momentum(mass, n)
+    worst_pairing = 0.0
+    for _ in range(samples):
+        state = poincare.ClassicalMomentumState(rest, zoo.sample_ball_state(n, rng))
+        effect = poincare.ClassicalMomentumEffect(rest, zoo.sample_ball_effect(n, rng))
+        lam = np.eye(n + 1)
+        lam[1:, 1:] = sample_special_orthogonal(n, rng)
+        g = PoincareTransform(np.zeros(n + 1), lam)
+        before = poincare.classical_pairing(effect, state)
+        after = poincare.classical_pairing(
+            poincare.transform_classical_effect(g, effect, rep),
+            poincare.transform_classical(g, state, rep),
+        )
+        worst_pairing = np.maximum(worst_pairing, abs(after - before))
+    worst = [worst_pairing]
+    if n == 3:
+        detectors = np.vstack([np.eye(3), -np.eye(3)])
+        worst_det = worst_total = 0.0
+        for _ in range(samples):
+            state = zoo.sample_ball_state(3, rng)
+            rotation = sample_special_orthogonal(3, rng)
+            result = poincare.detector_sphere_experiment(state, detectors, rotation)
+            worst_det = np.maximum(worst_det, result.worst_deviation)
+            worst_total = np.maximum(worst_total, abs(result.total_before - 1.0))
+        worst += [worst_det, worst_total]
+    seedling = np.eye(n)[-1]
+    orbit = poincare.orbit_ball_reconstruction(
+        n, seedling, rotation_count=samples, seed=seed, tol=tol / 10
+    )
+    return worst + [orbit.worst_deviation]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_suites_across_chunk_boundaries_match_reference_loops(monkeypatch, n):
     from gptkit import cli
@@ -720,6 +774,7 @@ def test_suites_across_chunk_boundaries_match_reference_loops(monkeypatch, n):
     for suite, reference in (
         (cli.minkowski_suite, _reference_minkowski_rows),
         (cli.little_group_suite, _reference_little_group_rows),
+        (cli.invariance_suite, _reference_invariance_rows),
     ):
         rows = suite(n, 1.3, 20, 21 + n, 1e-9)
         assert [row.samples for row in rows] == [20] * len(rows)

@@ -12,6 +12,7 @@ from gptkit.minkowski import (
     random_momentum,
     random_proper_orthochronous,
     rest_momentum,
+    wigner_rotation,
 )
 from gptkit.poincare import (
     CheckRow,
@@ -19,13 +20,11 @@ from gptkit.poincare import (
     ClassicalMomentumState,
     GroupSample,
     RepMap,
-    check_invariance,
     check_representation,
     classical_pairing,
     detector_effects,
     detector_sphere_experiment,
     invariance_deviation,
-    little_group_internal_map,
     orbit_ball_reconstruction,
     rotation_rep,
     toy_discrete_spacetime,
@@ -116,7 +115,7 @@ def test_invariance_under_rotations_on_ball_internals():
             state = ClassicalMomentumState(rest, sample_ball_state(n, rng))
             effect = ClassicalMomentumEffect(rest, sample_ball_effect(n, rng))
             g = _rotation_transform(n, rng)
-            assert check_invariance([(effect, state)], g, rep, tol=1e-10)
+            assert invariance_deviation([(effect, state)], g, rep) <= 1e-10
 
 
 def test_invariance_fails_for_mismatched_effect_rep():
@@ -125,10 +124,10 @@ def test_invariance_fails_for_mismatched_effect_rep():
     broken = RepMap(state_map=lambda g: shear, effect_map=lambda g: shear)
     state = np.array([1.0, 0.5, 0.3, 0.0])
     effect = np.array([0.5, 0.2, 0.0, 0.1])
-    assert not check_invariance([(effect, state)], None, broken, tol=1e-10)
+    assert not invariance_deviation([(effect, state)], None, broken) <= 1e-10
     # the transpose-inverse default on the same shear restores invariance
     fixed = RepMap(state_map=lambda g: shear)
-    assert check_invariance([(effect, state)], None, fixed, tol=1e-10)
+    assert invariance_deviation([(effect, state)], None, fixed) <= 1e-10
 
 
 def test_invariance_deviation_measures_the_worst_change():
@@ -155,7 +154,7 @@ def test_toy_report_carries_measured_deviation(sides):
 def test_invariance_trivial_rep():
     state = np.array([1.0, 0.1, 0.2, 0.3])
     effect = np.array([0.5, 0.0, 0.0, 0.2])
-    assert check_invariance([(effect, state)], None, trivial_rep(4), tol=1e-12)
+    assert invariance_deviation([(effect, state)], None, trivial_rep(4)) <= 1e-12
 
 
 def test_check_representation_toy_translations():
@@ -186,7 +185,7 @@ def test_nan_deviations_fail():
     assert not report.passed
     pairs = [(np.array([0.5, 0.0, 0.5]), np.array([1.0, 0.3, 0.4]))]
     assert np.isnan(invariance_deviation(pairs, 0, nan_rep))
-    assert not check_invariance(pairs, 0, nan_rep, tol=1e-10)
+    assert not invariance_deviation(pairs, 0, nan_rep) <= 1e-10
 
 
 def test_check_representation_off_by_one_fails():
@@ -311,8 +310,8 @@ def test_little_group_internal_maps_compose():
         lam1 = random_proper_orthochronous(3, rng)
         lam2 = random_proper_orthochronous(3, rng)
         moved = MassiveMomentum(lam1 @ p.vector, p.mass)
-        lhs = little_group_internal_map(lam2, moved) @ little_group_internal_map(lam1, p)
-        rhs = little_group_internal_map(lam2 @ lam1, p)
+        lhs = wigner_rotation(lam2, moved) @ wigner_rotation(lam1, p)
+        rhs = wigner_rotation(lam2 @ lam1, p)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -322,7 +321,7 @@ def test_little_group_internal_map_reduces_for_rotations():
         p = random_momentum(1.0, 3, rng)
         rot = np.eye(4)
         rot[1:, 1:] = sample_special_orthogonal(3, rng)
-        w = little_group_internal_map(rot, p)
+        w = wigner_rotation(rot, p)
         assert np.max(np.abs(w - rot)) < 1e-10
 
 
@@ -347,6 +346,8 @@ def test_orbit_worst_deviation_counts_the_hull_margin(monkeypatch):
 def test_orbit_ball_reconstruction_other_dimensions():
     e1 = np.array([1.0, 0.0])
     assert orbit_ball_reconstruction(2, e1, rotation_count=50).passed
+    # SO(1) holds the identity only, which keeps -1 where it is
+    assert orbit_ball_reconstruction(1, np.array([-1.0])).passed
     e4 = np.zeros(4)
     e4[0] = 1.0
     assert orbit_ball_reconstruction(4, e4, rotation_count=50).passed
@@ -381,3 +382,65 @@ def test_effect_transform_uses_transpose_inverse():
     moved = transform_classical_effect(g, effect, rep)
     # for rotations the transpose inverse is the rotation itself
     assert np.allclose(moved.internal, g.lorentz @ effect.internal, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_kernels_equal_per_sample_calls(n):
+    rng = np.random.default_rng(40 + n)
+    count = 9
+    rep = rotation_rep(n)
+    labels = np.array([random_momentum(1.0, n, rng).vector for _ in range(count)])
+    effect_labels = labels.copy()
+    effect_labels[0] = labels[1]  # one pair whose labels disagree pairs to 0
+    internals = np.array([sample_ball_state(n, rng) for _ in range(count)])
+    effect_internals = np.array([sample_ball_effect(n, rng) for _ in range(count)])
+    lams = np.array([_rotation_transform(n, rng).lorentz for _ in range(count)])
+    frames = PoincareTransform(np.zeros((count, n + 1)), lams)
+    state = ClassicalMomentumState(MassiveMomentum(labels, 1.0), internals)
+    effect = ClassicalMomentumEffect(MassiveMomentum(effect_labels, 1.0), effect_internals)
+    moved_state = transform_classical(frames, state, rep)
+    moved_effect = transform_classical_effect(frames, effect, rep)
+    before = classical_pairing(effect, state)
+    after = classical_pairing(moved_effect, moved_state)
+    effect_maps = rep.effect(frames)
+    assert before[0] == 0.0
+    for i in range(count):
+        frame = PoincareTransform(np.zeros(n + 1), lams[i])
+        z = ClassicalMomentumState(MassiveMomentum(labels[i], 1.0), internals[i])
+        e = ClassicalMomentumEffect(MassiveMomentum(effect_labels[i], 1.0), effect_internals[i])
+        z2 = transform_classical(frame, z, rep)
+        e2 = transform_classical_effect(frame, e, rep)
+        single = classical_pairing(e, z)
+        assert type(single) is float and before[i] == single
+        assert after[i] == classical_pairing(e2, z2)
+        assert np.array_equal(moved_state.momentum.vector[i], z2.momentum.vector)
+        assert np.array_equal(moved_state.internal[i], z2.internal)
+        assert np.array_equal(moved_effect.momentum.vector[i], e2.momentum.vector)
+        assert np.array_equal(moved_effect.internal[i], e2.internal)
+        assert np.array_equal(effect_maps[i], rep.effect(frame))
+    assert invariance_deviation([(effect, state)], frames, rep) == np.max(np.abs(after - before))
+
+    # a frame change that is not Lorentz moves one label off the mass shell
+    skewed = lams.copy()
+    skewed[4] *= 1.1
+    with pytest.raises(ValueError, match="mass shell"):
+        transform_classical(PoincareTransform(np.zeros((count, n + 1)), skewed), state, rep)
+    # a NaN frame change is not rejected by the rotation test: it reaches the maps
+    nan_frames = lams.copy()
+    nan_frames[2] = np.nan
+    maps = rep.state(PoincareTransform(np.zeros((count, n + 1)), nan_frames))
+    assert np.isnan(maps[2]).all() and np.array_equal(maps[3], lams[3])
+
+    if n == 3:
+        detectors = np.vstack([np.eye(3), -np.eye(3)])
+        rotations = lams[:, 1:, 1:]
+        stacked = detector_sphere_experiment(internals, detectors, rotations)
+        singles = [
+            detector_sphere_experiment(internals[i], detectors, rotations[i])
+            for i in range(count)
+        ]
+        assert np.array_equal(stacked.before, [r.before for r in singles])
+        assert np.array_equal(stacked.after, [r.after for r in singles])
+        assert np.array_equal(stacked.total_before, [r.total_before for r in singles])
+        assert all(type(r.total_before) is float for r in singles)
+        assert stacked.worst_deviation == max(r.worst_deviation for r in singles)

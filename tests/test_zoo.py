@@ -20,7 +20,9 @@ from gptkit.zoo import (
     polygon_params,
     polygon_rotation,
     polygon_theory,
+    sample_ball_rotations,
 )
+from gptkit.rotations import sample_special_orthogonal
 
 # 2x2 quantum oracle: density matrices in the Pauli expansion
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,6 +160,16 @@ def test_ball_rotations_act_transitively():
         m = ball_rotation_to(a, b)
         moved = m @ np.concatenate([[1.0], a])
         assert np.max(np.abs(moved - np.concatenate([[1.0], b]))) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_sample_ball_rotations_equal_draws_in_a_row(d):
+    rng = np.random.default_rng(9)
+    for m in sample_ball_rotations(d, 6, seed=9):
+        expected = np.eye(d + 1)
+        expected[1:, 1:] = sample_special_orthogonal(d, rng)
+        assert np.array_equal(m, expected)
+    assert sample_ball_rotations(d, 0) == []
 
 
 def test_density_to_gpt():
