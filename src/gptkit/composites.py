@@ -25,9 +25,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import HalfspaceIntersection
 
 from . import lp
-from .core import Ball, BallEffects, Polytope, TheorySpec, unit_effect
+from .core import Ball, BallEffects, Polytope, TheorySpec
 from .zoo import get_theory
 
 SEPARABILITY_K = 200
@@ -53,16 +54,13 @@ class JointState:
         da, db = local_a.dim, local_b.dim
         if v.shape != ((da + 1) * (db + 1),):
             raise ValueError("joint vector length must be (d_A+1)(d_B+1)")
-        if check and abs(self.pair_product_static(v, unit_effect(da), unit_effect(db), db) - 1.0) > 1e-9:
-            raise ValueError("joint state is not normalized against the unit effects")
+        # v[0] is the pairing with the unit (x) unit effect
+        if check and not (np.all(np.isfinite(v)) and abs(v[0] - 1.0) <= 1e-9):
+            raise ValueError("joint state is not finite and normalized against the unit effects")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "local_a", local_a)
         object.__setattr__(self, "local_b", local_b)
-
-    @staticmethod
-    def pair_product_static(v, ea, eb, db):
-        return float(ea @ v.reshape(-1, db + 1) @ eb)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -96,6 +94,11 @@ def extremal_effects(theory: TheorySpec, k: int = MAX_TENSOR_K) -> np.ndarray:
     """Extremal effect list without the zero and unit effects."""
     rows = _effect_rows(theory, k)
     return rows[~np.all(np.isclose(rows, theory.unit, atol=1e-12), axis=1)]
+
+
+def _product_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every x_a (x) y_b as a flattened A-major row, a-major over the pairs."""
+    return np.einsum("ai,bj->abij", x, y).reshape(len(x) * len(y), -1)
 
 
 def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
@@ -140,10 +143,7 @@ def is_separable(
     discretized = isinstance(phi.local_a.states, Ball) or isinstance(phi.local_b.states, Ball)
     pts_a = phi.local_a.extreme_states(k)
     pts_b = phi.local_b.extreme_states(k)
-    products = np.einsum("ai,bj->abij", pts_a, pts_b).reshape(
-        len(pts_a) * len(pts_b), -1
-    )
-    res = lp.hull_membership(products, phi.vector, tol=tol, exact=exact)
+    res = lp.hull_membership(_product_rows(pts_a, pts_b), phi.vector, tol=tol, exact=exact)
     if res.member:
         return SeparabilityVerdict("separable", res.margin, res.weights,
                                    k if discretized else None)
@@ -324,9 +324,7 @@ def maximize_chsh(
     rows_b = _dedupe_rows(
         np.vstack([_effect_rows(local_b, k)] + [np.vstack(m) for m in meas_b])
     )
-    constraint_rows = np.einsum("ai,bj->abij", rows_a, rows_b).reshape(
-        len(rows_a) * len(rows_b), -1
-    )
+    constraint_rows = _product_rows(rows_a, rows_b)
     a_eq = tensor(local_a.unit, local_b.unit).reshape(1, -1)
     b_eq = np.array([1.0])
     a_ub = -constraint_rows
@@ -420,28 +418,21 @@ def max_tensor_vertices(
 ) -> np.ndarray:
     """All vertices of the maximal tensor polytope of two polytope locals.
 
-    Brute-force facet enumeration; intended for desk-scale systems only.
+    One qhull halfspace intersection (Barber, Dobkin & Huhdanpaa, ACM TOMS
+    22, 469 (1996)) over the product facets (e (x) f) . x >= 0, in y where
+    the normalization pins x = (1, y).  The interior point, the product of
+    the local vertex centroids, must clear every facet by more than `tol`.
+    The vertex order is qhull's: the same on every call, but not sorted.
     """
     if not (isinstance(local_a.states, Polytope) and isinstance(local_b.states, Polytope)):
         raise ValueError("vertex enumeration needs polytope locals")
-    ext_a = extremal_effects(local_a)
-    ext_b = extremal_effects(local_b)
-    rows = np.einsum("ai,bj->abij", ext_a, ext_b).reshape(len(ext_a) * len(ext_b), -1)
-    norm_row = tensor(local_a.unit, local_b.unit)
-    dim = rows.shape[1]
-    vertices: list[np.ndarray] = []
-    for combo in itertools.combinations(range(len(rows)), dim - 1):
-        system = np.vstack([norm_row, rows[list(combo)]])
-        rhs = np.zeros(dim)
-        rhs[0] = 1.0
-        if abs(np.linalg.det(system)) < 1e-10:
-            continue
-        candidate = np.linalg.solve(system, rhs)
-        if (rows @ candidate).min() < -tol:
-            continue
-        if not any(np.max(np.abs(candidate - v)) < 1e-7 for v in vertices):
-            vertices.append(candidate)
-    return np.array(vertices)
+    rows = _product_rows(extremal_effects(local_a), extremal_effects(local_b))
+    centre = tensor(local_a.states.vertices.mean(axis=0), local_b.states.vertices.mean(axis=0))
+    if not (rows @ centre).min() > tol:
+        raise ValueError("the product of the local centroids is not interior")
+    halfspaces = np.hstack([-rows[:, 1:], -rows[:, :1]])
+    reduced = HalfspaceIntersection(halfspaces, centre[1:]).intersections
+    return np.hstack([np.ones((len(reduced), 1)), reduced])
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +446,13 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
     Schema: {"id", "local_a", "local_b", optional "measurements_a"/"..._b"
     (index pairs into the extremal effect list), optional "joint_vector"}.
     Without an explicit vector the CHSH functional is maximized and the
-    optimizer is the reported state.
+    optimizer is the reported state.  A document that is not an object with
+    string locals, an index that is not an in-range int, or a pair whose
+    effects do not sum to the unit effect raises ValueError.
     """
+    names = ("local_a", "local_b")
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in names)):
+        raise ValueError(f"a scenario must be a JSON object naming local_a and local_b: {doc!r}")
     local_a = get_theory(doc["local_a"])
     local_b = get_theory(doc["local_b"])
 
@@ -464,7 +460,16 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
         if key not in doc:
             return binary_measurements(theory)
         ext = extremal_effects(theory)
-        return [(ext[i].copy(), ext[j].copy()) for i, j in doc[key]]
+        pairs = doc[key]
+        if not (isinstance(pairs, list) and pairs and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(type(i) is int and 0 <= i < len(ext) for i in pair) for pair in pairs
+        )):
+            raise ValueError(f"{key} must be a nonempty list of index pairs below {len(ext)}")
+        measurements = [(ext[i].copy(), ext[j].copy()) for i, j in pairs]
+        for measurement in measurements:
+            _check_measurement(measurement, theory.unit, 1e-9)
+        return measurements
 
     meas_a = build_measurements(local_a, "measurements_a")
     meas_b = build_measurements(local_b, "measurements_b")

@@ -118,32 +118,25 @@ def transform_classical_effect(
     return ClassicalMomentumEffect(moved, apply_lorentz(rep.effect(p), e.internal))
 
 
-def _pair(effect, state, p_tol: float) -> float:
-    if isinstance(state, ClassicalMomentumState):
-        return classical_pairing(effect, state, p_tol)
-    return float(np.asarray(effect) @ np.asarray(state))
-
-
 def invariance_deviation(
     pairs, element, rep: RepMap, p_tol: float = DEFAULT_P_TOL
 ) -> float:
     """Worst change of an outcome probability under the frame change.
 
     Accepts (effect, state) pairs either as momentum-labelled objects (the
-    label moves along with the frame) or as bare internal vectors.
+    label moves along with the frame) or as bare internal vectors, whose
+    maps are looked up once and applied to the stacked pairs.
     """
+    if pairs and not isinstance(pairs[0][1], ClassicalMomentumState):
+        e, z = (np.array(side, dtype=float) for side in zip(*pairs))
+        after = dots(apply_lorentz(rep.effect(element), e), apply_lorentz(rep.state(element), z))
+        return float(np.max(np.abs(after - dots(e, z))))
     worst = 0.0
     for effect, state in pairs:
-        before = _pair(effect, state, p_tol)
-        if isinstance(state, ClassicalMomentumState):
-            state2 = transform_classical(element, state, rep)
-            effect2 = transform_classical_effect(element, effect, rep)
-            after = classical_pairing(effect2, state2, p_tol)
-        else:
-            after = float(
-                (rep.effect(element) @ np.asarray(effect))
-                @ (rep.state(element) @ np.asarray(state))
-            )
+        before = classical_pairing(effect, state, p_tol)
+        state2 = transform_classical(element, state, rep)
+        effect2 = transform_classical_effect(element, effect, rep)
+        after = classical_pairing(effect2, state2, p_tol)
         worst = np.maximum(worst, np.max(np.abs(after - before)))
     return float(worst)
 

@@ -91,6 +91,35 @@ def test_chsh_scan_scenario_file(tmp_path, capsys):
     assert abs(rows[0]["chsh_value"] - 2.0) < 1e-9
 
 
+SQUARE = {"local_a": "polygon:4", "local_b": "polygon:4"}
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        ([1], 2),  # a document that is not an object
+        ("polygon:4", 2),
+        ({"local_a": 5, "local_b": "bit"}, 2),
+        ({"local_a": "bit"}, 2),
+        ({**SQUARE, "measurements_a": [1]}, 2),  # an index where a pair belongs
+        ({**SQUARE, "measurements_a": [[0, 9]]}, 2),  # past the extremal effects
+        ({**SQUARE, "measurements_a": [[-4, -2]]}, 2),  # would wrap around
+        ({**SQUARE, "measurements_a": [[0, 1.0]]}, 2),
+        ({**SQUARE, "measurements_b": [[True, 2]]}, 2),
+        ({**SQUARE, "measurements_a": []}, 2),
+        ({**SQUARE, "measurements_a": [[0, 1]]}, 2),  # does not sum to the unit
+        ({**SQUARE, "measurements_a": [[0, 2]], "measurements_b": [[0, 2]]}, 0),
+        ({**SQUARE, "measurements_a": [[2, 0]], "measurements_b": [[1, 3]]}, 0),
+    ],
+)
+def test_chsh_scan_rejects_malformed_scenarios(tmp_path, capsys, doc, code):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["chsh-scan", "--scenario", str(path)]) == code
+    captured = capsys.readouterr()
+    assert ("error:" in captured.err) == (code == 2)
+
+
 def test_reports_are_deterministic(capsys):
     args = ["minkowski-checks", "--samples", "20", "--seed", "7"]
     _, first = run_cli(args, capsys)

@@ -6,11 +6,13 @@ import pytest
 from gptkit.composites import (
     ChshScenario,
     JointState,
+    _chsh_objective,
     ball_measurement,
     binary_measurements,
     chsh_value,
     correlator,
     enumerate_deterministic_chsh,
+    extremal_effects,
     in_max_tensor,
     is_separable,
     load_scenarios,
@@ -25,7 +27,7 @@ from gptkit.composites import (
     tensor,
     two_qubit_gpt,
 )
-from gptkit.core import BallEffects
+from gptkit.core import BallEffects, theory_from_dict
 from gptkit.rotations import deterministic_sphere_points
 from gptkit.zoo import (
     box_world_pair,
@@ -105,6 +107,9 @@ def test_joint_state_validation():
     bad = 2.0 * tensor(BIT.states.vertices[0], BIT.states.vertices[0])
     with pytest.raises(ValueError):
         JointState(bad, BIT, BIT)
+    for non_finite in ([np.nan, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            JointState(non_finite, BIT, BIT)
     unchecked = JointState(bad, BIT, BIT, check=False)
     assert not in_max_tensor(unchecked)
 
@@ -512,3 +517,74 @@ def test_max_tensor_vertices_bit_pair_are_products():
     ]
     for v in vertices:
         assert any(np.max(np.abs(v - p)) < 1e-9 for p in products)
+
+
+def test_max_tensor_vertices_reject_locals_qhull_cannot_take():
+    with pytest.raises(ValueError, match="polytope locals"):
+        max_tensor_vertices(BIT, BALL3)
+    # a flat state space: the effect (0, 0, 1) vanishes on every state, so
+    # no point is strictly inside its product facets
+    flat = theory_from_dict({
+        "name": "flat",
+        "d": 2,
+        "states": {"kind": "polytope", "vertices": [[1, -1, 0], [1, 1, 0]]},
+        "effects": {
+            "kind": "hull",
+            "generators": [[0, 0, 0], [1, 0, 0], [0.5, -0.5, 0], [0.5, 0.5, 0], [0, 0, 1]],
+        },
+        "effect_convention": "restricted",
+        "reversibles": [],
+    })
+    with pytest.raises(ValueError, match="not interior"):
+        max_tensor_vertices(flat, BIT)
+
+
+def _brute_force_vertices(local_a, local_b, tol=1e-9):
+    """Reference: solve every choice of dim - 1 product facets plus the
+    normalization row, and keep the feasible, distinct solutions."""
+    ext_a = extremal_effects(local_a)
+    ext_b = extremal_effects(local_b)
+    rows = np.einsum("ai,bj->abij", ext_a, ext_b).reshape(len(ext_a) * len(ext_b), -1)
+    norm_row = tensor(local_a.unit, local_b.unit)
+    dim = rows.shape[1]
+    vertices = []
+    for combo in itertools.combinations(range(len(rows)), dim - 1):
+        system = np.vstack([norm_row, rows[list(combo)]])
+        rhs = np.zeros(dim)
+        rhs[0] = 1.0
+        if abs(np.linalg.det(system)) < 1e-10:
+            continue
+        candidate = np.linalg.solve(system, rhs)
+        if (rows @ candidate).min() < -tol:
+            continue
+        if not any(np.max(np.abs(candidate - v)) < 1e-7 for v in vertices):
+            vertices.append(candidate)
+    return np.array(vertices)
+
+
+@pytest.mark.parametrize("name", ["bit", "simplex:2", "polygon:4"])
+def test_max_tensor_vertices_match_brute_force(name):
+    local = get_theory(name)
+    vertices = max_tensor_vertices(local, local)
+    reference = _brute_force_vertices(local, local)
+    assert vertices.shape == reference.shape
+    gaps = np.max(np.abs(vertices[:, None, :] - reference[None, :, :]), axis=-1)
+    assert np.all(gaps.min(axis=0) <= 1e-9) and np.all(gaps.min(axis=1) <= 1e-9)
+    assert np.array_equal(max_tensor_vertices(local, local), vertices)
+
+
+@pytest.mark.parametrize(
+    "name, count", [("polygon:3", 9), ("polygon:4", 24), ("polygon:5", 135)]
+)
+def test_max_tensor_vertices_reach_the_chsh_optimum(name, count):
+    # a linear objective peaks at a vertex, so the best vertex over every
+    # measurement assignment is the LP scan's optimum
+    local = get_theory(name)
+    vertices = max_tensor_vertices(local, local)
+    assert len(vertices) == count
+    meas = binary_measurements(local)
+    objectives = np.array([
+        _chsh_objective(*choice) for choice in itertools.product(meas, repeat=4)
+    ])
+    best = np.max(vertices @ objectives.T)
+    assert abs(best - maximize_chsh(local, local).value) <= 1e-9
