@@ -2,7 +2,10 @@
 
 Every subcommand emits a machine-readable report (JSON by default, CSV on
 request) and exits 0 only when all its checks pass.  Reports are
-deterministic: the same flags and seed give byte-identical output.  Each
+deterministic: the same flags and seed give byte-identical output.  The
+geometry suites work in stacks of up to SAMPLE_CHUNK samples and draw each
+random variable as one array per stack, so a seed's sample stream is fixed
+by the seed and SAMPLE_CHUNK together.  Each
 check row carries a stable anchor string naming the fact being verified, so
 CI output can be traced back to the corresponding property.
 
@@ -22,12 +25,12 @@ import numpy as np
 from . import composites, minkowski, poincare, zoo
 from .core import theory_from_json, theory_to_json
 from .poincare import CheckRow
-from .rotations import special_orthogonal_draws, special_orthogonal_from_gaussian
+from .rotations import sample_special_orthogonal
 
 CHECK_COLUMNS = ["check", "samples", "worst_deviation", "tolerance", "pass"]
 
 # Samples per stack in the geometry suites, so their arrays stay bounded
-# for any --samples.
+# for any --samples; changing it changes the samples a seed draws.
 SAMPLE_CHUNK = 256
 
 
@@ -35,15 +38,6 @@ def _chunks(samples: int):
     """Sizes of the successive stacks that make up `samples`."""
     for start in range(0, samples, SAMPLE_CHUNK):
         yield min(SAMPLE_CHUNK, samples - start)
-
-
-def _stacked(draws) -> list:
-    """Stack per-sample tuples of draws position by position; a position
-    holding tuples is stacked the same way, into a list."""
-    return [
-        _stacked(column) if isinstance(column[0], tuple) else np.array(column)
-        for column in zip(*draws)
-    ]
 
 
 def minkowski_suite(
@@ -62,16 +56,10 @@ def minkowski_suite(
     worst_lorentz = 0.0
     transforms = []
     for size in _chunks(samples):
-        p_draws, x, y, q_draws = _stacked(
-            (
-                minkowski.poincare_draws(n, rng),
-                rng.uniform(-3, 3, n + 1),
-                rng.uniform(-3, 3, n + 1),
-                minkowski.proper_orthochronous_draws(n, rng),
-            )
-            for _ in range(size)
-        )
-        p = minkowski.poincare_from_draws(*p_draws)
+        p = minkowski.random_poincare(n, rng, size)
+        x = rng.uniform(-3, 3, (size, n + 1))
+        y = rng.uniform(-3, 3, (size, n + 1))
+        q = minkowski.random_momentum(mass, n, rng, size)
         if log_transforms:
             transforms.append(p)
         dev = np.abs(
@@ -79,7 +67,6 @@ def minkowski_suite(
             - minkowski.interval(minkowski.apply_poincare(p, x), minkowski.apply_poincare(p, y))
         )
         worst_interval = np.maximum(worst_interval, np.max(dev))
-        q = minkowski.momentum_from_draws(mass, *q_draws)
         shell = np.abs(
             minkowski.minkowski_norm2(minkowski.apply_lorentz(p.lorentz, q.vector)) + mass**2
         )
@@ -89,12 +76,7 @@ def minkowski_suite(
 
     worst_assoc = 0.0
     for size in _chunks(samples):
-        a, b, c = (
-            minkowski.poincare_from_draws(*draws)
-            for draws in _stacked(
-                tuple(minkowski.poincare_draws(n, rng) for _ in range(3)) for _ in range(size)
-            )
-        )
+        a, b, c = (minkowski.random_poincare(n, rng, size) for _ in range(3))
         left = minkowski.compose(minkowski.compose(a, b), c)
         right = minkowski.compose(a, minkowski.compose(b, c))
         worst_assoc = np.max([
@@ -129,19 +111,20 @@ def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float)
     eta = minkowski.metric(n)
     axis = np.zeros(n + 1)
     axis[0] = 1.0
-    frame = minkowski.proper_orthochronous_draws
 
-    def point():
-        return rng.uniform(-2, 2, n + 1)
+    def point(size):
+        return rng.uniform(-2, 2, (size, n + 1))
+
+    def frame(size):
+        return minkowski.random_proper_orthochronous(n, rng, size)
+
+    def momentum(size):
+        return minkowski.random_momentum(mass, n, rng, size)
 
     worst_fix = 0.0
     worst_so = 0.0
     for size in _chunks(samples):
-        a, x, lam_draws, p_draws = _stacked(
-            (point(), point(), frame(n, rng), frame(n, rng)) for _ in range(size)
-        )
-        lam = minkowski.proper_orthochronous_from_draws(*lam_draws)
-        p = minkowski.momentum_from_draws(mass, *p_draws)
+        a, x, lam, p = point(size), point(size), frame(size), momentum(size)
         g = minkowski.little_group_element(a, x, lam, p)
         b2, q2 = minkowski.apply_to_pair(g, np.zeros_like(a), rest)
         worst_fix = np.max([worst_fix, np.max(np.abs(b2)), np.max(np.abs(q2 - rest))])
@@ -156,12 +139,8 @@ def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float)
 
     worst_rotation = 0.0
     for size in _chunks(samples):
-        gauss, a, x, p_draws = _stacked(
-            (special_orthogonal_draws(n, rng), point(), point(), frame(n, rng))
-            for _ in range(size)
-        )
-        rot = minkowski.spatial_rotation(special_orthogonal_from_gaussian(gauss))
-        p = minkowski.momentum_from_draws(mass, *p_draws)
+        rot = minkowski.spatial_rotation(sample_special_orthogonal(n, rng, size))
+        a, x, p = point(size), point(size), momentum(size)
         g = minkowski.little_group_element(a, x, rot, p)
         worst_rotation = np.max([
             worst_rotation,
@@ -171,13 +150,8 @@ def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float)
 
     worst_comp = 0.0
     for size in _chunks(samples):
-        a, a2, x, lam1_draws, lam2_draws, p_draws = _stacked(
-            (point(), point(), point(), frame(n, rng), frame(n, rng), frame(n, rng))
-            for _ in range(size)
-        )
-        lam1 = minkowski.proper_orthochronous_from_draws(*lam1_draws)
-        lam2 = minkowski.proper_orthochronous_from_draws(*lam2_draws)
-        p = minkowski.momentum_from_draws(mass, *p_draws)
+        a, a2, x = point(size), point(size), point(size)
+        lam1, lam2, p = frame(size), frame(size), momentum(size)
         moved = minkowski.MassiveMomentum(minkowski.apply_lorentz(lam1, p.vector), mass)
         left = minkowski.compose(
             minkowski.little_group_element(a2, x + a, lam2, moved),
@@ -205,18 +179,10 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
 
     worst_pairing = 0.0
     for size in _chunks(samples):
-        state, effect, gauss = _stacked(
-            (
-                zoo.sample_ball_state(n, rng),
-                zoo.sample_ball_effect(n, rng),
-                special_orthogonal_draws(n, rng),
-            )
-            for _ in range(size)
-        )
-        lam = minkowski.spatial_rotation(special_orthogonal_from_gaussian(gauss))
+        state = poincare.ClassicalMomentumState(rest, zoo.sample_ball_state(n, rng, size))
+        effect = poincare.ClassicalMomentumEffect(rest, zoo.sample_ball_effect(n, rng, size))
+        lam = minkowski.spatial_rotation(sample_special_orthogonal(n, rng, size))
         g = minkowski.PoincareTransform(np.zeros((size, n + 1)), lam)
-        effect = poincare.ClassicalMomentumEffect(rest, effect)
-        state = poincare.ClassicalMomentumState(rest, state)
         deviation = poincare.invariance_deviation([(effect, state)], g, rep)
         worst_pairing = np.maximum(worst_pairing, deviation)
 
@@ -227,12 +193,9 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
         worst_det = 0.0
         worst_total = 0.0
         for size in _chunks(samples):
-            state, gauss = _stacked(
-                (zoo.sample_ball_state(3, rng), special_orthogonal_draws(3, rng))
-                for _ in range(size)
-            )
+            state = zoo.sample_ball_state(3, rng, size)
             result = poincare.detector_sphere_experiment(
-                state, detectors, special_orthogonal_from_gaussian(gauss)
+                state, detectors, sample_special_orthogonal(3, rng, size)
             )
             worst_det = np.maximum(worst_det, result.worst_deviation)
             worst_total = np.maximum(worst_total, np.max(np.abs(result.total_before - 1.0)))

@@ -15,7 +15,9 @@ structure survives to machine precision.
 The kernels take leading sample axes: a stack of points, momenta, frame
 changes or transforms is processed as one array, with one BLAS product
 per sample, so a stacked result equals the one-sample result bit for bit.
-A single sample is the stack with no leading axis.
+A single sample is the stack with no leading axis.  The seeded samplers
+follow numpy's `size` convention: None draws one sample, an int draws a
+stack, each random variable as one array.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .rotations import (
     norms,
     rotation_angle_from_trace,
     rotation_taking_first_axis,
-    special_orthogonal_draws,
-    special_orthogonal_from_gaussian,
+    sample_special_orthogonal,
 )
 
 DEFAULT_TOL = 1e-9
@@ -314,75 +315,46 @@ def rotation_block_angle(w: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Seeded samplers for property suites
-#
-# Each sampler is split in two: `*_draws` takes one sample's random numbers
-# from the generator, in the order the sampler always drew them, and
-# `*_from_draws` builds the objects from stacked draws over a leading
-# sample axis.  A suite draws sample by sample, which keeps the stream of a
-# seed fixed, and then does the linear algebra once per stack.
 # ---------------------------------------------------------------------------
 
 
-def proper_orthochronous_draws(n: int, rng: np.random.Generator, max_rapidity: float = 1.5):
-    """One sample's (Gaussian matrix, boost direction, rapidity)."""
-    gauss = special_orthogonal_draws(n, rng)
-    direction = rng.standard_normal(n)
-    rapidity = rng.uniform(-max_rapidity, max_rapidity)
-    return gauss, direction, rapidity
+def random_proper_orthochronous(
+    n: int, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Haar-like rotation times a boost of rapidity uniform in [-1.5, 1.5]
+    along a Gaussian direction; a stack of `size` of them for an int.
 
-
-def proper_orthochronous_from_draws(gauss, direction, rapidity) -> np.ndarray:
-    """Rotation times boost, over any leading sample axes of the draws: the
-    boost has the given rapidity along `direction`, the rotation is built
-    from the Gaussian matrix `gauss`."""
-    direction = np.asarray(direction, dtype=float)
-    rapidity = np.asarray(rapidity, dtype=float)
-    n = direction.shape[-1]
+    Each variable is drawn as one array for the whole stack: the rotations,
+    then the directions, then the rapidities.
+    """
+    shape = () if size is None else (size,)
+    rotation = spatial_rotation(sample_special_orthogonal(n, rng, size))
+    direction = rng.standard_normal(shape + (n,))
+    rapidity = rng.uniform(-1.5, 1.5, size)
     unit = direction / norms(direction)[..., None]
     q = rotation_to_axis(unit) if n > 1 else np.eye(2)
-    s = _identities(rapidity.shape, n + 1)
+    s = _identities(shape, n + 1)
     s[..., 0, 0] = s[..., 1, 1] = np.cosh(rapidity)
     s[..., 0, 1] = s[..., 1, 0] = np.sinh(rapidity)
-    rotation = spatial_rotation(special_orthogonal_from_gaussian(gauss))
     return rotation @ (q @ s @ lorentz_inverse(q))
 
 
-def random_proper_orthochronous(
-    n: int, rng: np.random.Generator, max_rapidity: float = 1.5
-) -> np.ndarray:
-    return proper_orthochronous_from_draws(*proper_orthochronous_draws(n, rng, max_rapidity))
-
-
-def poincare_draws(
-    n: int, rng: np.random.Generator, max_rapidity: float = 1.5, span: float = 5.0
-):
-    """One sample's (translation, *proper_orthochronous_draws)."""
-    return (rng.uniform(-span, span, n + 1), *proper_orthochronous_draws(n, rng, max_rapidity))
-
-
-def poincare_from_draws(translation, gauss, direction, rapidity) -> PoincareTransform:
-    return PoincareTransform(
-        translation, proper_orthochronous_from_draws(gauss, direction, rapidity)
-    )
-
-
 def random_poincare(
-    n: int, rng: np.random.Generator, max_rapidity: float = 1.5, span: float = 5.0
+    n: int, rng: np.random.Generator, size: int | None = None
 ) -> PoincareTransform:
-    return poincare_from_draws(*poincare_draws(n, rng, max_rapidity, span))
-
-
-def momentum_from_draws(mass: float, gauss, direction, rapidity) -> MassiveMomentum:
-    """The rest momentum moved by proper_orthochronous_from_draws."""
-    lam = proper_orthochronous_from_draws(gauss, direction, rapidity)
-    rest = rest_momentum(mass, lam.shape[-1] - 1)
-    return MassiveMomentum(apply_lorentz(lam, rest.vector), mass)
+    """Translation uniform in [-5, 5]^(1+n), drawn first, with a
+    random_proper_orthochronous Lorentz part."""
+    shape = () if size is None else (size,)
+    translation = rng.uniform(-5.0, 5.0, shape + (n + 1,))
+    return PoincareTransform(translation, random_proper_orthochronous(n, rng, size))
 
 
 def random_momentum(
-    mass: float, n: int, rng: np.random.Generator, max_rapidity: float = 1.5
+    mass: float, n: int, rng: np.random.Generator, size: int | None = None
 ) -> MassiveMomentum:
-    return momentum_from_draws(mass, *proper_orthochronous_draws(n, rng, max_rapidity))
+    """The rest momentum moved by random_proper_orthochronous."""
+    lam = random_proper_orthochronous(n, rng, size)
+    return MassiveMomentum(apply_lorentz(lam, rest_momentum(mass, n).vector), mass)
 
 
 def transforms_to_json(transforms: list[PoincareTransform]) -> str:

@@ -82,7 +82,11 @@ class RepMap:
 
 @dataclass(frozen=True)
 class GroupSample:
-    """Finite slice of a group: elements, composition rule, identity."""
+    """Finite slice of a group: elements, composition rule, identity.
+
+    The elements are hashable and the slice is closed under `compose`: the
+    composite of any two elements is again one of `elements`.
+    """
 
     elements: tuple
     compose: Callable[[Any, Any], Any]
@@ -177,19 +181,21 @@ def check_representation(
     """Extensional homomorphism test over all ordered element pairs.
 
     Verifies R(identity) = 1 and R(g2) R(g1) = R(g2 o g1) and reports the
-    worst matrix deviation.  A trivial assignment passes this law; telling it
-    apart takes a check of what the maps do (see `toy_discrete_spacetime`).
+    worst matrix deviation.  Each element's map is looked up once; a
+    composite outside `sample.elements` raises ValueError.  A trivial
+    assignment passes this law; telling it apart takes a check of what the
+    maps do (see `toy_discrete_spacetime`).
     """
+    maps = {g: rep.state(g) for g in sample.elements}
     ident = rep.state(sample.identity)
     worst = np.max(np.abs(ident - np.eye(ident.shape[0])))
-    count = 0
     for g1 in sample.elements:
         for g2 in sample.elements:
-            lhs = rep.state(g2) @ rep.state(g1)
-            rhs = rep.state(sample.compose(g2, g1))
-            worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
-            count += 1
-    return CheckRow("representation-law", count, float(worst), tol)
+            composite = sample.compose(g2, g1)
+            if composite not in maps:
+                raise ValueError(f"composite {composite!r} is not in the group sample")
+            worst = np.maximum(worst, np.max(np.abs(maps[g2] @ maps[g1] - maps[composite])))
+    return CheckRow("representation-law", len(sample.elements) ** 2, float(worst), tol)
 
 
 def rotation_rep(n: int) -> RepMap:

@@ -86,53 +86,41 @@ def plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
     return out
 
 
-def special_orthogonal_draws(n: int, rng: np.random.Generator, size: int | None = None):
-    """The Gaussian matrices sample_special_orthogonal turns into rotations.
+def sample_special_orthogonal(
+    n: int, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Haar-like SO(n) sample, shape (n, n), or a stack (size, n, n).
 
-    Shape (n, n), or (size, n, n); one stacked draw equals `size` draws in a
-    row.  SO(1) = {1} needs no randomness: n = 1 draws nothing and returns
-    ones in the same shape.
+    QR of a Gaussian matrix with the signs of R's diagonal moved into Q
+    (Mezzadri, Notices AMS 54, 592 (2007)), then the last column flipped
+    where the determinant is -1.  A stacked QR equals the one-matrix QR bit
+    for bit.  SO(1) = {1} needs no randomness: n = 1 draws nothing.
     """
     shape = (n, n) if size is None else (size, n, n)
     if n == 1:
         return np.ones(shape)
-    return rng.standard_normal(shape)
-
-
-def special_orthogonal_from_gaussian(g: np.ndarray) -> np.ndarray:
-    """Haar-like SO(n) elements from Gaussian matrices: QR, sign-fixed, det +1.
-
-    Takes any leading sample axes.  A stacked QR equals the one-matrix QR
-    bit for bit.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.shape[-1] == 1:
-        return np.ones_like(g)
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(rng.standard_normal(shape))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     flip = (np.linalg.det(q) < 0)[..., None]
     q[..., -1] = np.where(flip, -q[..., -1], q[..., -1])
     return q
 
 
-def sample_special_orthogonal(
-    n: int, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Haar-like SO(n) sample, or a stack of `size` samples drawn in a row."""
-    return special_orthogonal_from_gaussian(special_orthogonal_draws(n, rng, size))
-
-
 def deterministic_sphere_points(n: int, count: int) -> np.ndarray:
     """Fixed set of `count` unit vectors on the (n-1)-sphere.
 
-    n = 3 uses a Fibonacci lattice (near-uniform covering); other dimensions
-    fall back to normalized Gaussian draws from a fixed seed.
+    n = 1 alternates +1 and -1, n = 2 is the even circle at angles 2 pi k /
+    count, n = 3 is a Fibonacci lattice (near-uniform covering); other
+    dimensions fall back to normalized Gaussian draws from a fixed seed.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if n == 1:
         signs = np.array([1.0 if k % 2 == 0 else -1.0 for k in range(count)])
         return signs.reshape(-1, 1)
+    if n == 2:
+        theta = 2.0 * np.pi * np.arange(count) / count
+        return np.column_stack([np.cos(theta), np.sin(theta)])
     if n == 3:
         k = np.arange(count, dtype=float)
         golden = (1.0 + np.sqrt(5.0)) / 2.0

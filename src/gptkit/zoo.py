@@ -26,7 +26,7 @@ from .core import (
     zero_effect,
 )
 from .minkowski import spatial_rotation
-from .rotations import plane_rotation, rotation_between, sample_special_orthogonal
+from .rotations import norms, plane_rotation, rotation_between, sample_special_orthogonal
 
 DEFAULT_NORM_TOL = 1e-9
 
@@ -196,21 +196,26 @@ def sample_ball_rotations(d: int, count: int, seed: int = 0) -> list[np.ndarray]
     return list(spatial_rotation(sample_special_orthogonal(d, rng, count)))
 
 
-def sample_ball_state(d: int, rng: np.random.Generator, pure: bool = False) -> np.ndarray:
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    if not pure:
-        v *= rng.uniform() ** (1.0 / d)
-    return np.concatenate([[1.0], v])
+def sample_ball_state(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Random ball state (1, r): a Gaussian direction, then a radius
+    uniform^(1/d), so r is uniform in the d-ball; a stack of `size` of them
+    for an int."""
+    shape = () if size is None else (size,)
+    v = rng.standard_normal(shape + (d,))
+    v = v / norms(v)[..., None]
+    v = v * np.expand_dims(rng.uniform(size=size) ** (1.0 / d), -1)
+    return np.concatenate([np.ones(shape + (1,)), v], axis=-1)
 
 
-def sample_ball_effect(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random normalized effect (e0, e) with 0 <= e0 +- ||e|| <= 1."""
-    s = 0.5 * rng.uniform()
+def sample_ball_effect(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Random normalized effect (e0, e) with 0 <= e0 +- ||e|| <= 1; a stack
+    of `size` of them for an int."""
+    shape = () if size is None else (size,)
+    s = 0.5 * rng.uniform(size=size)
     e0 = rng.uniform(s, 1.0 - s)
-    v = rng.standard_normal(d)
-    v *= s / np.linalg.norm(v)
-    return np.concatenate([[e0], v])
+    v = rng.standard_normal(shape + (d,))
+    v = v * np.expand_dims(s / norms(v), -1)
+    return np.concatenate([np.expand_dims(e0, -1), v], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -121,10 +121,14 @@ def test_chsh_scan_rejects_malformed_scenarios(tmp_path, capsys, doc, code):
 
 
 def test_reports_are_deterministic(capsys):
-    args = ["minkowski-checks", "--samples", "20", "--seed", "7"]
-    _, first = run_cli(args, capsys)
-    _, second = run_cli(args, capsys)
-    assert first == second
+    # 300 samples span two stacks of cli.SAMPLE_CHUNK
+    assert cli.SAMPLE_CHUNK < 300 <= 2 * cli.SAMPLE_CHUNK
+    for command in ("report", "minkowski-checks", "little-group-checks", "invariance-checks"):
+        args = [command, "--samples", "300", "--seed", "7"]
+        first_code, first = run_cli(args, capsys)
+        second_code, second = run_cli(args, capsys)
+        assert first_code == second_code == 0
+        assert first == second
 
 
 def test_exact_report_matches_float_report(capsys):

@@ -570,25 +570,86 @@ def test_stacked_special_orthogonal_equals_draws_in_a_row(n):
         assert stacked_rng.bit_generator.state == np.random.default_rng(60).bit_generator.state
 
 
+class _Replay:
+    """Stands in for a generator: each draw returns a copy of the next value."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def standard_normal(self, *_):
+        return np.copy(next(self._values))
+
+    uniform = standard_normal
+
+
+def _frame_draws(n, rng, size):
+    """random_proper_orthochronous's arrays for one stack, in its order:
+    Gaussian matrices (none for SO(1)), boost directions, rapidities."""
+    gauss = (rng.standard_normal((size, n, n)),) if n > 1 else ()
+    return (*gauss, rng.standard_normal((size, n)), rng.uniform(-1.5, 1.5, size))
+
+
+def _ref_frames(n, draws):
+    """Scalar reference frame changes built from one stack's _frame_draws."""
+    return np.array([_ref_random_proper_orthochronous(n, _Replay(*d)) for d in zip(*draws)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_samplers_draw_the_reference_numbers(n):
+    # one sample (size=None) draws what the scalar references draw
+    rng = np.random.default_rng(70 + n)
+    ref_rng = np.random.default_rng(70 + n)
+    for _ in range(10):
+        p = random_poincare(n, rng)
+        translation, lam = _ref_random_poincare(n, ref_rng)
+        assert np.array_equal(p.translation, translation)
+        assert np.array_equal(p.lorentz, lam)
+        assert np.array_equal(
+            random_proper_orthochronous(n, rng), _ref_random_proper_orthochronous(n, ref_rng)
+        )
+        assert np.array_equal(
+            random_momentum(1.3, n, rng).vector, _ref_random_momentum(1.3, n, ref_rng)
+        )
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a stack draws each variable as one array, then builds each sample as
+    # the scalar reference does
+    size = 9
+    stack_rng = np.random.default_rng(80 + n)
+    ref_rng = np.random.default_rng(80 + n)
+    p = random_poincare(n, stack_rng, size)
+    translation = ref_rng.uniform(-5.0, 5.0, (size, n + 1))
+    assert np.array_equal(p.translation, translation)
+    assert np.array_equal(p.lorentz, _ref_frames(n, _frame_draws(n, ref_rng, size)))
+    q = random_momentum(1.3, n, stack_rng, size)
+    assert q.vector.shape == (size, n + 1)
+    rest = rest_momentum(1.3, n).vector
+    assert np.array_equal(q.vector, _ref_frames(n, _frame_draws(n, ref_rng, size)) @ rest)
+    assert stack_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
-# The CLI suites draw what the per-sample loops drew, chunk by chunk
+# The CLI suites draw each variable as one array per stack
 # ---------------------------------------------------------------------------
 
 
-def test_minkowski_suite_logs_the_reference_draws(tmp_path):
-    from gptkit.cli import main
+def test_minkowski_suite_logs_the_reference_draws(tmp_path, monkeypatch):
+    from gptkit import cli
 
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 20)  # 50 samples: stacks of 20, 20 and 10
     log = tmp_path / "transforms.json"
     args = ["--n", "3", "--seed", "7", "--samples", "50", "--log-transforms", str(log)]
-    assert main(["minkowski-checks", *args]) == 0
+    assert cli.main(["minkowski-checks", *args]) == 0
     rng = np.random.default_rng(7)
     expected = []
-    for _ in range(50):
-        translation, lam = _ref_random_poincare(3, rng)
-        expected.append({"a": translation.tolist(), "Lambda": lam.tolist()})
-        rng.uniform(-3, 3, 4)
-        rng.uniform(-3, 3, 4)
-        _ref_random_momentum(1.0, 3, rng)
+    for size in (20, 20, 10):
+        translations = rng.uniform(-5.0, 5.0, (size, 4))
+        frames = _frame_draws(3, rng, size)
+        rng.uniform(-3, 3, (size, 4))
+        rng.uniform(-3, 3, (size, 4))
+        _frame_draws(3, rng, size)  # the momenta
+        for draws in zip(translations, *frames):
+            translation, lam = _ref_random_poincare(3, _Replay(*draws))
+            expected.append({"a": translation.tolist(), "Lambda": lam.tolist()})
     assert json.loads(log.read_text()) == expected
 
 
@@ -606,74 +667,90 @@ def test_little_group_suite_draws_the_reference_samples(monkeypatch):
     n, samples = 3, 30
     cli.little_group_suite(n, 1.0, samples, 9, 1e-9)
     rng = np.random.default_rng(9)
+    rest = rest_momentum(1.0, n).vector
 
     def point():
-        return rng.uniform(-2, 2, n + 1)
+        return rng.uniform(-2, 2, (samples, n + 1))
 
-    def frame():
-        return _ref_random_proper_orthochronous(n, rng)
+    def frames():
+        return _ref_frames(n, _frame_draws(n, rng, samples))
 
-    def momentum():
-        return _ref_random_momentum(1.0, n, rng)
-
-    first = [(point(), point(), frame(), momentum()) for _ in range(samples)]
-    second = []
-    for _ in range(samples):
-        rot = np.eye(n + 1)
-        rot[1:, 1:] = _ref_sample_special_orthogonal(n, rng)
-        second.append((point(), point(), rot, momentum()))
-    third = [(point(), point(), point(), frame(), frame(), momentum()) for _ in range(samples)]
-    # the composition loop calls (a2, x + a, lam2, moved), then (a, x, lam1, p)
+    a, x, lam, p = point(), point(), frames(), frames() @ rest
+    first = (a, x, lam, p)
+    rot = np.array([np.eye(n + 1)] * samples)
+    rot[:, 1:, 1:] = [
+        _ref_sample_special_orthogonal(n, _Replay(g))
+        for g in rng.standard_normal((samples, n, n))
+    ]
+    a, x, p = point(), point(), frames() @ rest
+    second = (a, x, rot, p)
+    a, a2, x = point(), point(), point()
+    lam1, lam2, p = frames(), frames(), frames() @ rest
+    moved = np.array([m @ v for m, v in zip(lam1, p)])
+    # the composition loop calls (a2, x + a, lam2, moved), then (a, x, lam1, p),
+    # then (a + a2, x, lam2 lam1, p)
     expected = [
         first,
         second,
-        [(a2, x + a, lam2) for a, a2, x, _, lam2, _ in third],
-        [(a, x, lam1, p) for a, _, x, lam1, _, p in third],
+        (a2, x + a, lam2, moved),
+        (a, x, lam1, p),
+        (a + a2, x, np.array([m2 @ m1 for m2, m1 in zip(lam2, lam1)]), p),
     ]
     assert len(calls) == 5
-    for call, samples_drawn in zip(calls, expected):
-        for got, want in zip(call, zip(*samples_drawn)):
-            assert np.array_equal(got, np.array(want))
+    for call, arrays in zip(calls, expected):
+        for got, want in zip(call, arrays):
+            assert np.array_equal(got, want)
 
 
-def _reference_minkowski_rows(n, mass, samples, seed, tol):
-    """minkowski_suite's checks as a per-sample loop over scalar calls."""
+def _sample(t, i):
+    """Sample i of a stacked PoincareTransform."""
+    return PoincareTransform(t.translation[i], t.lorentz[i])
+
+
+def _reference_minkowski_rows(n, mass, stacks, seed, tol):
+    """minkowski_suite's stacks, checked sample by sample with scalar calls."""
     from gptkit import minkowski
 
     rng = np.random.default_rng(seed)
     eta = minkowski.metric(n)
     worst = {"interval": 0.0, "shell": 0.0, "lorentz": 0.0, "assoc": 0.0, "boost": 0.0}
-    for _ in range(samples):
-        p = minkowski.random_poincare(n, rng)
-        x = rng.uniform(-3, 3, n + 1)
-        y = rng.uniform(-3, 3, n + 1)
-        moved = minkowski.interval(
-            minkowski.apply_poincare(p, x), minkowski.apply_poincare(p, y)
-        )
-        worst["interval"] = np.maximum(worst["interval"], abs(minkowski.interval(x, y) - moved))
-        q = minkowski.random_momentum(mass, n, rng)
-        shell = abs(minkowski.minkowski_norm2(p.lorentz @ q.vector) + mass**2)
-        worst["shell"] = np.maximum(worst["shell"], shell)
-        defect = np.max(np.abs(p.lorentz.T @ eta @ p.lorentz - eta))
-        worst["lorentz"] = np.maximum(worst["lorentz"], defect)
-    for _ in range(samples):
-        a, b, c = (minkowski.random_poincare(n, rng) for _ in range(3))
-        left = minkowski.compose(minkowski.compose(a, b), c)
-        right = minkowski.compose(a, minkowski.compose(b, c))
-        worst["assoc"] = np.max([
-            worst["assoc"],
-            np.max(np.abs(left.translation - right.translation)),
-            np.max(np.abs(left.lorentz - right.lorentz)),
-        ])
-    for _ in range(samples):
-        p_mag = rng.uniform(0.0, 2.0)
-        s = minkowski.boost_x(p_mag, mass, n) @ minkowski.boost_x(-p_mag, mass, n)
-        worst["boost"] = np.maximum(worst["boost"], np.max(np.abs(s - np.eye(n + 1))))
+    for size in stacks:
+        ps = minkowski.random_poincare(n, rng, size)
+        xs = rng.uniform(-3, 3, (size, n + 1))
+        ys = rng.uniform(-3, 3, (size, n + 1))
+        qs = minkowski.random_momentum(mass, n, rng, size)
+        for i, (x, y, q) in enumerate(zip(xs, ys, qs.vector)):
+            p = _sample(ps, i)
+            moved = minkowski.interval(
+                minkowski.apply_poincare(p, x), minkowski.apply_poincare(p, y)
+            )
+            worst["interval"] = np.maximum(
+                worst["interval"], abs(minkowski.interval(x, y) - moved)
+            )
+            shell = abs(minkowski.minkowski_norm2(p.lorentz @ q) + mass**2)
+            worst["shell"] = np.maximum(worst["shell"], shell)
+            defect = np.max(np.abs(p.lorentz.T @ eta @ p.lorentz - eta))
+            worst["lorentz"] = np.maximum(worst["lorentz"], defect)
+    for size in stacks:
+        stacked = [minkowski.random_poincare(n, rng, size) for _ in range(3)]
+        for i in range(size):
+            a, b, c = (_sample(t, i) for t in stacked)
+            left = minkowski.compose(minkowski.compose(a, b), c)
+            right = minkowski.compose(a, minkowski.compose(b, c))
+            worst["assoc"] = np.max([
+                worst["assoc"],
+                np.max(np.abs(left.translation - right.translation)),
+                np.max(np.abs(left.lorentz - right.lorentz)),
+            ])
+    for size in stacks:
+        for p_mag in rng.uniform(0.0, 2.0, size):
+            s = minkowski.boost_x(p_mag, mass, n) @ minkowski.boost_x(-p_mag, mass, n)
+            worst["boost"] = np.maximum(worst["boost"], np.max(np.abs(s - np.eye(n + 1))))
     return list(worst.values())
 
 
-def _reference_little_group_rows(n, mass, samples, seed, tol):
-    """little_group_suite's checks as a per-sample loop over scalar calls."""
+def _reference_little_group_rows(n, mass, stacks, seed, tol):
+    """little_group_suite's stacks, checked sample by sample with scalar calls."""
     from gptkit import minkowski
 
     rng = np.random.default_rng(seed)
@@ -681,87 +758,95 @@ def _reference_little_group_rows(n, mass, samples, seed, tol):
     eta = minkowski.metric(n)
     axis = np.eye(n + 1)[0]
     worst_fix = worst_so = worst_rotation = worst_comp = 0.0
-    for _ in range(samples):
-        a = rng.uniform(-2, 2, n + 1)
-        x = rng.uniform(-2, 2, n + 1)
-        lam = minkowski.random_proper_orthochronous(n, rng)
-        p = minkowski.random_momentum(mass, n, rng)
-        g = minkowski.little_group_element(a, x, lam, p)
-        b2, q2 = minkowski.apply_to_pair(g, np.zeros(n + 1), rest.vector)
-        worst_fix = np.max([worst_fix, np.max(np.abs(b2)), np.max(np.abs(q2 - rest.vector))])
-        w = minkowski.wigner_rotation(lam, p)
-        worst_so = np.max([
-            worst_so,
-            np.max(np.abs(w.T @ eta @ w - eta)),
-            abs(float(np.linalg.det(w)) - 1.0),
-            np.max(np.abs(w[0] - axis)),
-            np.max(np.abs(w[:, 0] - axis)),
-        ])
-    for _ in range(samples):
-        rot = np.eye(n + 1)
-        rot[1:, 1:] = sample_special_orthogonal(n, rng)
-        a = rng.uniform(-2, 2, n + 1)
-        x = rng.uniform(-2, 2, n + 1)
-        p = minkowski.random_momentum(mass, n, rng)
-        g = minkowski.little_group_element(a, x, rot, p)
-        worst_rotation = np.max([
-            worst_rotation, np.max(np.abs(g.translation)), np.max(np.abs(g.lorentz - rot))
-        ])
-    for _ in range(samples):
-        a = rng.uniform(-2, 2, n + 1)
-        a2 = rng.uniform(-2, 2, n + 1)
-        x = rng.uniform(-2, 2, n + 1)
-        lam1 = minkowski.random_proper_orthochronous(n, rng)
-        lam2 = minkowski.random_proper_orthochronous(n, rng)
-        p = minkowski.random_momentum(mass, n, rng)
-        moved = MassiveMomentum(lam1 @ p.vector, mass)
-        left = minkowski.compose(
-            minkowski.little_group_element(a2, x + a, lam2, moved),
-            minkowski.little_group_element(a, x, lam1, p),
-        )
-        right = minkowski.little_group_element(a + a2, x, lam2 @ lam1, p)
-        worst_comp = np.max([
-            worst_comp,
-            np.max(np.abs(left.translation - right.translation)),
-            np.max(np.abs(left.lorentz - right.lorentz)),
-        ])
+
+    def point(size):
+        return rng.uniform(-2, 2, (size, n + 1))
+
+    def momenta(size):
+        return [MassiveMomentum(v, mass) for v in random_momentum(mass, n, rng, size).vector]
+
+    for size in stacks:
+        a_s, x_s = point(size), point(size)
+        lams, ps = random_proper_orthochronous(n, rng, size), momenta(size)
+        for a, x, lam, p in zip(a_s, x_s, lams, ps):
+            g = minkowski.little_group_element(a, x, lam, p)
+            b2, q2 = minkowski.apply_to_pair(g, np.zeros(n + 1), rest.vector)
+            worst_fix = np.max([worst_fix, np.max(np.abs(b2)), np.max(np.abs(q2 - rest.vector))])
+            w = minkowski.wigner_rotation(lam, p)
+            worst_so = np.max([
+                worst_so,
+                np.max(np.abs(w.T @ eta @ w - eta)),
+                abs(float(np.linalg.det(w)) - 1.0),
+                np.max(np.abs(w[0] - axis)),
+                np.max(np.abs(w[:, 0] - axis)),
+            ])
+    for size in stacks:
+        rots = minkowski.spatial_rotation(sample_special_orthogonal(n, rng, size))
+        a_s, x_s, ps = point(size), point(size), momenta(size)
+        for rot, a, x, p in zip(rots, a_s, x_s, ps):
+            g = minkowski.little_group_element(a, x, rot, p)
+            worst_rotation = np.max([
+                worst_rotation, np.max(np.abs(g.translation)), np.max(np.abs(g.lorentz - rot))
+            ])
+    for size in stacks:
+        a_s, a2_s, x_s = point(size), point(size), point(size)
+        lam1s = random_proper_orthochronous(n, rng, size)
+        lam2s = random_proper_orthochronous(n, rng, size)
+        ps = momenta(size)
+        for a, a2, x, lam1, lam2, p in zip(a_s, a2_s, x_s, lam1s, lam2s, ps):
+            moved = MassiveMomentum(lam1 @ p.vector, mass)
+            left = minkowski.compose(
+                minkowski.little_group_element(a2, x + a, lam2, moved),
+                minkowski.little_group_element(a, x, lam1, p),
+            )
+            right = minkowski.little_group_element(a + a2, x, lam2 @ lam1, p)
+            worst_comp = np.max([
+                worst_comp,
+                np.max(np.abs(left.translation - right.translation)),
+                np.max(np.abs(left.lorentz - right.lorentz)),
+            ])
     return [worst_fix, worst_rotation, worst_so, worst_comp]
 
 
-def _reference_invariance_rows(n, mass, samples, seed, tol):
-    """invariance_suite's checks as a per-sample loop over single-sample calls."""
+def _reference_invariance_rows(n, mass, stacks, seed, tol):
+    """invariance_suite's stacks, checked sample by sample with single-sample calls."""
     from gptkit import minkowski, poincare, zoo
 
     rng = np.random.default_rng(seed)
     rep = poincare.rotation_rep(n)
     rest = minkowski.rest_momentum(mass, n)
     worst_pairing = 0.0
-    for _ in range(samples):
-        state = poincare.ClassicalMomentumState(rest, zoo.sample_ball_state(n, rng))
-        effect = poincare.ClassicalMomentumEffect(rest, zoo.sample_ball_effect(n, rng))
-        lam = np.eye(n + 1)
-        lam[1:, 1:] = sample_special_orthogonal(n, rng)
-        g = PoincareTransform(np.zeros(n + 1), lam)
-        before = poincare.classical_pairing(effect, state)
-        after = poincare.classical_pairing(
-            poincare.transform_classical_effect(g, effect, rep),
-            poincare.transform_classical(g, state, rep),
-        )
-        worst_pairing = np.maximum(worst_pairing, abs(after - before))
+    for size in stacks:
+        states = zoo.sample_ball_state(n, rng, size)
+        effects = zoo.sample_ball_effect(n, rng, size)
+        rotations = sample_special_orthogonal(n, rng, size)
+        for internal, effect_internal, rotation in zip(states, effects, rotations):
+            state = poincare.ClassicalMomentumState(rest, internal)
+            effect = poincare.ClassicalMomentumEffect(rest, effect_internal)
+            lam = np.eye(n + 1)
+            lam[1:, 1:] = rotation
+            g = PoincareTransform(np.zeros(n + 1), lam)
+            before = poincare.classical_pairing(effect, state)
+            after = poincare.classical_pairing(
+                poincare.transform_classical_effect(g, effect, rep),
+                poincare.transform_classical(g, state, rep),
+            )
+            worst_pairing = np.maximum(worst_pairing, abs(after - before))
     worst = [worst_pairing]
     if n == 3:
         detectors = np.vstack([np.eye(3), -np.eye(3)])
         worst_det = worst_total = 0.0
-        for _ in range(samples):
-            state = zoo.sample_ball_state(3, rng)
-            rotation = sample_special_orthogonal(3, rng)
-            result = poincare.detector_sphere_experiment(state, detectors, rotation)
-            worst_det = np.maximum(worst_det, result.worst_deviation)
-            worst_total = np.maximum(worst_total, abs(result.total_before - 1.0))
+        for size in stacks:
+            states = zoo.sample_ball_state(3, rng, size)
+            rotations = sample_special_orthogonal(3, rng, size)
+            for state, rotation in zip(states, rotations):
+                result = poincare.detector_sphere_experiment(state, detectors, rotation)
+                worst_det = np.maximum(worst_det, result.worst_deviation)
+                worst_total = np.maximum(worst_total, abs(result.total_before - 1.0))
         worst += [worst_det, worst_total]
     seedling = np.eye(n)[-1]
     orbit = poincare.orbit_ball_reconstruction(
-        n, seedling, rotation_count=samples, seed=seed, tol=tol / 10
+        n, seedling, rotation_count=sum(stacks), seed=seed, tol=tol / 10
     )
     return worst + [orbit.worst_deviation]
 
@@ -778,5 +863,5 @@ def test_suites_across_chunk_boundaries_match_reference_loops(monkeypatch, n):
     ):
         rows = suite(n, 1.3, 20, 21 + n, 1e-9)
         assert [row.samples for row in rows] == [20] * len(rows)
-        assert [row.worst_deviation for row in rows] == reference(n, 1.3, 20, 21 + n, 1e-9)
+        assert [row.worst_deviation for row in rows] == reference(n, 1.3, (7, 7, 6), 21 + n, 1e-9)
         assert all(row.passed for row in rows)

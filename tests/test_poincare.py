@@ -200,6 +200,32 @@ def test_check_representation_off_by_one_fails():
     assert not report.passed
 
 
+def test_check_representation_looks_each_map_up_once(monkeypatch):
+    sides = 6
+    calls = []
+
+    def counting(n, k):
+        calls.append(k)
+        return polygon_rotation(n, k)
+
+    monkeypatch.setattr(poincare, "polygon_rotation", counting)
+    sample = GroupSample(
+        elements=tuple(range(sides)),
+        compose=lambda a, b: (a + b) % sides,
+        identity=0,
+    )
+    report = check_representation(sample, toy_translation_rep(sides), tol=1e-12)
+    assert report.passed
+    assert report.samples == sides * sides
+    assert len(calls) <= sides + 1
+
+
+def test_check_representation_rejects_an_open_sample():
+    sample = GroupSample(elements=(0, 1, 2), compose=lambda a, b: a + b, identity=0)
+    with pytest.raises(ValueError, match="not in the group sample"):
+        check_representation(sample, trivial_rep(3))
+
+
 def test_check_report_json():
     row = CheckRow("representation-law", 4, np.float64(2e-13), 1e-12, {"N": 5, "k": 2})
     doc = row.as_dict()

@@ -20,9 +20,11 @@ from gptkit.zoo import (
     polygon_params,
     polygon_rotation,
     polygon_theory,
+    sample_ball_effect,
     sample_ball_rotations,
+    sample_ball_state,
 )
-from gptkit.rotations import sample_special_orthogonal
+from gptkit.rotations import deterministic_sphere_points, sample_special_orthogonal
 
 # 2x2 quantum oracle: density matrices in the Pauli expansion
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,6 +172,59 @@ def test_sample_ball_rotations_equal_draws_in_a_row(d):
         expected[1:, 1:] = sample_special_orthogonal(d, rng)
         assert np.array_equal(m, expected)
     assert sample_ball_rotations(d, 0) == []
+
+
+def _ref_sample_ball_state(d, rng):
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    v *= rng.uniform() ** (1.0 / d)
+    return np.concatenate([[1.0], v])
+
+
+def _ref_sample_ball_effect(d, rng):
+    s = 0.5 * rng.uniform()
+    e0 = rng.uniform(s, 1.0 - s)
+    v = rng.standard_normal(d)
+    v *= s / np.linalg.norm(v)
+    return np.concatenate([[e0], v])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ball_samplers_draw_the_reference_numbers(d):
+    rng = np.random.default_rng(30 + d)
+    ref_rng = np.random.default_rng(30 + d)
+    for _ in range(40):
+        assert np.array_equal(sample_ball_state(d, rng), _ref_sample_ball_state(d, ref_rng))
+        assert np.array_equal(sample_ball_effect(d, rng), _ref_sample_ball_effect(d, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a stack draws each variable as one array
+    states = sample_ball_state(d, rng, 50)
+    directions = ref_rng.standard_normal((50, d))
+    radii = ref_rng.uniform(size=50) ** (1.0 / d)
+    expected = directions / np.linalg.norm(directions, axis=1, keepdims=True) * radii[:, None]
+    assert states.shape == (50, d + 1) and np.all(states[:, 0] == 1.0)
+    assert np.max(np.abs(states[:, 1:] - expected)) <= 1e-15
+    effects = sample_ball_effect(d, rng, 50)
+    s = 0.5 * ref_rng.uniform(size=50)
+    assert np.array_equal(effects[:, 0], ref_rng.uniform(s, 1.0 - s))
+    assert np.max(np.abs(np.linalg.norm(effects[:, 1:], axis=1) - s)) <= 1e-15
+    assert np.all(effects[:, 0] - s >= 0.0) and np.all(effects[:, 0] + s <= 1.0)
+    ref_rng.standard_normal((50, d))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _largest_gap_degrees(points):
+    angles = np.sort(np.arctan2(points[:, 1], points[:, 0]))
+    gaps = np.diff(np.concatenate([angles, angles[:1] + 2.0 * np.pi]))
+    return np.degrees(np.max(gaps))
+
+
+@pytest.mark.parametrize("count", [8, 64, 200])
+def test_circle_discretization_is_even(count):
+    points = deterministic_sphere_points(2, count)
+    assert points.shape == (count, 2)
+    assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-15
+    assert abs(_largest_gap_degrees(points) - 360.0 / count) <= 1e-9
 
 
 def test_density_to_gpt():
