@@ -288,13 +288,21 @@ class ChshOptimum:
     measurement_choice: tuple[int, int, int, int]  # indices (a0, a1, b0, b1)
 
 
-def _chsh_objective(a0, a1, b0, b1) -> np.ndarray:
-    def diff_tensor(a_pair, b_pair):
-        return tensor(a_pair[0] - a_pair[1], b_pair[0] - b_pair[1])
+def _chsh_objectives(meas_a, meas_b, choices: np.ndarray) -> np.ndarray:
+    """CHSH objective of every assignment row (a0, a1, b0, b1) of `choices`.
 
-    return (
-        diff_tensor(a0, b0) + diff_tensor(a0, b1) + diff_tensor(a1, b0) - diff_tensor(a1, b1)
-    )
+    Each correlator term is the outer product of the two outcome
+    differences, and the terms are summed in the order of S, so every row
+    equals the Kronecker-product objective bit for bit (an einsum writes
+    +0.0 where the Kronecker product writes -0.0).
+    """
+    da = np.array([e - f for e, f in meas_a], dtype=float)[choices[:, :2]]
+    db = np.array([e - f for e, f in meas_b], dtype=float)[choices[:, 2:]]
+
+    def term(i, j):
+        return (da[:, i, :, None] * db[:, j, None, :]).reshape(len(choices), -1)
+
+    return term(0, 0) + term(0, 1) + term(1, 0) - term(1, 1)
 
 
 def maximize_chsh(
@@ -307,10 +315,17 @@ def maximize_chsh(
 ) -> ChshOptimum:
     """Maximize the CHSH functional over the maximal tensor product.
 
-    One LP per assignment of measurements to the four scenario slots; the
-    best optimizer is returned as an operational witness state.  Polytope
-    locals give exact optima under exact pivoting; ball locals are bounded
-    through a K-point effect discretization.
+    One LP per assignment of measurements to the four scenario slots, in
+    two passes.  An assignment that repeats a setting (a0 = a1 or b0 = b1)
+    gives S = 2 E(a0, b0).  Every point of the maximal tensor product gives
+    valid probabilities to the scenario's own effects, so |E| <= 1 and such
+    an assignment reaches at most 2, up to rounding.  The assignments with
+    a0 != a1 and b0 != b1 are solved first; the repeated ones are solved
+    only if none of the first pass beats 2 + 1e-6.  The first strict
+    maximum in row-major assignment order is returned, as a scan of every
+    assignment would pick, with its optimizer as an operational witness
+    state.  Polytope locals give exact optima under exact pivoting; ball
+    locals are bounded through a K-point effect discretization.
     """
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
@@ -329,17 +344,28 @@ def maximize_chsh(
     b_eq = np.array([1.0])
     a_ub = -constraint_rows
     b_ub = np.zeros(len(constraint_rows))
-    best: ChshOptimum | None = None
-    for ia0, ia1 in itertools.product(range(len(meas_a)), repeat=2):
-        for ib0, ib1 in itertools.product(range(len(meas_b)), repeat=2):
-            c = _chsh_objective(meas_a[ia0], meas_a[ia1], meas_b[ib0], meas_b[ib1])
-            sol = lp.linear_program(c, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact)
+    choices = np.indices((len(meas_a),) * 2 + (len(meas_b),) * 2).reshape(4, -1).T
+    objectives = _chsh_objectives(meas_a, meas_b, choices)
+    distinct = (choices[:, 0] != choices[:, 1]) & (choices[:, 2] != choices[:, 3])
+    solutions: dict[int, lp.LpSolution] = {}
+    for batch in (np.flatnonzero(distinct), np.flatnonzero(~distinct)):
+        for i in batch:
+            sol = lp.linear_program(
+                objectives[i], a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact
+            )
             if sol.status != "optimal":  # pragma: no cover - the set is compact
                 raise RuntimeError(f"CHSH optimization failed: {sol.status}")
-            if best is None or sol.value > best.value:
-                witness = JointState(sol.x, local_a, local_b, check=False)
-                best = ChshOptimum(sol.value, witness, (ia0, ia1, ib0, ib1))
-    return best
+            solutions[int(i)] = sol
+        # a repeated setting reaches at most 2; 1e-6 covers HiGHS's 1e-7
+        # primal feasibility slack on each of the four correlators, and the
+        # 1e-16 by which float effect pairs miss the unit on the exact path
+        if solutions and max(s.value for s in solutions.values()) > 2.0 + 1e-6:
+            break
+    best = max(sorted(solutions), key=lambda i: solutions[i].value)
+    witness = JointState(solutions[best].x, local_a, local_b, check=False)
+    return ChshOptimum(
+        solutions[best].value, witness, tuple(int(i) for i in choices[best])
+    )
 
 
 def enumerate_deterministic_chsh() -> float:

@@ -1,0 +1,62 @@
+"""Reference CHSH scan: one LP for every setting assignment, in row-major order.
+
+This is `maximize_chsh` as it was before it skipped the assignments that
+repeat a setting, with one Kronecker-product objective per LP.  Tests
+compare the two bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+
+from gptkit import lp
+from gptkit.composites import (
+    MAX_TENSOR_K,
+    ChshOptimum,
+    JointState,
+    _dedupe_rows,
+    _effect_rows,
+    _product_rows,
+    binary_measurements,
+    tensor,
+)
+
+
+def kron_objective(a0, a1, b0, b1) -> np.ndarray:
+    def diff_tensor(a_pair, b_pair):
+        return tensor(a_pair[0] - a_pair[1], b_pair[0] - b_pair[1])
+
+    return (
+        diff_tensor(a0, b0) + diff_tensor(a0, b1) + diff_tensor(a1, b0) - diff_tensor(a1, b1)
+    )
+
+
+def full_scan_chsh(
+    local_a, local_b, measurements_a=None, measurements_b=None, exact=False, k=MAX_TENSOR_K
+):
+    """The first strict maximum over every assignment, and each assignment's LP value."""
+    meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
+    meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
+    rows_a = _dedupe_rows(
+        np.vstack([_effect_rows(local_a, k)] + [np.vstack(m) for m in meas_a])
+    )
+    rows_b = _dedupe_rows(
+        np.vstack([_effect_rows(local_b, k)] + [np.vstack(m) for m in meas_b])
+    )
+    constraint_rows = _product_rows(rows_a, rows_b)
+    a_eq = tensor(local_a.unit, local_b.unit).reshape(1, -1)
+    b_eq = np.array([1.0])
+    a_ub = -constraint_rows
+    b_ub = np.zeros(len(constraint_rows))
+    best = None
+    values = {}
+    for ia0, ia1 in itertools.product(range(len(meas_a)), repeat=2):
+        for ib0, ib1 in itertools.product(range(len(meas_b)), repeat=2):
+            c = kron_objective(meas_a[ia0], meas_a[ia1], meas_b[ib0], meas_b[ib1])
+            sol = lp.linear_program(c, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact)
+            assert sol.status == "optimal"
+            values[ia0, ia1, ib0, ib1] = sol.value
+            if best is None or sol.value > best.value:
+                witness = JointState(sol.x, local_a, local_b, check=False)
+                best = ChshOptimum(sol.value, witness, (ia0, ia1, ib0, ib1))
+    return best, values

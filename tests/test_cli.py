@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from gptkit import minkowski, poincare
+from gptkit import composites, minkowski, poincare
 from gptkit import cli
 from gptkit.cli import main
 from gptkit.core import theory_from_dict, theory_from_json
+
+from chsh_reference import full_scan_chsh
 
 
 def run_cli(args, capsys):
@@ -285,3 +287,20 @@ def test_zoo_roundtrip_rows_measure_the_largest_entry_change(monkeypatch, capsys
     rows = [row for row in json.loads(out) if row["check"].startswith("zoo-roundtrip-")]
     assert len(rows) == 5
     assert all(row["worst_deviation"] == 1e-3 and not row["pass"] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["chsh-scan", "--locals", "polygon:4", "--exact"],
+        ["chsh-scan", "--locals", "polygon:6", "--format", "json"],
+    ],
+    ids=["polygon:4-exact", "polygon:6-json"],
+)
+def test_chsh_scan_prints_the_full_scan_bytes(monkeypatch, capsys, args):
+    code, out = run_cli(args, capsys)
+    monkeypatch.setattr(
+        composites, "maximize_chsh", lambda *a, **kw: full_scan_chsh(*a, **kw)[0]
+    )
+    assert run_cli(args, capsys) == (code, out)
+    assert code == 0

@@ -1,12 +1,14 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+from gptkit import lp
 from gptkit.composites import (
     ChshScenario,
     JointState,
-    _chsh_objective,
+    _chsh_objectives,
     ball_measurement,
     binary_measurements,
     chsh_value,
@@ -37,6 +39,8 @@ from gptkit.zoo import (
     polygon_theory,
     sample_ball_state,
 )
+
+from chsh_reference import full_scan_chsh, kron_objective
 
 BIT = classical_simplex(1)
 BOX = box_world_pair()
@@ -217,6 +221,91 @@ def test_classical_locals_kill_entanglement():
     for vertex in max_tensor_vertices(simplex, simplex):
         phi = JointState(vertex, simplex, simplex, check=False)
         assert is_separable(phi).status == "separable"
+
+
+# both scans are cached so the tests below share their LPs
+@functools.cache
+def _full_scan(name_a, name_b, exact):
+    return full_scan_chsh(get_theory(name_a), get_theory(name_b), exact=exact)
+
+
+@functools.cache
+def _counted_optimum(name_a, name_b, exact):
+    """maximize_chsh and the number of LPs it solved."""
+    solve = lp.linear_program
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "linear_program", counted)
+        result = maximize_chsh(get_theory(name_a), get_theory(name_b), exact=exact)
+    return result, len(calls)
+
+
+@pytest.mark.parametrize(
+    "name_a, name_b, exact",
+    [
+        ("polygon:3", "polygon:3", False),
+        ("polygon:4", "polygon:4", False),
+        ("polygon:6", "polygon:6", False),
+        ("simplex:2", "simplex:2", False),
+        ("bit", "bit", False),
+        ("bit", "polygon:4", False),
+        ("ball:3", "polygon:4", False),
+        ("polygon:4", "polygon:4", True),
+        ("bit", "polygon:4", True),
+    ],
+)
+def test_maximize_chsh_equals_the_full_scan(name_a, name_b, exact):
+    # skipping the repeated-setting assignments must not move a single bit
+    result, _ = _counted_optimum(name_a, name_b, exact)
+    reference, _ = _full_scan(name_a, name_b, exact)
+    assert result.value == reference.value
+    assert result.witness.vector.tobytes() == reference.witness.vector.tobytes()
+    assert result.measurement_choice == reference.measurement_choice
+    meas_a = binary_measurements(get_theory(name_a))
+    meas_b = binary_measurements(get_theory(name_b))
+    choices = np.array(list(itertools.product(
+        range(len(meas_a)), range(len(meas_a)), range(len(meas_b)), range(len(meas_b))
+    )))
+    kron = np.array([
+        kron_objective(meas_a[a0], meas_a[a1], meas_b[b0], meas_b[b1])
+        for a0, a1, b0, b1 in choices
+    ])
+    assert _chsh_objectives(meas_a, meas_b, choices).tobytes() == kron.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name_a, name_b, count",
+    [
+        ("polygon:5", "polygon:5", 400),
+        ("polygon:8", "polygon:8", 144),
+        ("ball:3", "polygon:4", 60),
+        # best = 2: the repeated settings are solved too, each LP once
+        ("polygon:3", "polygon:3", 81),
+        ("simplex:2", "simplex:2", 81),
+        ("bit", "bit", 1),
+    ],
+)
+def test_maximize_chsh_skips_repeated_settings_above_two(name_a, name_b, count):
+    assert _counted_optimum(name_a, name_b, False)[1] == count
+
+
+@pytest.mark.parametrize(
+    "name_a, name_b, exact, slack",
+    # polygon:4's float effect pairs sum to the unit only to 2**-54, so even
+    # exact pivoting leaves a repeated setting at 2 + 9e-16
+    [("polygon:4", "polygon:4", True, 1e-12), ("ball:3", "polygon:4", False, 1e-9)],
+)
+def test_repeated_settings_reach_at_most_two(name_a, name_b, exact, slack):
+    # a0 = a1 or b0 = b1 gives S = 2 E(a0, b0), and |E| <= 1 on the maximal
+    # tensor product: the premise of skipping those assignments
+    _, values = _full_scan(name_a, name_b, exact)
+    repeated = [v for (a0, a1, b0, b1), v in values.items() if a0 == a1 or b0 == b1]
+    assert repeated and max(repeated) <= 2.0 + slack
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -583,8 +672,7 @@ def test_max_tensor_vertices_reach_the_chsh_optimum(name, count):
     vertices = max_tensor_vertices(local, local)
     assert len(vertices) == count
     meas = binary_measurements(local)
-    objectives = np.array([
-        _chsh_objective(*choice) for choice in itertools.product(meas, repeat=4)
-    ])
+    choices = np.array(list(itertools.product(range(len(meas)), repeat=4)))
+    objectives = _chsh_objectives(meas, meas, choices)
     best = np.max(vertices @ objectives.T)
     assert abs(best - maximize_chsh(local, local).value) <= 1e-9
