@@ -29,6 +29,7 @@ from scipy.spatial import HalfspaceIntersection
 
 from . import lp
 from .core import Ball, BallEffects, Polytope, TheorySpec
+from .symmetry import _chsh_objectives, row_symmetries, symmetry_classes
 from .zoo import get_theory
 
 SEPARABILITY_K = 200
@@ -288,21 +289,14 @@ class ChshOptimum:
     measurement_choice: tuple[int, int, int, int]  # indices (a0, a1, b0, b1)
 
 
-def _chsh_objectives(meas_a, meas_b, choices: np.ndarray) -> np.ndarray:
-    """CHSH objective of every assignment row (a0, a1, b0, b1) of `choices`.
+def _scenario_rows(theory: TheorySpec, measurements, k: int) -> np.ndarray:
+    """One side's constraint rows: its effect rows and the scenario's effects.
 
-    Each correlator term is the outer product of the two outcome
-    differences, and the terms are summed in the order of S, so every row
-    equals the Kronecker-product objective bit for bit (an einsum writes
-    +0.0 where the Kronecker product writes -0.0).
+    The scenario's own measurement effects must be feasibility constraints,
+    otherwise a discretized relaxation could hand them negative probabilities.
     """
-    da = np.array([e - f for e, f in meas_a], dtype=float)[choices[:, :2]]
-    db = np.array([e - f for e, f in meas_b], dtype=float)[choices[:, 2:]]
-
-    def term(i, j):
-        return (da[:, i, :, None] * db[:, j, None, :]).reshape(len(choices), -1)
-
-    return term(0, 0) + term(0, 1) + term(1, 0) - term(1, 1)
+    effects = [np.vstack(m) for m in measurements]
+    return _dedupe_rows(np.vstack([_effect_rows(theory, k)] + effects))
 
 
 def maximize_chsh(
@@ -315,30 +309,29 @@ def maximize_chsh(
 ) -> ChshOptimum:
     """Maximize the CHSH functional over the maximal tensor product.
 
-    One LP per assignment of measurements to the four scenario slots, in
-    two passes.  An assignment that repeats a setting (a0 = a1 or b0 = b1)
-    gives S = 2 E(a0, b0).  Every point of the maximal tensor product gives
-    valid probabilities to the scenario's own effects, so |E| <= 1 and such
-    an assignment reaches at most 2, up to rounding.  The assignments with
+    One LP per symmetry class (`symmetry.symmetry_classes`) of assignments
+    of measurements to the four scenario slots, in two passes.  An
+    assignment that repeats a setting (a0 = a1 or b0 = b1) gives
+    S = 2 E(a0, b0).  Every point of the maximal tensor product gives valid
+    probabilities to the scenario's own effects, so |E| <= 1 and such an
+    assignment reaches at most 2, up to rounding.  The assignments with
     a0 != a1 and b0 != b1 are solved first; the repeated ones are solved
-    only if none of the first pass beats 2 + 1e-6.  The first strict
-    maximum in row-major assignment order is returned, as a scan of every
-    assignment would pick, with its optimizer as an operational witness
-    state.  Polytope locals give exact optima under exact pivoting; ball
-    locals are bounded through a K-point effect discretization.
+    only if none of the first pass beats 2 + 1e-6.  Values within 1e-9 of
+    the best tie, and the first in row-major order is returned with its
+    optimizer as an operational witness state, as a scan of every
+    assignment would pick under that rule; `run_scenario` rounds the value
+    to 9 decimals (a format change).  Polytope locals give exact optima
+    under exact pivoting; ball locals are bounded through a K-point effect
+    discretization.
     """
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
     if not meas_a or not meas_b:
         raise ValueError("both sites need at least one binary measurement")
-    # the scenario's own measurement effects must be feasibility constraints,
-    # otherwise a discretized relaxation could hand them negative probabilities
-    rows_a = _dedupe_rows(
-        np.vstack([_effect_rows(local_a, k)] + [np.vstack(m) for m in meas_a])
-    )
-    rows_b = _dedupe_rows(
-        np.vstack([_effect_rows(local_b, k)] + [np.vstack(m) for m in meas_b])
-    )
+    rows_a = _scenario_rows(local_a, meas_a, k)
+    rows_b = _scenario_rows(local_b, meas_b, k)
+    group_a = row_symmetries(local_a, rows_a)
+    group_b = row_symmetries(local_b, rows_b)
     constraint_rows = _product_rows(rows_a, rows_b)
     a_eq = tensor(local_a.unit, local_b.unit).reshape(1, -1)
     b_eq = np.array([1.0])
@@ -349,7 +342,8 @@ def maximize_chsh(
     distinct = (choices[:, 0] != choices[:, 1]) & (choices[:, 2] != choices[:, 3])
     solutions: dict[int, lp.LpSolution] = {}
     for batch in (np.flatnonzero(distinct), np.flatnonzero(~distinct)):
-        for i in batch:
+        classes = symmetry_classes(objectives[batch], group_a, group_b)
+        for i in batch[classes == np.arange(len(batch))]:
             sol = lp.linear_program(
                 objectives[i], a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact
             )
@@ -361,7 +355,10 @@ def maximize_chsh(
         # 1e-16 by which float effect pairs miss the unit on the exact path
         if solutions and max(s.value for s in solutions.values()) > 2.0 + 1e-6:
             break
-    best = max(sorted(solutions), key=lambda i: solutions[i].value)
+    # HiGHS spreads the optima inside one class by about 3e-14; values within
+    # 1e-9 of the best tie, and the first in row-major order wins
+    top = max(s.value for s in solutions.values())
+    best = min(i for i, s in solutions.items() if s.value >= top - 1e-9)
     witness = JointState(solutions[best].x, local_a, local_b, check=False)
     return ChshOptimum(
         solutions[best].value, witness, tuple(int(i) for i in choices[best])
@@ -471,10 +468,14 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
 
     Schema: {"id", "local_a", "local_b", optional "measurements_a"/"..._b"
     (index pairs into the extremal effect list), optional "joint_vector"}.
-    Without an explicit vector the CHSH functional is maximized and the
-    optimizer is the reported state.  A document that is not an object with
-    string locals, an index that is not an in-range int, or a pair whose
-    effects do not sum to the unit effect raises ValueError.
+    Without an explicit vector the CHSH functional is maximized with one LP
+    per symmetry class, values within 1e-9 of the best tie and the first
+    assignment in row-major order wins, and its optimizer is the reported
+    state.  `chsh_value` is rounded to 9 decimals, the precision of that tie
+    rule; this is a format change from the solver's full float.  A document
+    that is not an object with string locals, an index that is not an
+    in-range int, or a pair whose effects do not sum to the unit effect
+    raises ValueError.
     """
     names = ("local_a", "local_b")
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in names)):
@@ -517,7 +518,9 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
         "scenario_id": doc.get("id", f"{doc['local_a']}x{doc['local_b']}"),
         "local_a": doc["local_a"],
         "local_b": doc["local_b"],
-        "chsh_value": value,
+        # 9 decimals: maximize_chsh ties values within 1e-9, so the digits
+        # below carry only solver noise (about 3e-14 inside a class)
+        "chsh_value": round(value, 9),
         "separability_verdict": str(verdict),
     }
 

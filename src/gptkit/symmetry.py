@@ -1,0 +1,97 @@
+"""CHSH objectives over a maximal tensor product, and their symmetry classes.
+
+A reversible map g of a local theory that permutes that side's constraint
+rows (rows @ g is rows reordered) maps the maximal tensor product onto
+itself through X -> ga X gb.T, so the LP with objective C has the same
+optimum as the one with ga.T C gb.  `maximize_chsh` solves one LP per class
+of objectives related this way.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .core import TheorySpec
+
+# Matrix products here use np.einsum, not @: a CHSH scan makes no BLAS call
+# otherwise, and a first one maps about 128 KB more code into the process.
+
+
+def _chsh_objectives(meas_a, meas_b, choices: np.ndarray) -> np.ndarray:
+    """CHSH objective of every assignment row (a0, a1, b0, b1) of `choices`.
+
+    Each correlator term is the outer product of the two outcome
+    differences, and the terms are summed in the order of S, so every row
+    equals the Kronecker-product objective bit for bit (an einsum writes
+    +0.0 where the Kronecker product writes -0.0).
+    """
+    da = np.array([e - f for e, f in meas_a], dtype=float)[choices[:, :2]]
+    db = np.array([e - f for e, f in meas_b], dtype=float)[choices[:, 2:]]
+
+    def term(i, j):
+        return (da[:, i, :, None] * db[:, j, None, :]).reshape(len(choices), -1)
+
+    return term(0, 0) + term(0, 1) + term(1, 0) - term(1, 1)
+
+
+def row_symmetries(theory: TheorySpec, rows: np.ndarray) -> np.ndarray:
+    """The group generated by the theory's reversibles that permute `rows`.
+
+    A generator g is kept when it fixes the unit effect and every row of
+    rows @ g matches exactly one row of `rows`, all within 1e-9, with no row
+    matched twice; others (a ball's quarter-turns against its K sphere
+    points) are dropped.  The kept ones are closed as permutations of row
+    indices, so the closure is finite.  Returns the stacked matrices.
+    """
+    kept = []
+    for g in theory.reversibles:
+        matches = [np.flatnonzero(np.abs(rows - r).max(axis=1) <= 1e-9)
+                   for r in np.einsum("ri,ij->rj", rows, g)]
+        perm = [int(m[0]) for m in matches if len(m) == 1]
+        # unit @ g is the first row of g, since the unit effect is (1, 0, ..., 0)
+        if np.abs(g[0] - theory.unit).max() <= 1e-9 and len(set(perm)) == len(rows):
+            kept.append((np.array(perm), g))
+    # rows @ m = rows[perm] and rows @ g = rows[p] give rows @ m @ g = rows[p[perm]]
+    group = {tuple(range(len(rows))): np.eye(theory.dim + 1)}
+    frontier = list(group.items())
+    while frontier:
+        grown = []
+        for perm, m in frontier:
+            for p, g in kept:
+                key = tuple(p[list(perm)].tolist())
+                if key not in group:
+                    group[key] = np.einsum("ij,jk->ik", m, g)
+                    grown.append((key, group[key]))
+        frontier = grown
+    return np.array(list(group.values()))
+
+
+def symmetry_classes(objectives, group_a, group_b) -> np.ndarray:
+    """Index of each objective row's class representative.
+
+    Row j joins the first representative i with ga.T C_i gb = C_j within
+    1e-12 entrywise, for some ga, gb of the two stacked groups; otherwise it
+    represents itself.  Candidates are looked up by the entries rounded to
+    9 decimals (-0.0 read as +0.0) and every match is confirmed entrywise,
+    so a split at a rounding edge costs one more LP.
+    """
+    def key(v):
+        return (np.round(v, 9) + 0.0).tobytes()
+
+    shape = (group_a.shape[1], group_b.shape[1])
+    images: dict[int, np.ndarray] = {}
+    candidates: dict[bytes, list[int]] = {}
+    classes = np.empty(len(objectives), dtype=int)
+    for j, c in enumerate(objectives):
+        classes[j] = next(
+            (i for i in candidates.get(key(c), ())
+             if (np.abs(images[i] - c).max(axis=1) <= 1e-12).any()),
+            j,
+        )
+        if classes[j] == j:
+            images[j] = np.einsum(
+                "aki,kl,blm->abim", group_a, c.reshape(shape), group_b
+            ).reshape(-1, c.size)
+            for k in {key(image) for image in images[j]}:
+                candidates.setdefault(k, []).append(j)
+    return classes

@@ -1,8 +1,10 @@
 """Reference CHSH scan: one LP for every setting assignment, in row-major order.
 
 This is `maximize_chsh` as it was before it skipped the assignments that
-repeat a setting, with one Kronecker-product objective per LP.  Tests
-compare the two bit for bit.
+repeat a setting or shared a symmetry class, with one Kronecker-product
+objective per LP.  Its optimum follows the same rule: values within 1e-9 of
+the best tie, and the first in row-major order wins.  Tests compare the two
+bit for bit.
 """
 
 import itertools
@@ -34,7 +36,11 @@ def kron_objective(a0, a1, b0, b1) -> np.ndarray:
 def full_scan_chsh(
     local_a, local_b, measurements_a=None, measurements_b=None, exact=False, k=MAX_TENSOR_K
 ):
-    """The first strict maximum over every assignment, and each assignment's LP value."""
+    """The optimum over every assignment, and each assignment's LP solution.
+
+    The solutions map each assignment (a0, a1, b0, b1) to its LP solution, in
+    row-major order.
+    """
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
     rows_a = _dedupe_rows(
@@ -48,15 +54,15 @@ def full_scan_chsh(
     b_eq = np.array([1.0])
     a_ub = -constraint_rows
     b_ub = np.zeros(len(constraint_rows))
-    best = None
-    values = {}
+    solutions = {}
     for ia0, ia1 in itertools.product(range(len(meas_a)), repeat=2):
         for ib0, ib1 in itertools.product(range(len(meas_b)), repeat=2):
             c = kron_objective(meas_a[ia0], meas_a[ia1], meas_b[ib0], meas_b[ib1])
             sol = lp.linear_program(c, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact)
             assert sol.status == "optimal"
-            values[ia0, ia1, ib0, ib1] = sol.value
-            if best is None or sol.value > best.value:
-                witness = JointState(sol.x, local_a, local_b, check=False)
-                best = ChshOptimum(sol.value, witness, (ia0, ia1, ib0, ib1))
-    return best, values
+            solutions[ia0, ia1, ib0, ib1] = sol
+    top = max(sol.value for sol in solutions.values())
+    choice = next(key for key, sol in solutions.items() if sol.value >= top - 1e-9)
+    best = solutions[choice]
+    witness = JointState(best.x, local_a, local_b, check=False)
+    return ChshOptimum(best.value, witness, choice), solutions

@@ -84,6 +84,24 @@ def test_chsh_scan_csv(capsys):
     assert abs(value - 4.0) < 1e-6
 
 
+def test_chsh_scan_prints_float_and_exact_alike(capsys):
+    # values are rounded to 9 decimals, below which the two paths differ
+    # only by solver noise
+    args = ["chsh-scan", "--locals", "polygon:6"]
+    float_code, float_out = run_cli(args, capsys)
+    exact_code, exact_out = run_cli(args + ["--exact"], capsys)
+    assert float_code == exact_code == 0
+    assert exact_out == float_out
+
+
+def test_chsh_scan_rounds_the_separable_optimum(capsys):
+    # polygon:3 is classical, so its optimum is 2; unrounded it read
+    # 2.000000000000004 through HiGHS noise, above the separable bound
+    code, out = run_cli(["chsh-scan", "--locals", "polygon:3"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "polygon:3xpolygon:3,polygon:3,polygon:3,2.0,separable"
+
+
 def test_chsh_scan_scenario_file(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps([{"id": "bits", "local_a": "bit", "local_b": "bit"}]))

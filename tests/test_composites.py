@@ -8,7 +8,9 @@ from gptkit import lp
 from gptkit.composites import (
     ChshScenario,
     JointState,
+    MAX_TENSOR_K,
     _chsh_objectives,
+    _scenario_rows,
     ball_measurement,
     binary_measurements,
     chsh_value,
@@ -29,8 +31,9 @@ from gptkit.composites import (
     tensor,
     two_qubit_gpt,
 )
-from gptkit.core import BallEffects, theory_from_dict
+from gptkit.core import BallEffects, theory_from_dict, theory_to_dict
 from gptkit.rotations import deterministic_sphere_points
+from gptkit.symmetry import row_symmetries, symmetry_classes
 from gptkit.zoo import (
     box_world_pair,
     classical_simplex,
@@ -225,8 +228,14 @@ def test_classical_locals_kill_entanglement():
 
 # both scans are cached so the tests below share their LPs
 @functools.cache
-def _full_scan(name_a, name_b, exact):
+def _reference(name_a, name_b, exact):
     return full_scan_chsh(get_theory(name_a), get_theory(name_b), exact=exact)
+
+
+def _full_scan(name_a, name_b, exact):
+    """The reference optimum and every assignment's LP value."""
+    best, solutions = _reference(name_a, name_b, exact)
+    return best, {key: sol.value for key, sol in solutions.items()}
 
 
 @functools.cache
@@ -245,27 +254,36 @@ def _counted_optimum(name_a, name_b, exact):
     return result, len(calls)
 
 
-@pytest.mark.parametrize(
-    "name_a, name_b, exact",
-    [
-        ("polygon:3", "polygon:3", False),
-        ("polygon:4", "polygon:4", False),
-        ("polygon:6", "polygon:6", False),
-        ("simplex:2", "simplex:2", False),
-        ("bit", "bit", False),
-        ("bit", "polygon:4", False),
-        ("ball:3", "polygon:4", False),
-        ("polygon:4", "polygon:4", True),
-        ("bit", "polygon:4", True),
-    ],
-)
+REFERENCE_CASES = [
+    ("polygon:3", "polygon:3", False),
+    ("polygon:4", "polygon:4", False),
+    ("polygon:6", "polygon:6", False),
+    ("simplex:2", "simplex:2", False),
+    ("bit", "bit", False),
+    ("bit", "polygon:4", False),
+    ("ball:3", "polygon:4", False),
+    ("polygon:4", "polygon:4", True),
+    ("bit", "polygon:4", True),
+]
+
+
+def _first_within_tie(solutions):
+    """The first assignment in row-major order within 1e-9 of the best value."""
+    top = max(sol.value for sol in solutions.values())
+    return next(key for key, sol in solutions.items() if sol.value >= top - 1e-9)
+
+
+@pytest.mark.parametrize("name_a, name_b, exact", REFERENCE_CASES)
 def test_maximize_chsh_equals_the_full_scan(name_a, name_b, exact):
-    # skipping the repeated-setting assignments must not move a single bit
+    # one LP per symmetry class returns the first assignment in row-major
+    # order within 1e-9 of the full scan's maximum, with that assignment's
+    # LP solution bit for bit
     result, _ = _counted_optimum(name_a, name_b, exact)
-    reference, _ = _full_scan(name_a, name_b, exact)
-    assert result.value == reference.value
-    assert result.witness.vector.tobytes() == reference.witness.vector.tobytes()
-    assert result.measurement_choice == reference.measurement_choice
+    _, solutions = _reference(name_a, name_b, exact)
+    choice = _first_within_tie(solutions)
+    assert result.measurement_choice == choice
+    assert result.value == solutions[choice].value
+    assert result.witness.vector.tobytes() == solutions[choice].x.tobytes()
     meas_a = binary_measurements(get_theory(name_a))
     meas_b = binary_measurements(get_theory(name_b))
     choices = np.array(list(itertools.product(
@@ -278,20 +296,118 @@ def test_maximize_chsh_equals_the_full_scan(name_a, name_b, exact):
     assert _chsh_objectives(meas_a, meas_b, choices).tobytes() == kron.tobytes()
 
 
+# LPs solved with one LP per symmetry class
+PER_CLASS_LPS = {
+    ("polygon:5", "polygon:5"): 16,
+    ("polygon:8", "polygon:8"): 10,
+    ("ball:3", "polygon:4"): 30,  # ball:3 keeps no symmetry
+    ("polygon:3", "polygon:3"): 5,
+    ("simplex:2", "simplex:2"): 2,
+    ("bit", "bit"): 1,
+}
+
+
 @pytest.mark.parametrize(
-    "name_a, name_b, count",
+    "name_a, name_b, per_assignment",
+    # LPs solved with one LP per assignment that the two passes reach
     [
         ("polygon:5", "polygon:5", 400),
         ("polygon:8", "polygon:8", 144),
         ("ball:3", "polygon:4", 60),
-        # best = 2: the repeated settings are solved too, each LP once
+        # best = 2: the repeated settings are solved too
         ("polygon:3", "polygon:3", 81),
         ("simplex:2", "simplex:2", 81),
         ("bit", "bit", 1),
     ],
 )
-def test_maximize_chsh_skips_repeated_settings_above_two(name_a, name_b, count):
-    assert _counted_optimum(name_a, name_b, False)[1] == count
+def test_maximize_chsh_skips_repeated_settings_above_two(name_a, name_b, per_assignment):
+    count = _counted_optimum(name_a, name_b, False)[1]
+    assert count == PER_CLASS_LPS[name_a, name_b] <= per_assignment
+
+
+def _class_representatives(local_a, local_b, meas_a, meas_b):
+    """Each assignment's class representative, classes formed within each pass."""
+    group_a = row_symmetries(local_a, _scenario_rows(local_a, meas_a, MAX_TENSOR_K))
+    group_b = row_symmetries(local_b, _scenario_rows(local_b, meas_b, MAX_TENSOR_K))
+    choices = np.array(list(itertools.product(
+        range(len(meas_a)), range(len(meas_a)), range(len(meas_b)), range(len(meas_b))
+    )))
+    objectives = _chsh_objectives(meas_a, meas_b, choices)
+    distinct = (choices[:, 0] != choices[:, 1]) & (choices[:, 2] != choices[:, 3])
+    representative = {}
+    for batch in (np.flatnonzero(distinct), np.flatnonzero(~distinct)):
+        classes = symmetry_classes(objectives[batch], group_a, group_b)
+        for j, i in zip(batch, batch[classes]):
+            representative[tuple(choices[j])] = tuple(choices[i])
+    return representative
+
+
+def test_row_symmetries_drop_generators_that_move_the_rows():
+    # ball:3's quarter-turns do not permute its K = 64 sphere points
+    ball = get_theory("ball:3")
+    rows = _scenario_rows(ball, binary_measurements(ball), MAX_TENSOR_K)
+    assert len(ball.reversibles) == 3
+    assert len(row_symmetries(ball, rows)) == 1
+    # a hexagon from JSON with an off-angle turn before its 60-degree one:
+    # the off-angle turn moves each extremal effect nearest to the next, so
+    # only the row check drops it, and the 60-degree turn closes to six
+    doc = theory_to_dict(get_theory("polygon:6"))
+    c, s = np.cos(0.6), np.sin(0.6)
+    doc["reversibles"].insert(0, [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    hexagon = theory_from_dict(doc)
+    rows = _scenario_rows(hexagon, binary_measurements(hexagon), MAX_TENSOR_K)
+    group = row_symmetries(hexagon, rows)
+    assert len(hexagon.reversibles) == 2 and len(group) == 6
+    for g in group:
+        gaps = np.abs((rows @ g)[:, None, :] - rows[None, :, :]).max(axis=-1)
+        assert gaps.min(axis=1).max() <= 1e-9
+    result = maximize_chsh(hexagon, hexagon)
+    _, solutions = full_scan_chsh(hexagon, hexagon)
+    choice = _first_within_tie(solutions)
+    assert result.measurement_choice == choice
+    assert result.value == solutions[choice].value
+    assert result.witness.vector.tobytes() == solutions[choice].x.tobytes()
+
+
+def test_symmetry_classes_confirm_every_key_match():
+    # entries rounded to 9 decimals only find candidates: 1e-11 apart is
+    # another LP, 1e-13 apart joins the class
+    c = np.arange(9.0) / 7.0
+    identity = np.eye(3)[None]
+    objectives = np.array([c, c + 1e-11, c + 1e-13, -c])
+    assert symmetry_classes(objectives, identity, identity).tolist() == [0, 1, 0, 3]
+
+
+@pytest.mark.parametrize("name_a, name_b, exact", REFERENCE_CASES)
+def test_symmetry_classes_share_their_optimum(name_a, name_b, exact):
+    local_a, local_b = get_theory(name_a), get_theory(name_b)
+    representative = _class_representatives(
+        local_a, local_b, binary_measurements(local_a), binary_measurements(local_b)
+    )
+    _, values = _full_scan(name_a, name_b, exact)
+    assert representative.keys() == values.keys()
+    for key, rep in representative.items():
+        assert rep <= key and representative[rep] == rep
+        assert abs(values[key] - values[rep]) <= 1e-12
+
+
+def test_symmetry_classes_on_a_measurement_subset():
+    # two of polygon:8's four measurement pairs a side: the constraint rows
+    # keep all eight rotations, but most of them move the chosen pairs, so
+    # the classes come from the objectives and not from the group alone
+    octagon = get_theory("polygon:8")
+    ext = extremal_effects(octagon)
+    meas_a = [(ext[0], ext[4]), (ext[1], ext[5])]
+    meas_b = [(ext[0], ext[4]), (ext[2], ext[6])]
+    representative = _class_representatives(octagon, octagon, meas_a, meas_b)
+    _, solutions = full_scan_chsh(octagon, octagon, meas_a, meas_b)
+    for key, rep in representative.items():
+        assert abs(solutions[key].value - solutions[rep].value) <= 1e-12
+    assert len(set(representative.values())) < len(representative)
+    result = maximize_chsh(octagon, octagon, meas_a, meas_b)
+    choice = _first_within_tie(solutions)
+    assert result.measurement_choice == choice
+    assert result.witness.vector.tobytes() == solutions[choice].x.tobytes()
 
 
 @pytest.mark.parametrize(
