@@ -139,12 +139,16 @@ def is_separable(
     exactly from the given floats.  Polytope locals give definite verdicts.
     Ball locals are discretized with K sphere points per side, so only
     "separable" and "inconclusive" can be returned; the margin is then the
-    distance by which the discretized decomposition fails.
+    distance by which the discretized decomposition fails.  A discretized
+    hull is solved in floating point even when `exact` is set: its verdict
+    is not definite either way, and its K^2 columns are too many for the
+    rational simplex.
     """
     discretized = isinstance(phi.local_a.states, Ball) or isinstance(phi.local_b.states, Ball)
     pts_a = phi.local_a.extreme_states(k)
     pts_b = phi.local_b.extreme_states(k)
-    res = lp.hull_membership(_product_rows(pts_a, pts_b), phi.vector, tol=tol, exact=exact)
+    res = lp.hull_membership(_product_rows(pts_a, pts_b), phi.vector, tol=tol,
+                             exact=exact and not discretized)
     if res.member:
         return SeparabilityVerdict("separable", res.margin, res.weights,
                                    k if discretized else None)
@@ -512,8 +516,7 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
         optimum = maximize_chsh(local_a, local_b, meas_a, meas_b, exact=exact)
         state = optimum.witness
         value = optimum.value
-    verdict = is_separable(state, exact=exact and not (
-        isinstance(local_a.states, Ball) or isinstance(local_b.states, Ball)))
+    verdict = is_separable(state, exact=exact)
     return {
         "scenario_id": doc.get("id", f"{doc['local_a']}x{doc['local_b']}"),
         "local_a": doc["local_a"],

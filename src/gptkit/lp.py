@@ -15,6 +15,18 @@ Each problem builds one LP and hands it to one of two solvers:
   reads +e_i after the rhs sign flip (the slack of a <= row with b >= 0, a
   residual of a hull row) is row i's first basic column, and artificials
   go only on the rows left over.
+
+The float path of `hull_membership` solves its LP by delayed column
+generation (Gilbert, SIAM J. Control 4, 61 (1966)).  A restricted master
+holds the 2*dim given points with the largest pairing with the target, plus
+the 2*dim residual columns, so it is always feasible.  After each HiGHS
+solve the equality duals y (``res.eqlin.marginals``) price every point left
+out by its reduced cost -p.y, and the 2*dim most negative ones below
+-FEASIBILITY_SLACK join the master.  The loop stops when no point prices
+below that, so the master optimum is the optimum over every point.  Points
+are only ever added, so it ends after at most npts - 2*dim + 1 solves, and
+after ceil(npts / 2*dim) when every round adds a full 2*dim.  An LP with
+npts <= 2*dim fits in the first master and is solved once as given.
 """
 
 from __future__ import annotations
@@ -228,26 +240,75 @@ def hull_membership(
     computes that optimum exactly from the given floats.  The normalization
     constraint rides along in coordinate 0 whenever the points carry a
     leading 1.
+
+    The float path reaches the same optimum by column generation: a
+    restricted master over the 2*dim points with the largest p.target, then
+    rounds that price every point left out by -p.y against the master's
+    equality duals y and add the 2*dim most negative below
+    -FEASIBILITY_SLACK, until none is left.  That takes at most
+    npts - 2*dim + 1 solves.  With npts <= 2*dim the first master holds
+    every point and is solved once.  Member weights have length npts, zero
+    outside the final master.
     """
     pts = np.asarray(points, dtype=float)
     tgt = np.asarray(target, dtype=float)
     npts, dim = pts.shape
-    eye = np.eye(dim)
-    a_eq = np.hstack([pts.T, eye, -eye])
-    c = np.concatenate([np.zeros(npts), np.ones(2 * dim)])
     if exact:
+        eye = np.eye(dim)
+        a_eq = np.hstack([pts.T, eye, -eye])
+        c = np.concatenate([np.zeros(npts), np.ones(2 * dim)])
         _, x, value = exact_linprog(c, a_eq=a_eq, b_eq=tgt)  # feasible, bounded below by 0
         weights = np.array([float(v) for v in x[:npts]])
         margin = float(value)
     else:
-        res = linprog(c, A_eq=a_eq, b_eq=tgt, bounds=(0, None), method="highs")
-        if not res.success:  # pragma: no cover - the relaxation is always feasible
-            raise RuntimeError(f"membership LP failed: {res.message}")
-        weights = res.x[:npts].copy()
-        margin = float(res.fun)
+        weights, margin = _hull_by_column_generation(pts, tgt)
     if margin <= tol:
         return HullMembership(True, weights, margin)
     return HullMembership(False, None, margin)
+
+
+def _hull_by_column_generation(pts: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights and optimum of the l1 hull LP over every row of `pts`, by HiGHS."""
+    npts, dim = pts.shape
+    width = 2 * dim
+    eye = np.eye(dim)
+    # einsum, not @: a matrix product would map BLAS code no other LP uses
+    if npts <= width:
+        master = np.arange(npts)
+    else:
+        master = _largest(np.einsum("ij,j->i", pts, tgt), width, -np.inf)
+    while True:
+        a_eq = np.hstack([pts[master].T, eye, -eye])
+        c = np.concatenate([np.zeros(len(master)), np.ones(width)])
+        res = linprog(c, A_eq=a_eq, b_eq=tgt, bounds=(0, None), method="highs")
+        if not res.success:  # pragma: no cover - the relaxation is always feasible
+            raise RuntimeError(f"membership LP failed: {res.message}")
+        if len(master) == npts:
+            break
+        pricing = np.einsum("ij,j->i", pts, res.eqlin.marginals)  # minus the reduced costs
+        pricing[master] = -np.inf
+        entering = _largest(pricing, width, FEASIBILITY_SLACK)
+        if not entering.size:
+            break
+        master = np.concatenate([master, entering])
+    weights = np.zeros(npts)
+    weights[master] = res.x[: len(master)]
+    return weights, float(res.fun)
+
+
+def _largest(values: np.ndarray, count: int, above: float) -> np.ndarray:
+    """Indices of the `count` largest entries above `above`, largest first,
+    the lower index first on ties; the picked entries of `values` are
+    overwritten.  Repeated argmax, not a sort: numpy's sort kernels are about
+    0.2 MB of resident code that no other LP path maps."""
+    picked = []
+    for _ in range(count):
+        i = int(np.argmax(values))
+        if not values[i] > above:
+            break
+        picked.append(i)
+        values[i] = -np.inf
+    return np.array(picked, dtype=int)
 
 
 def linear_program(

@@ -154,6 +154,17 @@ def test_ball_local_mixed_products_separable_at_resolution():
     assert verdict.resolution == 200
 
 
+def test_exact_flag_leaves_a_ball_hull_on_the_float_path(monkeypatch):
+    def no_exact_lp(*args, **kwargs):
+        raise AssertionError("a discretized hull reached the rational simplex")
+
+    monkeypatch.setattr(lp, "exact_linprog", no_exact_lp)
+    verdict = is_separable(singlet_state(), exact=True)
+    assert verdict.status == "inconclusive"
+    assert verdict.resolution == 200
+    assert str(verdict) == str(is_separable(singlet_state()))
+
+
 def test_deterministic_strategy_oracle():
     assert enumerate_deterministic_chsh() == 2.0
 

@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gptkit import composites, lp as lp_module
 from gptkit.lp import (
     exact_linprog,
     hull_membership,
     linear_program,
 )
+from gptkit.zoo import get_theory
 
 
 def test_exact_linprog_simple_max():
@@ -337,3 +339,102 @@ def test_exact_linprog_keeps_the_reference_pivots_from_an_artificial_start():
             b_eq=[0] * k + [1],
         )
         assert exact_linprog(**lp) == _reference_linprog(**lp), (seed, lp)
+
+
+def _full_hull_margin(pts, target):
+    """The l1 hull LP of `hull_membership`, solved once by HiGHS over every column."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    npts, dim = pts.shape
+    eye = np.eye(dim)
+    res = scipy_linprog(
+        np.concatenate([np.zeros(npts), np.ones(2 * dim)]),
+        A_eq=np.hstack([pts.T, eye, -eye]),
+        b_eq=target,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.success
+    return res.fun
+
+
+def _random_two_qubit_state(rng):
+    """Bloch data of a seeded random mixed two-qubit density operator."""
+    paulis = (
+        np.eye(2),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]]),
+        np.diag([1.0, -1.0]).astype(complex),
+    )
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    bloch = np.array([[np.trace(rho @ np.kron(p, q)).real for q in paulis] for p in paulis])
+    return composites.two_qubit_gpt(bloch[1:, 0], bloch[0, 1:], bloch[1:, 1:])
+
+
+def _column_generation_cases():
+    ball = get_theory("ball:3")
+    square = get_theory("polygon:4")
+    k = composites.SEPARABILITY_K
+    balls = composites._product_rows(ball.extreme_states(k), ball.extreme_states(k))
+    werner = [composites.two_qubit_gpt(np.zeros(3), np.zeros(3), -v * np.eye(3)).vector
+              for v in (0.2, 0.3, 0.5)]
+    rng = np.random.default_rng(11)
+    seeded = [_random_two_qubit_state(rng).vector for _ in range(2)]
+    for target in werner + [composites.singlet_state().vector] + seeded:
+        yield balls, target
+    # noisy mixtures of ball:3 x polygon:4 products with the mixed product
+    rows = composites._product_rows(ball.extreme_states(k), square.extreme_states())
+    mixed = np.kron(np.eye(4)[0], np.eye(3)[0])
+    rng = np.random.default_rng(12)
+    for noise in (0.0, 0.05, 0.1, 0.2, 0.3):
+        w = rng.dirichlet(np.ones(4))
+        mix = 0.5 * mixed + 0.5 * w @ rows[rng.choice(len(rows), size=4, replace=False)]
+        mix[1:] += noise * rng.standard_normal(len(mix) - 1)
+        yield rows, mix
+
+
+def test_column_generation_reaches_the_full_hull_optimum():
+    tol = lp_module.FEASIBILITY_SLACK
+    members = []
+    for pts, target in _column_generation_cases():
+        res = hull_membership(pts, target, tol=tol)
+        full = _full_hull_margin(pts, target)
+        assert abs(res.margin - full) <= 1e-9, (res.margin, full)
+        assert res.member == (full <= tol)
+        members.append(res.member)
+        if res.member:
+            assert res.weights.shape == (len(pts),)
+            assert res.weights.min() >= -1e-12
+            assert np.abs(res.weights @ pts - target).sum() <= tol
+    assert any(members) and not all(members)  # both verdicts are exercised
+
+
+def _record_lp_shapes(monkeypatch):
+    shapes = []
+    solve = lp_module.linprog
+
+    def recording(c, **kwargs):
+        shapes.append(kwargs["A_eq"].shape)
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", recording)
+    return shapes
+
+
+def test_a_hull_that_fits_the_first_master_is_solved_once(monkeypatch):
+    shapes = _record_lp_shapes(monkeypatch)
+    square = get_theory("polygon:4").extreme_states()
+    pts = composites._product_rows(square, square)  # box world: 16 products, dim 9
+    target = np.array([1.0, 0, 0, 0, 1, 1, 0, 1, -1])  # a PR box
+    res = hull_membership(pts, target)
+    assert not res.member
+    assert shapes == [(9, 16 + 2 * 9)]
+
+
+def test_the_singlet_hull_never_hands_highs_the_full_column_set(monkeypatch):
+    shapes = _record_lp_shapes(monkeypatch)
+    verdict = composites.is_separable(composites.singlet_state())
+    assert verdict.status == "inconclusive"
+    assert shapes and max(cols for _, cols in shapes) <= 2000
