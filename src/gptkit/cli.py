@@ -234,13 +234,13 @@ def chsh_rows(locals_name: str, exact: bool, scenario_path: str | None) -> list[
 
 
 def zoo_rows() -> list[CheckRow]:
-    """Largest entry change of each theory's states, effect generators and
+    """Largest entry change of each theory's states, effect rows and
     reversibles over a JSON round trip; a change of shape reads inf."""
     rows = []
     for name in ("bit", "simplex:2", "polygon:3", "polygon:4", "ball:3"):
         theory = zoo.get_theory(name)
         before, after = (
-            np.concatenate([t.extreme_states(), t.effect_generators(), *t.reversibles], axis=None)
+            np.concatenate([t.extreme_states(), t.effect_rows(), *t.reversibles], axis=None)
             for t in (theory, theory_from_json(theory_to_json(theory)))
         )
         gap = np.max(np.abs(after - before)) if after.shape == before.shape else np.inf

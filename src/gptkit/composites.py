@@ -10,10 +10,10 @@ maximal set contains every normalized vector that is nonnegative on all
 product effects.  Membership in either is decided by linear programming:
 one LP, solved in floating point for interactive runs or by exact rational
 pivoting for acceptance runs.  For ball-shaped locals the separability LP is
-discretized at a stated resolution K; an infeasible discretized LP is
-reported as inconclusive-at-K (with its residual margin), never as an
-entanglement verdict - those require a CHSH value above the separable
-bound 2.
+discretized at the resolution K = `core.BALL_STATE_COUNT`; an infeasible
+discretized LP is reported as inconclusive-at-K (with its residual margin),
+never as an entanglement verdict - those require a CHSH value above the
+separable bound 2.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
 from . import lp
-from .core import Ball, BallEffects, Polytope, TheorySpec
+from .core import BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec, _sphere_states
 from .symmetry import _chsh_objectives, row_symmetries, symmetry_classes
 from .zoo import get_theory
 
-SEPARABILITY_K = 200
-MAX_TENSOR_K = 64
 BALL_MEASUREMENT_COUNT = 6
 
 
@@ -85,18 +83,6 @@ def marginal(phi: JointState, side: str) -> np.ndarray:
     raise ValueError("side must be 'a' or 'b'")
 
 
-def _effect_rows(theory: TheorySpec, k: int) -> np.ndarray:
-    """Effect generators without the zero effect, whose row is trivial."""
-    gens = theory.effect_generators(k)
-    return gens[np.linalg.norm(gens, axis=1) > 1e-12]
-
-
-def extremal_effects(theory: TheorySpec, k: int = MAX_TENSOR_K) -> np.ndarray:
-    """Extremal effect list without the zero and unit effects."""
-    rows = _effect_rows(theory, k)
-    return rows[~np.all(np.isclose(rows, theory.unit, atol=1e-12), axis=1)]
-
-
 def _product_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Every x_a (x) y_b as a flattened A-major row, a-major over the pairs."""
     return np.einsum("ai,bj->abij", x, y).reshape(len(x) * len(y), -1)
@@ -126,34 +112,27 @@ class SeparabilityVerdict:
         return self.status
 
 
-def is_separable(
-    phi: JointState,
-    tol: float = 1e-9,
-    k: int = SEPARABILITY_K,
-    exact: bool = False,
-) -> SeparabilityVerdict:
+def is_separable(phi: JointState, tol: float = 1e-9, exact: bool = False) -> SeparabilityVerdict:
     """Decide membership in the hull of products of local extreme states.
 
     The margin is the l1 residual of the best decomposition, and `tol`
     decides membership on both paths; the exact path computes the margin
     exactly from the given floats.  Polytope locals give definite verdicts.
-    Ball locals are discretized with K sphere points per side, so only
-    "separable" and "inconclusive" can be returned; the margin is then the
-    distance by which the discretized decomposition fails.  A discretized
-    hull is solved in floating point even when `exact` is set: its verdict
-    is not definite either way, and its K^2 columns are too many for the
-    rational simplex.
+    A ball local contributes the K = `core.BALL_STATE_COUNT` fixed sphere
+    states of `extreme_states`, so only "separable" and "inconclusive" can
+    be returned, with `resolution` K; the margin is then the distance by
+    which the discretized decomposition fails.  A discretized hull is solved
+    in floating point even when `exact` is set: its verdict is not definite
+    either way, and its K^2 columns are too many for the rational simplex.
     """
     discretized = isinstance(phi.local_a.states, Ball) or isinstance(phi.local_b.states, Ball)
-    pts_a = phi.local_a.extreme_states(k)
-    pts_b = phi.local_b.extreme_states(k)
-    res = lp.hull_membership(_product_rows(pts_a, pts_b), phi.vector, tol=tol,
-                             exact=exact and not discretized)
+    rows = _product_rows(phi.local_a.extreme_states(), phi.local_b.extreme_states())
+    res = lp.hull_membership(rows, phi.vector, tol=tol, exact=exact and not discretized)
+    resolution = BALL_STATE_COUNT if discretized else None
     if res.member:
-        return SeparabilityVerdict("separable", res.margin, res.weights,
-                                   k if discretized else None)
+        return SeparabilityVerdict("separable", res.margin, res.weights, resolution)
     if discretized:
-        return SeparabilityVerdict("inconclusive", res.margin, None, k)
+        return SeparabilityVerdict("inconclusive", res.margin, None, resolution)
     return SeparabilityVerdict("entangled", res.margin, None, None)
 
 
@@ -162,14 +141,15 @@ def _min_ball_pairing(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m[0] - np.linalg.norm(m[1:], axis=0))
 
 
-def in_max_tensor(phi: JointState, tol: float = 1e-9, k: int = MAX_TENSOR_K) -> bool:
+def in_max_tensor(phi: JointState, tol: float = 1e-9) -> bool:
     """Normalization plus nonnegativity on all product effects.
 
-    Two polytope sides are checked on every pair of their effect rows.  A
+    Two polytope sides are checked on every pair of their `effect_rows`.  A
     ball side is closed analytically: against each effect row of the other
-    side (K-point discretized if that side is a ball too) the pairing with
-    every extremal effect of the ball is at least `_min_ball_pairing`, and
-    the pairing with its unit effect is the first entry.
+    side (its `core.BALL_EFFECT_COUNT` fixed extremal effects and unit if
+    that side is a ball too) the pairing with every extremal effect of the
+    ball is at least `_min_ball_pairing`, and the pairing with its unit
+    effect is the first entry.
     """
     mat = phi.matrix
     if abs(mat[0, 0] - 1.0) > tol:
@@ -177,30 +157,29 @@ def in_max_tensor(phi: JointState, tol: float = 1e-9, k: int = MAX_TENSOR_K) -> 
     a_ball = isinstance(phi.local_a.effects, BallEffects)
     b_ball = isinstance(phi.local_b.effects, BallEffects)
     if not (a_ball or b_ball):
-        values = _effect_rows(phi.local_a, k) @ mat @ _effect_rows(phi.local_b, k).T
+        values = phi.local_a.effect_rows() @ mat @ phi.local_b.effect_rows().T
         return bool(values.min() >= -tol)
     columns = []  # one column per effect row of the side facing a ball
     if a_ball:
-        columns.append(mat @ _effect_rows(phi.local_b, k).T)
+        columns.append(mat @ phi.local_b.effect_rows().T)
     if b_ball:
-        columns.append((_effect_rows(phi.local_a, k) @ mat).T)
+        columns.append((phi.local_a.effect_rows() @ mat).T)
     return all(min(m[0].min(), _min_ball_pairing(m).min()) >= -tol for m in columns)
 
 
-def binary_measurements(
-    theory: TheorySpec, count: int = BALL_MEASUREMENT_COUNT
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def binary_measurements(theory: TheorySpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Two-outcome measurements (e, u - e) available in the theory.
 
     Polytope effect spaces are scanned for extremal pairs summing to the
     unit effect; classical systems without such pairs fall back to
     coarse-grainings of their distinguishing measurement.  Ball effect
-    spaces return antipodal extremal pairs along `count` fixed directions.
+    spaces return antipodal extremal pairs along `BALL_MEASUREMENT_COUNT`
+    fixed directions.
     """
     u = theory.unit
     if isinstance(theory.effects, BallEffects):
-        return [(e, u - e) for e in extremal_effects(theory, count)]
-    ext = extremal_effects(theory)
+        return [(e, u - e) for e in 0.5 * _sphere_states(theory.dim, BALL_MEASUREMENT_COUNT)]
+    ext = theory.extremal_effects()
     pairs = []
     used = set()
     for i in range(len(ext)):
@@ -222,9 +201,7 @@ def binary_measurements(
     return pairs
 
 
-def no_signalling_check(
-    phi: JointState, tol: float = 1e-9, k: int = MAX_TENSOR_K
-) -> bool:
+def no_signalling_check(phi: JointState, tol: float = 1e-9) -> bool:
     """Marginals of either side must not depend on the other side's choice.
 
     Every binary measurement (e, u - e) sums to the unit effect, so summing
@@ -235,7 +212,7 @@ def no_signalling_check(
     tensor product, whose states are no-signalling by construction (Barrett,
     PRA 75, 032304, 2007).
     """
-    return in_max_tensor(phi, tol, k)
+    return in_max_tensor(phi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +270,14 @@ class ChshOptimum:
     measurement_choice: tuple[int, int, int, int]  # indices (a0, a1, b0, b1)
 
 
-def _scenario_rows(theory: TheorySpec, measurements, k: int) -> np.ndarray:
+def _scenario_rows(theory: TheorySpec, measurements) -> np.ndarray:
     """One side's constraint rows: its effect rows and the scenario's effects.
 
     The scenario's own measurement effects must be feasibility constraints,
     otherwise a discretized relaxation could hand them negative probabilities.
     """
     effects = [np.vstack(m) for m in measurements]
-    return _dedupe_rows(np.vstack([_effect_rows(theory, k)] + effects))
+    return _dedupe_rows(np.vstack([theory.effect_rows()] + effects))
 
 
 def maximize_chsh(
@@ -309,7 +286,6 @@ def maximize_chsh(
     measurements_a=None,
     measurements_b=None,
     exact: bool = False,
-    k: int = MAX_TENSOR_K,
 ) -> ChshOptimum:
     """Maximize the CHSH functional over the maximal tensor product.
 
@@ -324,16 +300,17 @@ def maximize_chsh(
     the best tie, and the first in row-major order is returned with its
     optimizer as an operational witness state, as a scan of every
     assignment would pick under that rule; `run_scenario` rounds the value
-    to 9 decimals (a format change).  Polytope locals give exact optima
-    under exact pivoting; ball locals are bounded through a K-point effect
-    discretization.
+    to 9 decimals (a format change).  Each side's constraint rows are its
+    `effect_rows` plus the scenario's effects.  Polytope locals give exact
+    optima under exact pivoting; a ball local is bounded through its
+    `core.BALL_EFFECT_COUNT` fixed extremal effects, an outer relaxation.
     """
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
     if not meas_a or not meas_b:
         raise ValueError("both sites need at least one binary measurement")
-    rows_a = _scenario_rows(local_a, meas_a, k)
-    rows_b = _scenario_rows(local_b, meas_b, k)
+    rows_a = _scenario_rows(local_a, meas_a)
+    rows_b = _scenario_rows(local_b, meas_b)
     group_a = row_symmetries(local_a, rows_a)
     group_b = row_symmetries(local_b, rows_b)
     constraint_rows = _product_rows(rows_a, rows_b)
@@ -453,7 +430,7 @@ def max_tensor_vertices(
     """
     if not (isinstance(local_a.states, Polytope) and isinstance(local_b.states, Polytope)):
         raise ValueError("vertex enumeration needs polytope locals")
-    rows = _product_rows(extremal_effects(local_a), extremal_effects(local_b))
+    rows = _product_rows(local_a.extremal_effects(), local_b.extremal_effects())
     centre = tensor(local_a.states.vertices.mean(axis=0), local_b.states.vertices.mean(axis=0))
     if not (rows @ centre).min() > tol:
         raise ValueError("the product of the local centroids is not interior")
@@ -490,7 +467,7 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
     def build_measurements(theory, key):
         if key not in doc:
             return binary_measurements(theory)
-        ext = extremal_effects(theory)
+        ext = theory.extremal_effects()
         pairs = doc[key]
         if not (isinstance(pairs, list) and pairs and all(
             isinstance(pair, list) and len(pair) == 2

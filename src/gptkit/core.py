@@ -23,7 +23,10 @@ from .rotations import deterministic_sphere_points
 
 DEFAULT_TOL = 1e-9
 
-_REVERSIBLE_SPHERE_SAMPLES = 100
+# a ball is discretized at these fixed sphere points: its extreme states,
+# and its extremal effects (1, v)/2
+BALL_STATE_COUNT = 200
+BALL_EFFECT_COUNT = 64
 
 
 def _frozen_array(a, dims: int) -> np.ndarray:
@@ -172,25 +175,32 @@ class TheorySpec:
     def zero(self) -> np.ndarray:
         return zero_effect(self.dim)
 
-    def extreme_states(self, count: int = 64) -> np.ndarray:
-        """Vertices for polytopes; (1, v) at `count` fixed sphere points for balls.
+    def extreme_states(self) -> np.ndarray:
+        """Vertices for polytopes; (1, v) at `BALL_STATE_COUNT` fixed sphere
+        points for balls.
 
-        With `effect_generators`, the only place a ball is discretized.
+        With `effect_rows`, the only place a ball is discretized.
         """
         if isinstance(self.states, Polytope):
             return self.states.vertices
-        return _sphere_states(self.dim, count)
+        return _sphere_states(self.dim, BALL_STATE_COUNT)
 
-    def effect_generators(self, count: int = 64) -> np.ndarray:
-        """Generator rows of the effect space at resolution `count`.
+    def effect_rows(self) -> np.ndarray:
+        """The effect space's generators without the zero effect.
 
-        Polytope effect spaces return their generators as given.  Ball effect
-        spaces return the zero effect, then the `count` extremal effects
-        (1, v)/2 at the sphere points of `extreme_states`, then the unit.
+        Polytope effect spaces keep their stored order.  Ball effect spaces
+        list the `BALL_EFFECT_COUNT` extremal effects (1, v)/2 at fixed sphere
+        points, then the unit.
         """
         if isinstance(self.effects, PolytopeEffects):
-            return self.effects.generators
-        return np.vstack([self.zero, 0.5 * _sphere_states(self.dim, count), self.unit])
+            gens = self.effects.generators
+            return gens[np.linalg.norm(gens, axis=1) > 1e-12]
+        return np.vstack([0.5 * _sphere_states(self.dim, BALL_EFFECT_COUNT), self.unit])
+
+    def extremal_effects(self) -> np.ndarray:
+        """`effect_rows` without the unit effect."""
+        rows = self.effect_rows()
+        return rows[~np.all(np.isclose(rows, self.unit, atol=1e-12), axis=1)]
 
 
 def _sphere_states(dim: int, count: int) -> np.ndarray:
@@ -310,8 +320,7 @@ def _maps_states_inside(theory: TheorySpec, m: np.ndarray, tol: float) -> bool:
     orthogonal = np.max(np.abs(block.T @ block - np.eye(d))) <= tol
     if not (first_row_ok and first_col_ok and orthogonal):
         return False
-    sample = theory.extreme_states(_REVERSIBLE_SPHERE_SAMPLES)
-    images = sample @ m.T
+    images = theory.extreme_states() @ m.T
     norms = np.linalg.norm(images[:, 1:], axis=1)
     return bool(np.max(np.abs(images[:, 0] - 1.0)) <= tol and np.max(norms) <= 1.0 + tol)
 

@@ -345,7 +345,7 @@ def toy_discrete_spacetime(
     law = check_representation(sample, rep, tol)
     theory = polygon_theory(sides)
     states = theory.states.vertices
-    effects = theory.effect_generators()
+    effects = theory.effect_rows()
     pairs = [(e, z) for e in effects for z in states]
     invariance = np.max([invariance_deviation(pairs, k, rep) for k in range(sides)])
 

@@ -260,7 +260,7 @@ class BoxWorld:
 
 def box_world_pair() -> BoxWorld:
     local = polygon_theory(4)
-    extremal = local.effects.generators[2:]  # rows after zero and unit
+    extremal = local.extremal_effects()
     pairs = ((0, 2), (1, 3))
     measurements = tuple((extremal[i].copy(), extremal[j].copy()) for i, j in pairs)
     return BoxWorld(local=local, measurements=measurements, measurement_indices=pairs)
@@ -293,7 +293,7 @@ def get_theory(name: str) -> TheorySpec:
 
 
 # ---------------------------------------------------------------------------
-# Exact (symbolic) constructors, used by the exact verification paths
+# Exact (symbolic) constructors for tests; sympy is imported lazily
 # ---------------------------------------------------------------------------
 
 

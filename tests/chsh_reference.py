@@ -13,11 +13,9 @@ import numpy as np
 
 from gptkit import lp
 from gptkit.composites import (
-    MAX_TENSOR_K,
     ChshOptimum,
     JointState,
     _dedupe_rows,
-    _effect_rows,
     _product_rows,
     binary_measurements,
     tensor,
@@ -34,7 +32,7 @@ def kron_objective(a0, a1, b0, b1) -> np.ndarray:
 
 
 def full_scan_chsh(
-    local_a, local_b, measurements_a=None, measurements_b=None, exact=False, k=MAX_TENSOR_K
+    local_a, local_b, measurements_a=None, measurements_b=None, exact=False
 ):
     """The optimum over every assignment, and each assignment's LP solution.
 
@@ -44,10 +42,10 @@ def full_scan_chsh(
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
     rows_a = _dedupe_rows(
-        np.vstack([_effect_rows(local_a, k)] + [np.vstack(m) for m in meas_a])
+        np.vstack([local_a.effect_rows()] + [np.vstack(m) for m in meas_a])
     )
     rows_b = _dedupe_rows(
-        np.vstack([_effect_rows(local_b, k)] + [np.vstack(m) for m in meas_b])
+        np.vstack([local_b.effect_rows()] + [np.vstack(m) for m in meas_b])
     )
     constraint_rows = _product_rows(rows_a, rows_b)
     a_eq = tensor(local_a.unit, local_b.unit).reshape(1, -1)

@@ -172,7 +172,7 @@ def test_criterion_5_tsirelson_point_and_entanglement():
             assert abs(gpt - quantum) <= 1e-9
         # entanglement certificate: discretized LP cannot decompose it, and
         # the CHSH value above the separable bound 2 is the witness
-        verdict = composites.is_separable(phi, k=200)
+        verdict = composites.is_separable(phi)
         assert verdict.status == "inconclusive"
         assert verdict.resolution == 200
         assert verdict.margin > 0.01

@@ -8,7 +8,6 @@ from gptkit import lp
 from gptkit.composites import (
     ChshScenario,
     JointState,
-    MAX_TENSOR_K,
     _chsh_objectives,
     _scenario_rows,
     ball_measurement,
@@ -16,7 +15,6 @@ from gptkit.composites import (
     chsh_value,
     correlator,
     enumerate_deterministic_chsh,
-    extremal_effects,
     in_max_tensor,
     is_separable,
     load_scenarios,
@@ -31,7 +29,7 @@ from gptkit.composites import (
     tensor,
     two_qubit_gpt,
 )
-from gptkit.core import BallEffects, theory_from_dict, theory_to_dict
+from gptkit.core import BALL_EFFECT_COUNT, BallEffects, theory_from_dict, theory_to_dict
 from gptkit.rotations import deterministic_sphere_points
 from gptkit.symmetry import row_symmetries, symmetry_classes
 from gptkit.zoo import (
@@ -149,7 +147,7 @@ def test_ball_local_mixed_products_separable_at_resolution():
     za[1:] *= 0.5 / np.linalg.norm(za[1:])
     zb = za.copy()
     phi = product_state(za, zb, BALL3, BALL3)
-    verdict = is_separable(phi, k=200)
+    verdict = is_separable(phi)
     assert verdict.status == "separable"
     assert verdict.resolution == 200
 
@@ -209,7 +207,7 @@ def test_maximize_chsh_ball_locals_with_resolution():
         ball_measurement(-(z + x) / np.sqrt(2.0)),
         ball_measurement((x - z) / np.sqrt(2.0)),
     ]
-    result = maximize_chsh(BALL3, BALL3, meas[:2], meas[2:], k=32)
+    result = maximize_chsh(BALL3, BALL3, meas[:2], meas[2:])
     # the singlet is feasible and reaches 2 sqrt(2) at these angles; the
     # algebraic no-signalling ceiling of 4 cannot be exceeded
     assert result.value >= 2.0 * np.sqrt(2.0) - 1e-6
@@ -338,8 +336,8 @@ def test_maximize_chsh_skips_repeated_settings_above_two(name_a, name_b, per_ass
 
 def _class_representatives(local_a, local_b, meas_a, meas_b):
     """Each assignment's class representative, classes formed within each pass."""
-    group_a = row_symmetries(local_a, _scenario_rows(local_a, meas_a, MAX_TENSOR_K))
-    group_b = row_symmetries(local_b, _scenario_rows(local_b, meas_b, MAX_TENSOR_K))
+    group_a = row_symmetries(local_a, _scenario_rows(local_a, meas_a))
+    group_b = row_symmetries(local_b, _scenario_rows(local_b, meas_b))
     choices = np.array(list(itertools.product(
         range(len(meas_a)), range(len(meas_a)), range(len(meas_b)), range(len(meas_b))
     )))
@@ -356,7 +354,7 @@ def _class_representatives(local_a, local_b, meas_a, meas_b):
 def test_row_symmetries_drop_generators_that_move_the_rows():
     # ball:3's quarter-turns do not permute its K = 64 sphere points
     ball = get_theory("ball:3")
-    rows = _scenario_rows(ball, binary_measurements(ball), MAX_TENSOR_K)
+    rows = _scenario_rows(ball, binary_measurements(ball))
     assert len(ball.reversibles) == 3
     assert len(row_symmetries(ball, rows)) == 1
     # a hexagon from JSON with an off-angle turn before its 60-degree one:
@@ -366,7 +364,7 @@ def test_row_symmetries_drop_generators_that_move_the_rows():
     c, s = np.cos(0.6), np.sin(0.6)
     doc["reversibles"].insert(0, [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     hexagon = theory_from_dict(doc)
-    rows = _scenario_rows(hexagon, binary_measurements(hexagon), MAX_TENSOR_K)
+    rows = _scenario_rows(hexagon, binary_measurements(hexagon))
     group = row_symmetries(hexagon, rows)
     assert len(hexagon.reversibles) == 2 and len(group) == 6
     for g in group:
@@ -407,7 +405,7 @@ def test_symmetry_classes_on_a_measurement_subset():
     # keep all eight rotations, but most of them move the chosen pairs, so
     # the classes come from the objectives and not from the group alone
     octagon = get_theory("polygon:8")
-    ext = extremal_effects(octagon)
+    ext = octagon.extremal_effects()
     meas_a = [(ext[0], ext[4]), (ext[1], ext[5])]
     meas_b = [(ext[0], ext[4]), (ext[2], ext[6])]
     representative = _class_representatives(octagon, octagon, meas_a, meas_b)
@@ -506,7 +504,7 @@ def test_min_subset_of_max():
             assert in_max_tensor(phi)
 
 
-def _loop_in_max_tensor(phi, tol=1e-9, k=64):
+def _loop_in_max_tensor(phi, tol=1e-9, k=BALL_EFFECT_COUNT):
     """Reference: the per-row loop form of in_max_tensor for ball sides."""
 
     def rows(theory):  # extremal effects plus the unit, zero dropped
@@ -549,7 +547,7 @@ def _loop_in_max_tensor(phi, tol=1e-9, k=64):
 def test_in_max_tensor_ball_sides_match_loop_reference(names):
     rng = np.random.default_rng(29)
     a, b = (get_theory(name) for name in names)
-    states_a, states_b = a.extreme_states(20), b.extreme_states(20)
+    states_a, states_b = a.extreme_states(), b.extreme_states()
     verdicts = []
     for _ in range(200):
         w = rng.dirichlet(np.ones(3))
@@ -680,7 +678,7 @@ def test_singlet_chsh_reaches_tsirelson():
 
 def test_singlet_separability_is_inconclusive_at_k_but_chsh_certifies():
     phi = singlet_state()
-    verdict = is_separable(phi, k=200)
+    verdict = is_separable(phi)
     assert verdict.status == "inconclusive"
     assert verdict.resolution == 200
     assert verdict.margin > 0.05  # far outside the discretized separable set
@@ -758,8 +756,8 @@ def test_max_tensor_vertices_reject_locals_qhull_cannot_take():
 def _brute_force_vertices(local_a, local_b, tol=1e-9):
     """Reference: solve every choice of dim - 1 product facets plus the
     normalization row, and keep the feasible, distinct solutions."""
-    ext_a = extremal_effects(local_a)
-    ext_b = extremal_effects(local_b)
+    ext_a = local_a.extremal_effects()
+    ext_b = local_b.extremal_effects()
     rows = np.einsum("ai,bj->abij", ext_a, ext_b).reshape(len(ext_a) * len(ext_b), -1)
     norm_row = tensor(local_a.unit, local_b.unit)
     dim = rows.shape[1]

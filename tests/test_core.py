@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gptkit.core import (
+    BALL_EFFECT_COUNT,
+    BALL_STATE_COUNT,
     Ball,
     MembershipReport,
     Polytope,
@@ -13,15 +15,19 @@ from gptkit.core import (
     is_reversible,
     probability,
     state_from_point,
+    theory_from_dict,
     theory_from_json,
+    theory_to_dict,
     theory_to_json,
     unit_effect,
     validate_state,
     zero_effect,
 )
+from gptkit.rotations import deterministic_sphere_points
 from gptkit.zoo import (
     classical_simplex,
     euclidean_ball,
+    get_theory,
     polygon_rotation,
     polygon_theory,
     sample_ball_rotations,
@@ -40,7 +46,7 @@ def test_probability_bit_distinguishes():
 
 def test_probability_unit_effect_is_one():
     for theory in (BIT, polygon_theory(5), BALL3):
-        for state in theory.extreme_states(20):
+        for state in theory.extreme_states():
             assert abs(probability(theory.unit, state) - 1.0) < 1e-12
 
 
@@ -142,8 +148,8 @@ def test_trit_equal_mixture_is_centroid():
 def test_zoo_probabilities_stay_in_range():
     theories = [BIT, classical_simplex(3), polygon_theory(4), polygon_theory(7), BALL3]
     for theory in theories:
-        for eff in theory.effect_generators(40):
-            for state in theory.extreme_states(40):
+        for eff in theory.effect_rows():
+            for state in theory.extreme_states():
                 p = probability(eff, state)
                 assert -1e-12 <= p <= 1.0 + 1e-12
 
@@ -152,7 +158,7 @@ def test_probability_is_bilinear_in_mixtures():
     rng = np.random.default_rng(11)
     theory = polygon_theory(6)
     states = theory.states.vertices
-    effects = theory.effect_generators()
+    effects = theory.effect_rows()
     for _ in range(50):
         w = rng.dirichlet(np.ones(len(states)))
         eff = effects[rng.integers(len(effects))]
@@ -169,7 +175,7 @@ def test_reversible_maps_preserve_purity():
             for v in theory.states.vertices:
                 assert is_pure(theory.states, apply_map(m, v), tol=1e-9)
     rot = sample_ball_rotations(3, 1, seed=2)[0]
-    for v in BALL3.extreme_states(100):
+    for v in BALL3.extreme_states():
         assert is_pure(BALL3.states, apply_map(rot, v), tol=1e-9)
 
 
@@ -182,7 +188,7 @@ def test_rescaling_leaves_probabilities_unchanged():
         if abs(np.linalg.det(scale)) < 1e-3:
             continue
         inv_t = np.linalg.inv(scale).T
-        for eff in theory.effect_generators():
+        for eff in theory.effect_rows():
             for state in theory.states.vertices:
                 before = probability(eff, state)
                 after = probability(inv_t @ eff, scale @ state)
@@ -218,3 +224,59 @@ def test_zero_dimensional_theory_is_representable():
         effects=PolytopeEffects(np.array([[0.0], [1.0]])),
     )
     assert probability(trivial.unit, np.array([1.0])) == 1.0
+
+
+# LP row order fixes the HiGHS and exact-simplex bits that the CHSH scans
+# compare against the full scan, so the row lists are pinned entry for entry
+POLYTOPE_NAMES = ["bit", "simplex:2", "simplex:3", "polygon:3", "polygon:4", "polygon:5",
+                  "polygon:6", "polygon:8", "boxworld"]
+BALL_NAMES = ["ball:1", "ball:2", "ball:3", "ball:4"]
+
+
+def _shuffled_bit():
+    # generators with the zero in the middle and the unit last
+    doc = theory_to_dict(BIT)
+    zero, unit, first, second = doc["effects"]["generators"]
+    doc["effects"]["generators"] = [first, zero, second, unit]
+    return theory_from_dict(doc)
+
+
+def _polytope_theories():
+    return [get_theory(name) for name in POLYTOPE_NAMES] + [_shuffled_bit()]
+
+
+def test_effect_rows_are_the_nonzero_generators_in_order():
+    for theory in _polytope_theories():
+        gens = theory.effects.generators
+        expected = np.array([g for g in gens if np.any(g != 0.0)])
+        assert theory.effect_rows().tobytes() == expected.tobytes()
+        assert theory.effect_rows().shape == expected.shape
+    assert _shuffled_bit().effect_rows()[-1].tolist() == [1.0, 0.0]
+
+
+def test_ball_effect_rows_are_the_fixed_sphere_effects_then_the_unit():
+    assert BALL_EFFECT_COUNT == 64
+    for name in BALL_NAMES:
+        theory = get_theory(name)
+        points = deterministic_sphere_points(theory.dim, 64)
+        expected = np.vstack([0.5 * np.hstack([np.ones((64, 1)), points]), theory.unit])
+        assert theory.effect_rows().shape == (65, theory.dim + 1)
+        assert theory.effect_rows().tobytes() == expected.tobytes()
+
+
+def test_extremal_effects_are_the_effect_rows_without_the_unit():
+    for theory in _polytope_theories() + [get_theory(name) for name in BALL_NAMES]:
+        rows = theory.effect_rows()
+        expected = np.array([r for r in rows if not np.array_equal(r, theory.unit)])
+        assert theory.extremal_effects().tobytes() == expected.tobytes()
+        assert len(theory.extremal_effects()) == len(rows) - 1
+
+
+def test_ball_extreme_states_are_the_fixed_sphere_points():
+    assert BALL_STATE_COUNT == 200
+    for name in BALL_NAMES:
+        theory = get_theory(name)
+        states = theory.extreme_states()
+        assert states.shape == (200, theory.dim + 1)
+        assert np.array_equal(states[:, 1:], deterministic_sphere_points(theory.dim, 200))
+        assert np.all(states[:, 0] == 1.0)

@@ -376,8 +376,7 @@ def _random_two_qubit_state(rng):
 def _column_generation_cases():
     ball = get_theory("ball:3")
     square = get_theory("polygon:4")
-    k = composites.SEPARABILITY_K
-    balls = composites._product_rows(ball.extreme_states(k), ball.extreme_states(k))
+    balls = composites._product_rows(ball.extreme_states(), ball.extreme_states())
     werner = [composites.two_qubit_gpt(np.zeros(3), np.zeros(3), -v * np.eye(3)).vector
               for v in (0.2, 0.3, 0.5)]
     rng = np.random.default_rng(11)
@@ -385,7 +384,7 @@ def _column_generation_cases():
     for target in werner + [composites.singlet_state().vector] + seeded:
         yield balls, target
     # noisy mixtures of ball:3 x polygon:4 products with the mixed product
-    rows = composites._product_rows(ball.extreme_states(k), square.extreme_states())
+    rows = composites._product_rows(ball.extreme_states(), square.extreme_states())
     mixed = np.kron(np.eye(4)[0], np.eye(3)[0])
     rng = np.random.default_rng(12)
     for noise in (0.0, 0.05, 0.1, 0.2, 0.3):
