@@ -7,6 +7,8 @@ and sphere discretizations are fixed lattices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _AXIS_EPS = 1e-12
@@ -106,12 +108,44 @@ def sample_special_orthogonal(
     return q
 
 
+def circle_point(k: int, m: int) -> tuple[float, float]:
+    """cos and sin of 2 pi k / m, exact under the circle's reflections.
+
+    The angle is folded into the first octant by theta -> 2 pi - theta
+    (negates sin), theta -> pi - theta (negates cos) and theta -> pi/2 -
+    theta (swaps the pair), in integer arithmetic, and only the folded angle
+    is evaluated.  So angles related by a reflection give exact negatives
+    or swaps, multiples of pi/2 give zeros of exactly 0.0, and pi/4 gives
+    sqrt(1/2) twice.
+    """
+    num = 8 * (k % m)  # the angle in units of pi / (4 m)
+    sin_sign = cos_sign = 1.0
+    if num > 4 * m:
+        num, sin_sign = 8 * m - num, -1.0
+    if num > 2 * m:
+        num, cos_sign = 4 * m - num, -1.0
+    swap = num > m
+    if swap:
+        num = 2 * m - num
+    if num == m:
+        c = s = math.sqrt(0.5)
+    else:
+        c, s = math.cos(math.pi * num / (4 * m)), math.sin(math.pi * num / (4 * m))
+    if swap:
+        c, s = s, c
+    # cos is negated only inside (pi/2, 3 pi/2) and sin only inside (pi,
+    # 2 pi), open intervals where neither is zero, so zeros stay 0.0
+    return cos_sign * c, sin_sign * s
+
+
 def deterministic_sphere_points(n: int, count: int) -> np.ndarray:
     """Fixed set of `count` unit vectors on the (n-1)-sphere.
 
     n = 1 alternates +1 and -1, n = 2 is the even circle at angles 2 pi k /
-    count, n = 3 is a Fibonacci lattice (near-uniform covering); other
-    dimensions fall back to normalized Gaussian draws from a fixed seed.
+    count from `circle_point` (so for even count point k + count/2 is
+    exactly -point k), n = 3 is a Fibonacci lattice (near-uniform covering);
+    other dimensions fall back to normalized Gaussian draws from a fixed
+    seed.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -119,8 +153,7 @@ def deterministic_sphere_points(n: int, count: int) -> np.ndarray:
         signs = np.array([1.0 if k % 2 == 0 else -1.0 for k in range(count)])
         return signs.reshape(-1, 1)
     if n == 2:
-        theta = 2.0 * np.pi * np.arange(count) / count
-        return np.column_stack([np.cos(theta), np.sin(theta)])
+        return np.array([circle_point(k, count) for k in range(count)])
     if n == 3:
         k = np.arange(count, dtype=float)
         golden = (1.0 + np.sqrt(5.0)) / 2.0

@@ -26,36 +26,45 @@ from .core import (
     zero_effect,
 )
 from .minkowski import spatial_rotation
-from .rotations import norms, plane_rotation, rotation_between, sample_special_orthogonal
+from .rotations import (
+    circle_point,
+    norms,
+    plane_rotation,
+    rotation_between,
+    sample_special_orthogonal,
+)
 
 DEFAULT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class PolygonParams:
-    """Geometry of a regular polygon system: side count, circumradius, step angle."""
+    """Geometry of a regular polygon system: side count and circumradius."""
 
     sides: int
     radius: float
-    step: float
 
 
 def polygon_params(sides: int) -> PolygonParams:
     if sides < 3:
         raise ValueError("polygon systems need at least 3 sides")
-    radius = float(np.sqrt(1.0 / np.cos(np.pi / sides)))
-    return PolygonParams(sides, radius, 2.0 * np.pi / sides)
+    return PolygonParams(sides, float(np.sqrt(1.0 / np.cos(np.pi / sides))))
+
+
+def _circle(ks, m: int, radius: float) -> np.ndarray:
+    """Points radius * (cos, sin)(2 pi k / m), one row per k."""
+    return radius * np.array([circle_point(k, m) for k in ks])
 
 
 def polygon_rotation(sides: int, j: int) -> np.ndarray:
     """Rotation by j * (2 pi / N) in the two reduced coordinates.
 
     Periodic in j with period N and satisfies the inverse pairing of j with
-    (N - j) mod N.
+    (N - j) mod N; a quarter turn is a signed permutation.
     """
-    theta = 2.0 * np.pi * j / sides
+    c, s = circle_point(j, sides)
     out = np.eye(3)
-    out[1:, 1:] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    out[1:, 1:] = [[c, -s], [s, c]]
     return out
 
 
@@ -65,19 +74,15 @@ def polygon_theory(sides: int) -> TheorySpec:
     Even N ships the N extremal effects at half the vertex vectors rotated by
     half a step; odd N ships N extremal effects aligned with the vertices,
     scaled by 1/(1 + r^2), together with their complements.  Both conventions
-    realize the full normalized effect set.
+    realize the full normalized effect set.  Coordinates come from
+    `circle_point`, so zeros are 0.0 and mirror and antipodal coordinates
+    are exact negatives, which keeps the exact simplex's integers small.
     """
     p = polygon_params(sides)
-    idx = np.arange(sides)
-    state_angles = 2.0 * np.pi * (idx + 1) / sides
-    states = np.column_stack(
-        [np.ones(sides), p.radius * np.cos(state_angles), p.radius * np.sin(state_angles)]
-    )
+    ones = np.ones((sides, 1))
+    states = np.hstack([ones, _circle(range(1, sides + 1), sides, p.radius)])
     if sides % 2 == 0:
-        eff_angles = (2.0 * idx + 1) * np.pi / sides
-        extremal = 0.5 * np.column_stack(
-            [np.ones(sides), p.radius * np.cos(eff_angles), p.radius * np.sin(eff_angles)]
-        )
+        extremal = 0.5 * np.hstack([ones, _circle(range(1, 2 * sides, 2), 2 * sides, p.radius)])
         generators = np.vstack([zero_effect(2), unit_effect(2), extremal])
     else:
         scale = 1.0 / (1.0 + p.radius**2)

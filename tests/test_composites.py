@@ -1,5 +1,6 @@
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -598,6 +599,24 @@ def test_binary_measurements_sum_to_unit(name):
     assert pairs
     for e, f in pairs:
         assert np.max(np.abs(e + f - theory.unit)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["polygon:4", "polygon:6", "polygon:8"])
+def test_even_polygon_measurement_pairs_sum_to_the_unit_exactly(name):
+    # antipodal effect coordinates are exact negatives, so the exact paths
+    # see pairs that sum to the unit with no rounding left over
+    theory = get_theory(name)
+    for e, f in binary_measurements(theory):
+        assert [Fraction(x) + Fraction(y) for x, y in zip(e, f)] == [1, 0, 0]
+
+
+@pytest.mark.parametrize("name", ["polygon:4", "polygon:8"])
+def test_exact_single_setting_chsh_stays_at_most_two(name):
+    # one setting a side gives S = 2 E(a, b) <= 2 on the exact path
+    p = get_theory(name)
+    pairs = binary_measurements(p)
+    for a, b in itertools.product(pairs, repeat=2):
+        assert maximize_chsh(p, p, [a], [b], exact=True).value <= 2.0
 
 
 def test_singlet_pairings_match_quantum_oracle():

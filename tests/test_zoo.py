@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,11 @@ from gptkit.zoo import (
     sample_ball_rotations,
     sample_ball_state,
 )
-from gptkit.rotations import deterministic_sphere_points, sample_special_orthogonal
+from gptkit.rotations import (
+    circle_point,
+    deterministic_sphere_points,
+    sample_special_orthogonal,
+)
 
 # 2x2 quantum oracle: density matrices in the Pauli expansion
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,6 +81,60 @@ def test_polygon_rotation_identities(sides):
         assert np.allclose(rot @ inverse, np.eye(3), atol=1e-12)
     assert np.allclose(polygon_rotation(sides, 0), np.eye(3))
     assert np.allclose(polygon_rotation(sides, sides), np.eye(3), atol=1e-12)
+
+
+def _within_ulps(x: float, value, ulps: int) -> bool:
+    import sympy as sp
+
+    exact = sp.N(value, 50)
+    return abs(sp.Float(x, 50) - exact) <= ulps * math.ulp(float(exact))
+
+
+@pytest.mark.parametrize("sides", range(3, 13))
+def test_polygon_coordinates_match_sympy_and_keep_zeros(sides):
+    theory = polygon_theory(sides)
+    exact_states, exact_effects = exact_polygon(sides)
+    blocks = [(theory.states.vertices, exact_states)]
+    if sides % 2 == 0:
+        blocks.append((theory.extremal_effects(), exact_effects))
+    for rows, exact_rows in blocks:
+        assert len(rows) == len(exact_rows)
+        for row, exact_row in zip(rows, exact_rows):
+            for x, value in zip(row, exact_row):
+                if value == 0:
+                    assert x == 0.0 and not np.signbit(x)
+                else:
+                    assert _within_ulps(x, value, 4)
+
+
+def _mirrored(rows: np.ndarray) -> np.ndarray:
+    # y -> -y, with + 0.0 writing a mirrored zero as 0.0
+    return rows * np.array([1.0, 1.0, -1.0]) + 0.0
+
+
+@pytest.mark.parametrize("sides", range(3, 13))
+def test_polygon_vertices_are_bitwise_mirrors_and_antipodes(sides):
+    theory = polygon_theory(sides)
+    # row k holds the vertex at angle 2 pi k / N
+    vertices = np.roll(theory.states.vertices, 1, axis=0)
+    for k in range(sides):
+        assert vertices[-k % sides].tobytes() == _mirrored(vertices[k]).tobytes()
+    if sides % 2 == 0:
+        half = sides // 2
+        assert np.array_equal(vertices[half:, 1:], -vertices[:half, 1:])
+        effects = theory.extremal_effects()
+        assert effects[::-1].tobytes() == _mirrored(effects).tobytes()
+        assert np.array_equal(effects[half:, 1:], -effects[:half, 1:])
+
+
+@pytest.mark.parametrize("sides", [4, 8, 12])
+def test_polygon_quarter_turn_is_a_signed_permutation(sides):
+    theory = polygon_theory(sides)
+    rot = polygon_rotation(sides, sides // 4)
+    assert set(rot.ravel().tolist()) <= {0.0, 1.0, -1.0}
+    for rows in (theory.states.vertices, theory.extremal_effects()):
+        turned = np.einsum("ij,kj->ki", rot, rows)
+        assert turned.tobytes() == np.roll(rows, -(sides // 4), axis=0).tobytes()
 
 
 def test_odd_polygon_complements_are_normalized():
@@ -225,6 +285,25 @@ def test_circle_discretization_is_even(count):
     assert points.shape == (count, 2)
     assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-15
     assert abs(_largest_gap_degrees(points) - 360.0 / count) <= 1e-9
+    assert np.array_equal(points[count // 2 :], -points[: count // 2])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12, 360])
+def test_circle_point_is_exact_under_reflections(m):
+    for k in range(-m, 2 * m):
+        c, s = circle_point(k, m)
+        theta = 2.0 * math.pi * k / m
+        # the reference rounds 2 pi k / m, off by up to about 2e-15 at |k| < 2 m
+        assert abs(c - math.cos(theta)) <= 1e-14 and abs(s - math.sin(theta)) <= 1e-14
+        assert not np.signbit(c) or c != 0.0
+        assert not np.signbit(s) or s != 0.0
+        assert circle_point(-k, m) == (c, -s)
+        if m % 2 == 0:
+            assert circle_point(k + m // 2, m) == (-c, -s)
+        if m % 4 == 0:
+            assert circle_point(m // 4 - k, m) == (s, c)
+    if m % 8 == 0:
+        assert circle_point(m // 8, m) == (math.sqrt(0.5), math.sqrt(0.5))
 
 
 def test_density_to_gpt():
