@@ -2,7 +2,9 @@
 
 Each problem builds one LP and hands it to one of two solvers:
 
-* floating point: ``scipy.optimize.linprog`` (HiGHS), used for
+* floating point: HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp.
+  10, 119 (2018)), called through the ``scipy.optimize._highspy._core``
+  bindings that ``scipy.optimize.linprog`` itself calls, used for
   interactive-scale runs, and
 * exact: a two-phase primal simplex with Bland's rule, used for acceptance
   runs.  Inputs are converted once with ``Fraction(v)``, which is exact for
@@ -20,13 +22,13 @@ The float path of `hull_membership` solves its LP by delayed column
 generation (Gilbert, SIAM J. Control 4, 61 (1966)).  A restricted master
 holds the 2*dim given points with the largest pairing with the target, plus
 the 2*dim residual columns, so it is always feasible.  After each HiGHS
-solve the equality duals y (``res.eqlin.marginals``) price every point left
-out by its reduced cost -p.y, and the 2*dim most negative ones below
--FEASIBILITY_SLACK join the master.  The loop stops when no point prices
-below that, so the master optimum is the optimum over every point.  Points
-are only ever added, so it ends after at most npts - 2*dim + 1 solves, and
-after ceil(npts / 2*dim) when every round adds a full 2*dim.  An LP with
-npts <= 2*dim fits in the first master and is solved once as given.
+solve the equality duals y price every point left out by its reduced cost
+-p.y, and the 2*dim most negative ones below -FEASIBILITY_SLACK join the
+master.  The loop stops when no point prices below that, so the master
+optimum is the optimum over every point.  Points are only ever added, so it
+ends after at most npts - 2*dim + 1 solves, and after ceil(npts / 2*dim)
+when every round adds a full 2*dim.  An LP with npts <= 2*dim fits in the
+first master and is solved once as given.
 """
 
 from __future__ import annotations
@@ -37,9 +39,22 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 FEASIBILITY_SLACK = 1e-9
+
+# The options ``linprog(method="highs")`` sets; every other option keeps
+# HiGHS's default.  The enum values are written out: reading the enums at
+# import maps 64 KB more of the bindings' code, and a test pins them.
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,  # SimplexStrategy.kSimplexStrategyDual
+    "output_flag": False,
+    "log_to_console": False,
+    "highs_debug_level": 0,  # HighsDebugLevel.kHighsDebugLevelNone
+}
+# linprog's check of an optimal point: 10 * sqrt of its default tol 1e-9
+_HIGHS_CHECK_TOL = 10 * math.sqrt(1e-9)
 
 
 @dataclass(frozen=True)
@@ -280,20 +295,22 @@ def _hull_by_column_generation(pts: np.ndarray, tgt: np.ndarray) -> tuple[np.nda
     while True:
         a_eq = np.hstack([pts[master].T, eye, -eye])
         c = np.concatenate([np.zeros(len(master)), np.ones(width)])
-        res = linprog(c, A_eq=a_eq, b_eq=tgt, bounds=(0, None), method="highs")
-        if not res.success:  # pragma: no cover - the relaxation is always feasible
-            raise RuntimeError(f"membership LP failed: {res.message}")
+        status, x, fun, duals = _solve_highs(
+            c, None, None, a_eq, tgt, np.zeros(len(c)), np.full(len(c), np.inf)
+        )
+        if status != "optimal":  # pragma: no cover - the relaxation is always feasible
+            raise RuntimeError(f"membership LP is {status}")
         if len(master) == npts:
             break
-        pricing = np.einsum("ij,j->i", pts, res.eqlin.marginals)  # minus the reduced costs
+        pricing = np.einsum("ij,j->i", pts, duals)  # minus the reduced costs
         pricing[master] = -np.inf
         entering = _largest(pricing, width, FEASIBILITY_SLACK)
         if not entering.size:
             break
         master = np.concatenate([master, entering])
     weights = np.zeros(npts)
-    weights[master] = res.x[: len(master)]
-    return weights, float(res.fun)
+    weights[master] = x[: len(master)]
+    return weights, fun
 
 
 def _largest(values: np.ndarray, count: int, above: float) -> np.ndarray:
@@ -340,19 +357,93 @@ def linear_program(
             np.array([float(v) for v in x]),
             sign * float(value),
         )
-    res = linprog(
-        sign * obj,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * obj.shape[0],
-        method="highs",
+    n = obj.shape[0]
+    status, x, fun, _ = _solve_highs(
+        sign * obj, a_ub, b_ub, a_eq, b_eq, np.full(n, -np.inf), np.full(n, np.inf)
     )
-    if res.status == 2:
-        return LpSolution("infeasible", None, None)
-    if res.status == 3:
-        return LpSolution("unbounded", None, None)
-    if not res.success:  # pragma: no cover
-        raise RuntimeError(f"LP failed: {res.message}")
-    return LpSolution("optimal", res.x.copy(), sign * float(res.fun))
+    if status != "optimal":
+        return LpSolution(status, None, None)
+    return LpSolution("optimal", x, sign * fun)
+
+
+def _rows(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if a is None:
+        return np.empty((0, n)), np.empty(0)
+    return np.asarray(a, dtype=float).reshape(-1, n), np.asarray(b, dtype=float).reshape(-1)
+
+
+def _highs_inf(v) -> list[float]:
+    """`v` with +-inf replaced by HiGHS's infinity +-kHighsInf, as a list: the
+    bindings copy a list into a std::vector about twice as fast as an array."""
+    v = np.asarray(v, dtype=float)
+    return np.where(np.isinf(v), np.copysign(highs.kHighsInf, v), v).tolist()
+
+
+def _solve_highs(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
+    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, lb <= x <= ub.
+
+    Builds the model ``linprog(method="highs")`` builds (rows [a_ub; a_eq]
+    in column-compressed order) and solves it cold on a new HiGHS object
+    with linprog's options, so x, the objective and the duals are linprog's
+    bit for bit, without its per-call option handling.  Statuses map as in
+    linprog: a model error reads infeasible, and any status other than
+    optimal, infeasible or unbounded raises.  As in linprog, an optimal
+    point must pass a check: no NaN, bounds, a_ub rows and equality rows
+    within 10 * sqrt(1e-9); a violation raises.  Returns (status, x,
+    objective, equality duals), the last three None unless optimal.
+    """
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    a_ub, b_ub = _rows(a_ub, b_ub, n)
+    a_eq, b_eq = _rows(a_eq, b_eq, n)
+    a = np.vstack([a_ub, a_eq])
+    rhs = np.concatenate([b_ub, b_eq])
+    finite = np.isfinite(c).all() and np.isfinite(a).all() and not np.isnan(rhs).any()
+    if len(rhs) != len(a) or not finite:
+        raise ValueError("malformed LP: row counts differ, or c, A or b is not finite")
+    cols, rows = np.nonzero(a.T)  # column by column, rows ascending
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = len(a)
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    model.a_matrix_.start_ = start.tolist()  # lists, as in _highs_inf
+    model.a_matrix_.index_ = rows.tolist()
+    model.a_matrix_.value_ = a.T[cols, rows].tolist()
+    model.col_cost_ = c.tolist()
+    model.col_lower_ = _highs_inf(lb)
+    model.col_upper_ = _highs_inf(ub)
+    model.row_lower_ = _highs_inf(np.concatenate([np.full(len(b_ub), -np.inf), b_eq]))
+    model.row_upper_ = _highs_inf(rhs)
+
+    solver = highs._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:  # pragma: no cover
+            raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
+    if solver.passModel(model) == highs.HighsStatus.kError:
+        status = highs.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        status = solver.getModelStatus()
+    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
+        return "infeasible", None, None, None
+    if status == highs.HighsModelStatus.kUnbounded:
+        return "unbounded", None, None, None
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP failed: HiGHS status {solver.modelStatusToString(status)}")
+
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    fun = solver.getInfo().objective_function_value
+    slack = rhs - np.array(solution.row_value)
+    tol = _HIGHS_CHECK_TOL
+    if (
+        np.isnan(x).any()
+        or math.isnan(fun)
+        or np.isnan(slack).any()
+        or not np.all((x >= lb - tol) & (x <= ub + tol))
+        or (slack[: len(b_ub)] < -tol).any()
+        or (np.abs(slack[len(b_ub):]) > tol).any()
+    ):
+        raise RuntimeError(f"HiGHS's optimum violates the LP by more than {tol:.2e}")
+    return "optimal", x, fun, np.array(solution.row_dual)[len(b_ub):]

@@ -280,7 +280,20 @@ def theory_names() -> list[str]:
     return ["bit", "simplex:N", "polygon:N", "ball:d", "boxworld"]
 
 
+_THEORIES: dict[str, TheorySpec] = {}
+
+
 def get_theory(name: str) -> TheorySpec:
+    """The zoo theory called `name`.  Theories are frozen, so each name is
+    built once and the instance is shared; an unknown name raises KeyError
+    and is not cached."""
+    theory = _THEORIES.get(name)
+    if theory is None:
+        theory = _THEORIES[name] = _build_theory(name)
+    return theory
+
+
+def _build_theory(name: str) -> TheorySpec:
     if name == "bit":
         return classical_simplex(1)
     if name == "boxworld":

@@ -412,13 +412,13 @@ def test_column_generation_reaches_the_full_hull_optimum():
 
 def _record_lp_shapes(monkeypatch):
     shapes = []
-    solve = lp_module.linprog
+    solve = lp_module._solve_highs
 
-    def recording(c, **kwargs):
-        shapes.append(kwargs["A_eq"].shape)
-        return solve(c, **kwargs)
+    def recording(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
+        shapes.append(a_eq.shape)
+        return solve(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
 
-    monkeypatch.setattr(lp_module, "linprog", recording)
+    monkeypatch.setattr(lp_module, "_solve_highs", recording)
     return shapes
 
 
@@ -437,3 +437,84 @@ def test_the_singlet_hull_never_hands_highs_the_full_column_set(monkeypatch):
     verdict = composites.is_separable(composites.singlet_state())
     assert verdict.status == "inconclusive"
     assert shapes and max(cols for _, cols in shapes) <= 2000
+
+
+def _recorded_highs_lps(run):
+    """The arguments of every `_solve_highs` call that `run()` makes."""
+    calls = []
+    solve = lp_module._solve_highs
+
+    def recording(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_solve_highs", recording)
+        run()
+    return calls
+
+
+def test_direct_highs_sets_the_options_linprog_sets():
+    from scipy.optimize._highspy import _core as highs
+
+    options = lp_module._HIGHS_OPTIONS
+    dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    assert options["simplex_strategy"] == dual
+    assert options["highs_debug_level"] == highs.HighsDebugLevel.kHighsDebugLevelNone
+
+
+def _assert_matches_linprog(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
+    from scipy.optimize import linprog as scipy_linprog
+
+    status, x, fun, duals = lp_module._solve_highs(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
+    ref = scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                        bounds=np.column_stack([lb, ub]), method="highs")
+    assert ref.success and status == "optimal"
+    assert x.tobytes() == ref.x.tobytes()
+    assert fun == ref.fun
+    assert duals.tobytes() == ref.eqlin.marginals.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name_a, name_b",
+    [("polygon:5", "polygon:5"), ("polygon:8", "polygon:8"), ("ball:3", "polygon:4")],
+)
+def test_direct_highs_matches_linprog_on_chsh_class_lps(name_a, name_b):
+    # every class-representative LP of the scan, solved by both routes
+    calls = _recorded_highs_lps(
+        lambda: composites.maximize_chsh(get_theory(name_a), get_theory(name_b))
+    )
+    assert calls
+    for args in calls:
+        _assert_matches_linprog(*args)
+
+
+def test_direct_highs_matches_linprog_on_column_generation_masters():
+    calls = _recorded_highs_lps(
+        lambda: [hull_membership(pts, target) for pts, target in _column_generation_cases()]
+    )
+    assert len(calls) > len(list(_column_generation_cases()))  # some hulls take rounds
+    for args in calls:
+        _assert_matches_linprog(*args)
+
+
+def test_direct_highs_reports_infeasible_and_unbounded_as_linprog_does():
+    from scipy.optimize import linprog as scipy_linprog
+
+    # max x: x >= 1 and x <= 0 is infeasible; x >= 0 alone is unbounded
+    cases = [
+        (np.array([[-1.0], [1.0]]), np.array([-1.0, 0.0]), "infeasible", 2),
+        (np.array([[-1.0]]), np.array([0.0]), "unbounded", 3),
+    ]
+    for a_ub, b_ub, status, code in cases:
+        sol = linear_program(np.array([1.0]), a_ub=a_ub, b_ub=b_ub, maximize=True)
+        assert sol == lp_module.LpSolution(status, None, None)
+        ref = scipy_linprog([-1.0], A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)], method="highs")
+        assert ref.status == code
+
+
+def test_direct_highs_rejects_malformed_lps():
+    with pytest.raises(ValueError):
+        linear_program(np.array([np.nan]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
+    with pytest.raises(ValueError):
+        linear_program(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0, 2.0]))

@@ -350,6 +350,18 @@ def test_registry_lookup():
         classical_simplex(0)
 
 
+def test_get_theory_shares_one_instance_per_name():
+    from gptkit import zoo
+
+    assert get_theory("polygon:5") is get_theory("polygon:5")
+    assert get_theory("ball:3") is get_theory("ball:3")
+    assert get_theory("polygon:5") is not get_theory("polygon:6")
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            get_theory("spekkens")
+    assert "spekkens" not in zoo._THEORIES
+
+
 def test_exact_polygon_trit_is_exactly_orthogonal():
     import sympy as sp
 
