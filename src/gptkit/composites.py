@@ -25,12 +25,16 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection
+import numpy.ma  # qhull imports it on its first call; loaded here, that call costs no import
 
 from . import lp
 from .core import BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec, _sphere_states
 from .symmetry import _chsh_objectives, row_symmetries, symmetry_classes
 from .zoo import get_theory
+
+# _qhull cimports cython_lapack: loaded first, it spares scipy.linalg's __init__
+lp._scipy_extension("scipy.linalg.cython_lapack")
+HalfspaceIntersection = lp._scipy_extension("scipy.spatial._qhull").HalfspaceIntersection
 
 BALL_MEASUREMENT_COUNT = 6
 
@@ -325,8 +329,11 @@ def maximize_chsh(
     for batch in (np.flatnonzero(distinct), np.flatnonzero(~distinct)):
         classes = symmetry_classes(objectives[batch], group_a, group_b)
         for i in batch[classes == np.arange(len(batch))]:
+            # classes are found in float; the exact LP gets the exact objective
+            objective = (_chsh_objectives(meas_a, meas_b, choices[[i]], exact=True)[0]
+                         if exact else objectives[i])
             sol = lp.linear_program(
-                objectives[i], a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact
+                objective, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact
             )
             if sol.status != "optimal":  # pragma: no cover - the set is compact
                 raise RuntimeError(f"CHSH optimization failed: {sol.status}")

@@ -8,15 +8,15 @@ Each problem builds one LP and hands it to one of two solvers:
   interactive-scale runs, and
 * exact: a two-phase primal simplex with Bland's rule, used for acceptance
   runs.  Inputs are converted once with ``Fraction(v)``, which is exact for
-  floats, and each tableau row, the cost row included, is kept as Python
-  ints over one positive denominator.  A pivot is integer multiply-subtract
-  plus one gcd per row (Edmonds, J. Res. NBS 71B, 1967); Bland's decisions
-  need only signs and cross-multiplied ratios, so no pivoting error enters
-  and the solver returns the exact optimum of the LP built from the given
-  floats.  Phase 1 starts from the LP's own unit columns: a column that
-  reads +e_i after the rhs sign flip (the slack of a <= row with b >= 0, a
-  residual of a hull row) is row i's first basic column, and artificials
-  go only on the rows left over.
+  floats and Fractions, and each tableau row, the cost row included, is
+  kept as Python ints over one positive denominator.  A pivot is integer
+  multiply-subtract plus one gcd per row (Edmonds, J. Res. NBS 71B, 1967);
+  Bland's decisions need only signs and cross-multiplied ratios, so no
+  pivoting error enters and the solver returns the exact optimum of the LP
+  built from the given floats.  Phase 1 starts from the LP's own unit
+  columns: a column that reads +e_i after the rhs sign flip (the slack of a
+  <= row with b >= 0, a residual of a hull row) is row i's first basic
+  column, and artificials go only on the rows left over.
 
 The float path of `hull_membership` solves its LP by delayed column
 generation (Gilbert, SIAM J. Control 4, 61 (1966)).  A restricted master
@@ -29,17 +29,56 @@ optimum is the optimum over every point.  Points are only ever added, so it
 ends after at most npts - 2*dim + 1 solves, and after ceil(npts / 2*dim)
 when every round adds a full 2*dim.  An LP with npts <= 2*dim fits in the
 first master and is solved once as given.
+
+The HiGHS bindings are loaded by `_scipy_extension` from scipy's install
+directory, and `composites` loads qhull the same way.  A plain import would
+first run ``scipy.optimize``'s ``__init__``, which loads about 500 modules
+(``scipy.linalg`` and ``scipy.sparse`` among them) and takes most of a
+second; gptkit calls none of them.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
+import scipy
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module `name`, loaded from its package's directory;
+    the ``__init__`` of the packages between ``scipy`` and it never runs.
+
+    It is registered in ``sys.modules`` under its full name, so a later
+    ``import scipy.optimize`` finds the same module object, and a module
+    loaded earlier is returned as is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    package = name.rpartition(".")[0].split(".")
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], *package[1:])]
+    )
+    if spec is None:
+        raise ImportError(f"scipy has no module {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+highs = _scipy_extension("scipy.optimize._highspy._core")
 
 FEASIBILITY_SLACK = 1e-9
 

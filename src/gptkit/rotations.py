@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; loaded here, gptkit's first rng costs no import
 
 _AXIS_EPS = 1e-12
 

@@ -9,6 +9,8 @@ of objectives related this way.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .core import TheorySpec
@@ -17,16 +19,24 @@ from .core import TheorySpec
 # otherwise, and a first one maps about 128 KB more code into the process.
 
 
-def _chsh_objectives(meas_a, meas_b, choices: np.ndarray) -> np.ndarray:
+def _chsh_objectives(meas_a, meas_b, choices: np.ndarray, exact: bool = False) -> np.ndarray:
     """CHSH objective of every assignment row (a0, a1, b0, b1) of `choices`.
 
     Each correlator term is the outer product of the two outcome
     differences, and the terms are summed in the order of S, so every row
     equals the Kronecker-product objective bit for bit (an einsum writes
-    +0.0 where the Kronecker product writes -0.0).
+    +0.0 where the Kronecker product writes -0.0).  With `exact`, the
+    differences Fraction(e) - Fraction(f) and every product and sum are
+    exact, and the rows are object arrays of Fractions.
     """
-    da = np.array([e - f for e, f in meas_a], dtype=float)[choices[:, :2]]
-    db = np.array([e - f for e, f in meas_b], dtype=float)[choices[:, 2:]]
+    def differences(meas):
+        if exact:
+            return np.array([[Fraction(x) - Fraction(y) for x, y in zip(e, f)] for e, f in meas],
+                            dtype=object)
+        return np.array([e - f for e, f in meas], dtype=float)
+
+    da = differences(meas_a)[choices[:, :2]]
+    db = differences(meas_b)[choices[:, 2:]]
 
     def term(i, j):
         return (da[:, i, :, None] * db[:, j, None, :]).reshape(len(choices), -1)

@@ -8,6 +8,7 @@ bit for bit.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,8 +23,15 @@ from gptkit.composites import (
 )
 
 
-def kron_objective(a0, a1, b0, b1) -> np.ndarray:
+def kron_objective(a0, a1, b0, b1, exact=False) -> np.ndarray:
+    """The CHSH objective as a sum of Kronecker products; with `exact`, an
+    object array of Fractions built from the exact effect differences."""
+    def diff(pair):
+        return np.array([Fraction(e) - Fraction(f) for e, f in zip(*pair)], dtype=object)
+
     def diff_tensor(a_pair, b_pair):
+        if exact:
+            return np.kron(diff(a_pair), diff(b_pair))
         return tensor(a_pair[0] - a_pair[1], b_pair[0] - b_pair[1])
 
     return (
@@ -55,7 +63,7 @@ def full_scan_chsh(
     solutions = {}
     for ia0, ia1 in itertools.product(range(len(meas_a)), repeat=2):
         for ib0, ib1 in itertools.product(range(len(meas_b)), repeat=2):
-            c = kron_objective(meas_a[ia0], meas_a[ia1], meas_b[ib0], meas_b[ib1])
+            c = kron_objective(meas_a[ia0], meas_a[ia1], meas_b[ib0], meas_b[ib1], exact)
             sol = lp.linear_program(c, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact)
             assert sol.status == "optimal"
             solutions[ia0, ia1, ib0, ib1] = sol

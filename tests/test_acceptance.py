@@ -15,6 +15,7 @@ import sympy as sp
 
 from gptkit import cli, composites, minkowski, poincare, zoo
 from gptkit.rotations import sample_special_orthogonal
+from symbolic_theories import exact_polygon
 
 _RESULTS = []
 
@@ -79,7 +80,7 @@ def test_criterion_1_classical_distinguishability():
                 value = e[0] * z[0] + e[1] * z[1]
                 assert value == (1 if i == j else 0)
         # 3-gon: entries are algebraic; pairings simplify to exact rationals
-        states, effects = zoo.exact_polygon(3)
+        states, effects = exact_polygon(3)
         for i in range(3):
             for j in range(3):
                 value = sp.simplify(effects[i].dot(states[j]))

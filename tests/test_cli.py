@@ -22,15 +22,27 @@ def run_cli(args, capsys):
     return code, out
 
 
-def test_importing_the_cli_leaves_sympy_unloaded():
-    # sympy is a test extra: only the test-only exact constructors in zoo use it
+def _modules_after_importing_the_cli() -> set[str]:
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, gptkit, gptkit.cli; "
-            "print(any(m.split('.')[0] == 'sympy' for m in sys.modules))")
+    code = "import sys, gptkit, gptkit.cli; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_importing_the_cli_leaves_sympy_unloaded():
+    # sympy is a test extra: only the symbolic theories of the tests use it
+    assert not any(m.split(".")[0] == "sympy" for m in _modules_after_importing_the_cli())
+
+
+def test_importing_the_cli_runs_no_scipy_subpackage_init():
+    # gptkit loads its three compiled scipy modules by path, not through
+    # these packages, whose __init__ would load hundreds of modules
+    loaded = _modules_after_importing_the_cli()
+    assert "scipy.spatial._qhull" in loaded
+    for package in ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse"):
+        assert package not in loaded
 
 
 def test_zoo_list(capsys):

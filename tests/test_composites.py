@@ -304,6 +304,12 @@ def test_maximize_chsh_equals_the_full_scan(name_a, name_b, exact):
         for a0, a1, b0, b1 in choices
     ])
     assert _chsh_objectives(meas_a, meas_b, choices).tobytes() == kron.tobytes()
+    if exact:
+        exact_kron = np.array([
+            kron_objective(meas_a[a0], meas_a[a1], meas_b[b0], meas_b[b1], exact=True)
+            for a0, a1, b0, b1 in choices
+        ])
+        assert (_chsh_objectives(meas_a, meas_b, choices, exact=True) == exact_kron).all()
 
 
 # LPs solved with one LP per symmetry class
@@ -610,7 +616,7 @@ def test_even_polygon_measurement_pairs_sum_to_the_unit_exactly(name):
         assert [Fraction(x) + Fraction(y) for x, y in zip(e, f)] == [1, 0, 0]
 
 
-@pytest.mark.parametrize("name", ["polygon:4", "polygon:8"])
+@pytest.mark.parametrize("name", ["polygon:4", "polygon:6", "polygon:8"])
 def test_exact_single_setting_chsh_stays_at_most_two(name):
     # one setting a side gives S = 2 E(a, b) <= 2 on the exact path
     p = get_theory(name)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,3 +522,37 @@ def test_direct_highs_rejects_malformed_lps():
         linear_program(np.array([np.nan]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
     with pytest.raises(ValueError):
         linear_program(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0, 2.0]))
+
+
+_SHARED_SCIPY_MODULES = """
+import sys
+if sys.argv[1] == "scipy-first":
+    import scipy.optimize, scipy.spatial
+from gptkit import composites, lp
+import numpy as np
+import scipy.optimize, scipy.spatial
+from scipy.optimize._highspy import _core
+from scipy.spatial import _qhull
+assert lp.highs is _core is sys.modules["scipy.optimize._highspy._core"]
+assert composites.HalfspaceIntersection is _qhull.HalfspaceIntersection
+assert composites.HalfspaceIntersection is scipy.spatial.HalfspaceIntersection
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=(0, None),
+                             method="highs")
+assert res.status == 0 and res.fun == 1.0
+square = np.array([[-1.0, 0, -1], [1, 0, -1], [0, -1, -1], [0, 1, -1]])
+assert len(scipy.spatial.HalfspaceIntersection(square, np.zeros(2)).intersections) == 4
+"""
+
+
+@pytest.mark.parametrize("order", ["scipy-first", "gptkit-first"])
+def test_gptkit_and_scipy_share_the_compiled_modules(order):
+    # one module object per extension, whichever of scipy or gptkit loads it
+    src = str(Path(lp_module.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", _SHARED_SCIPY_MODULES, order],
+                   env={**os.environ, "PYTHONPATH": src}, check=True)
+
+
+def test_a_module_scipy_does_not_ship_raises_import_error():
+    with pytest.raises(ImportError, match="scipy.optimize._no_such_module"):
+        lp_module._scipy_extension("scipy.optimize._no_such_module")
+    assert "scipy.optimize._no_such_module" not in sys.modules

@@ -16,8 +16,6 @@ from gptkit.zoo import (
     classical_simplex,
     density_to_gpt,
     euclidean_ball,
-    exact_classical_simplex,
-    exact_polygon,
     get_theory,
     polygon_params,
     polygon_rotation,
@@ -31,6 +29,7 @@ from gptkit.rotations import (
     deterministic_sphere_points,
     sample_special_orthogonal,
 )
+from symbolic_theories import exact_classical_simplex, exact_polygon
 
 # 2x2 quantum oracle: density matrices in the Pauli expansion
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
