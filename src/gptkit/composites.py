@@ -25,16 +25,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # qhull imports it on its first call; loaded here, that call costs no import
 
 from . import lp
 from .core import BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec, _sphere_states
+from .lp import HalfspaceIntersection
 from .symmetry import _chsh_objectives, row_symmetries, symmetry_classes
 from .zoo import get_theory
-
-# _qhull cimports cython_lapack: loaded first, it spares scipy.linalg's __init__
-lp._scipy_extension("scipy.linalg.cython_lapack")
-HalfspaceIntersection = lp._scipy_extension("scipy.spatial._qhull").HalfspaceIntersection
 
 BALL_MEASUREMENT_COUNT = 6
 
@@ -328,10 +324,11 @@ def maximize_chsh(
     solutions: dict[int, lp.LpSolution] = {}
     for batch in (np.flatnonzero(distinct), np.flatnonzero(~distinct)):
         classes = symmetry_classes(objectives[batch], group_a, group_b)
-        for i in batch[classes == np.arange(len(batch))]:
-            # classes are found in float; the exact LP gets the exact objective
-            objective = (_chsh_objectives(meas_a, meas_b, choices[[i]], exact=True)[0]
-                         if exact else objectives[i])
+        reps = batch[classes == np.arange(len(batch))]
+        # classes are found in float; the exact LP gets the exact objective
+        rep_objectives = (_chsh_objectives(meas_a, meas_b, choices[reps], exact=True)
+                          if exact else objectives[reps])
+        for i, objective in zip(reps, rep_objectives):
             sol = lp.linear_program(
                 objective, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact
             )

@@ -30,9 +30,11 @@ ends after at most npts - 2*dim + 1 solves, and after ceil(npts / 2*dim)
 when every round adds a full 2*dim.  An LP with npts <= 2*dim fits in the
 first master and is solved once as given.
 
-The HiGHS bindings are loaded by `_scipy_extension` from scipy's install
-directory, and `composites` loads qhull the same way.  A plain import would
-first run ``scipy.optimize``'s ``__init__``, which loads about 500 modules
+The three compiled scipy modules gptkit calls are loaded here by
+`_scipy_extension` from scipy's install directory: the HiGHS bindings,
+``scipy.linalg.cython_lapack`` and then ``scipy.spatial._qhull``, whose
+`HalfspaceIntersection` `composites` uses.  A plain import would first run
+``scipy.optimize``'s ``__init__``, which loads about 500 modules
 (``scipy.linalg`` and ``scipy.sparse`` among them) and takes most of a
 second; gptkit calls none of them.
 """
@@ -49,6 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import numpy.ma  # qhull imports it on its first call; loaded here, that call costs no import
 import scipy
 
 
@@ -79,6 +82,9 @@ def _scipy_extension(name: str):
 
 
 highs = _scipy_extension("scipy.optimize._highspy._core")
+# _qhull cimports cython_lapack: loaded first, it spares scipy.linalg's __init__
+_scipy_extension("scipy.linalg.cython_lapack")
+HalfspaceIntersection = _scipy_extension("scipy.spatial._qhull").HalfspaceIntersection
 
 FEASIBILITY_SLACK = 1e-9
 
@@ -380,7 +386,8 @@ def linear_program(
     obj = np.asarray(c, dtype=float)
     sign = -1.0 if maximize else 1.0
     if exact:
-        cf = [sign * Fraction(v) for v in np.asarray(c).tolist()]
+        # negate the Fractions themselves: a float sign would round them
+        cf = [-Fraction(v) if maximize else Fraction(v) for v in np.asarray(c).tolist()]
         status, x, value = exact_linprog(
             cf,
             a_eq=a_eq,

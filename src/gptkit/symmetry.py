@@ -37,9 +37,10 @@ def _chsh_objectives(meas_a, meas_b, choices: np.ndarray, exact: bool = False) -
 
     da = differences(meas_a)[choices[:, :2]]
     db = differences(meas_b)[choices[:, 2:]]
+    width = da.shape[-1] * db.shape[-1]  # spelled out: `choices` may have no rows
 
     def term(i, j):
-        return (da[:, i, :, None] * db[:, j, None, :]).reshape(len(choices), -1)
+        return (da[:, i, :, None] * db[:, j, None, :]).reshape(len(choices), width)
 
     return term(0, 0) + term(0, 1) + term(1, 0) - term(1, 1)
 

@@ -616,7 +616,7 @@ def test_even_polygon_measurement_pairs_sum_to_the_unit_exactly(name):
         assert [Fraction(x) + Fraction(y) for x, y in zip(e, f)] == [1, 0, 0]
 
 
-@pytest.mark.parametrize("name", ["polygon:4", "polygon:6", "polygon:8"])
+@pytest.mark.parametrize("name", ["polygon:3", "polygon:4", "polygon:6", "polygon:8"])
 def test_exact_single_setting_chsh_stays_at_most_two(name):
     # one setting a side gives S = 2 E(a, b) <= 2 on the exact path
     p = get_theory(name)

@@ -107,6 +107,25 @@ def test_linear_program_exact_vs_float():
     assert abs(e.value - 3.0) == 0.0
 
 
+@pytest.mark.parametrize("maximize", [True, False])
+def test_exact_linear_program_keeps_a_fraction_objective(monkeypatch, maximize):
+    # 1/3 has no float: the exact solver must see it, negated when maximizing
+    seen = []
+    solve = lp_module.exact_linprog
+
+    def spy(c, **kwargs):
+        seen.append(list(c))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(lp_module, "exact_linprog", spy)
+    third = Fraction(1, 3)
+    sol = linear_program(np.array([third], dtype=object), a_ub=np.array([[1.0], [-1.0]]),
+                         b_ub=np.array([1.0, 1.0]), maximize=maximize, exact=True)
+    assert seen == [[-third if maximize else third]]
+    assert all(type(v) is Fraction for v in seen[0])
+    assert sol.value == (float(third) if maximize else -float(third))
+
+
 def test_exact_hull_membership_reports_positive_margin():
     pts = np.array([[1.0, 1.0], [1.0, -1.0]])
     res = hull_membership(pts, np.array([1.0, 2.0]), exact=True)
