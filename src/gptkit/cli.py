@@ -40,6 +40,18 @@ def _chunks(samples: int):
         yield min(SAMPLE_CHUNK, samples - start)
 
 
+def _worst(samples: int, measure) -> list:
+    """Worst deviation of each row over the stacks that make up `samples`.
+
+    `measure(size)` draws one stack and returns, per row, a list of
+    deviation arrays; a row's worst is their largest absolute entry over all
+    stacks.  np.max, unlike max(), keeps a NaN from any stack.
+    """
+    stacks = [[np.max([np.max(np.abs(dev)) for dev in row]) for row in measure(size)]
+              for size in _chunks(samples)]
+    return list(np.max(stacks, axis=0))
+
+
 def minkowski_suite(
     n: int,
     mass: float,
@@ -50,58 +62,46 @@ def minkowski_suite(
 ) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     eta = minkowski.metric(n)
-
-    worst_interval = 0.0
-    worst_shell = 0.0
-    worst_lorentz = 0.0
     transforms = []
-    for size in _chunks(samples):
+
+    def invariants(size):
         p = minkowski.random_poincare(n, rng, size)
         x = rng.uniform(-3, 3, (size, n + 1))
         y = rng.uniform(-3, 3, (size, n + 1))
         q = minkowski.random_momentum(mass, n, rng, size)
         if log_transforms:
             transforms.append(p)
-        dev = np.abs(
-            minkowski.interval(x, y)
-            - minkowski.interval(minkowski.apply_poincare(p, x), minkowski.apply_poincare(p, y))
+        moved = minkowski.interval(minkowski.apply_poincare(p, x), minkowski.apply_poincare(p, y))
+        return (
+            [minkowski.interval(x, y) - moved],
+            [minkowski.minkowski_norm2(minkowski.apply_lorentz(p.lorentz, q.vector)) + mass**2],
+            [np.swapaxes(p.lorentz, -1, -2) @ eta @ p.lorentz - eta],
         )
-        worst_interval = np.maximum(worst_interval, np.max(dev))
-        shell = np.abs(
-            minkowski.minkowski_norm2(minkowski.apply_lorentz(p.lorentz, q.vector)) + mass**2
-        )
-        worst_shell = np.maximum(worst_shell, np.max(shell))
-        defect = np.max(np.abs(np.swapaxes(p.lorentz, -1, -2) @ eta @ p.lorentz - eta))
-        worst_lorentz = np.maximum(worst_lorentz, defect)
 
-    worst_assoc = 0.0
-    for size in _chunks(samples):
+    def associativity(size):
         a, b, c = (minkowski.random_poincare(n, rng, size) for _ in range(3))
         left = minkowski.compose(minkowski.compose(a, b), c)
         right = minkowski.compose(a, minkowski.compose(b, c))
-        worst_assoc = np.max([
-            worst_assoc,
-            np.max(np.abs(left.translation - right.translation)),
-            np.max(np.abs(left.lorentz - right.lorentz)),
-        ])
+        return ([left.translation - right.translation, left.lorentz - right.lorentz],)
 
-    worst_boost = 0.0
-    for size in _chunks(samples):
+    def boost_roundtrip(size):
         p_mag = rng.uniform(0.0, 2.0, size)
         s = minkowski.boost_x(p_mag, mass, n)
         s_inv = minkowski.boost_x(-p_mag, mass, n)
-        worst_boost = np.maximum(worst_boost, np.max(np.abs(s @ s_inv - np.eye(n + 1))))
+        return ([s @ s_inv - np.eye(n + 1)],)
 
+    interval, shell, metric = _worst(samples, invariants)
+    (assoc,) = _worst(samples, associativity)
+    (roundtrip,) = _worst(samples, boost_roundtrip)
     if log_transforms:
         with open(log_transforms, "w", encoding="utf-8") as fh:
             fh.write(minkowski.transforms_to_json(transforms) + "\n")
-
     return [
-        CheckRow("interval-invariance", samples, worst_interval, tol, {"n": n}),
-        CheckRow("mass-shell-preservation", samples, worst_shell, tol, {"n": n}),
-        CheckRow("metric-preservation", samples, worst_lorentz, tol, {"n": n}),
-        CheckRow("composition-associativity", samples, worst_assoc, tol, {"n": n}),
-        CheckRow("boost-inverse-roundtrip", samples, worst_boost, tol, {"n": n}),
+        CheckRow("interval-invariance", samples, interval, tol, {"n": n}),
+        CheckRow("mass-shell-preservation", samples, shell, tol, {"n": n}),
+        CheckRow("metric-preservation", samples, metric, tol, {"n": n}),
+        CheckRow("composition-associativity", samples, assoc, tol, {"n": n}),
+        CheckRow("boost-inverse-roundtrip", samples, roundtrip, tol, {"n": n}),
     ]
 
 
@@ -121,35 +121,22 @@ def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float)
     def momentum(size):
         return minkowski.random_momentum(mass, n, rng, size)
 
-    worst_fix = 0.0
-    worst_so = 0.0
-    for size in _chunks(samples):
+    def fix_and_rotation(size):
         a, x, lam, p = point(size), point(size), frame(size), momentum(size)
         g = minkowski.little_group_element(a, x, lam, p)
         b2, q2 = minkowski.apply_to_pair(g, np.zeros_like(a), rest)
-        worst_fix = np.max([worst_fix, np.max(np.abs(b2)), np.max(np.abs(q2 - rest))])
         w = minkowski.wigner_rotation(lam, p)
-        worst_so = np.max([
-            worst_so,
-            np.max(np.abs(np.swapaxes(w, -1, -2) @ eta @ w - eta)),
-            np.max(np.abs(np.linalg.det(w) - 1.0)),
-            np.max(np.abs(w[..., 0, :] - axis)),
-            np.max(np.abs(w[..., :, 0] - axis)),
-        ])
+        in_so = [np.swapaxes(w, -1, -2) @ eta @ w - eta, np.linalg.det(w) - 1.0,
+                 w[..., 0, :] - axis, w[..., :, 0] - axis]
+        return [b2, q2 - rest], in_so
 
-    worst_rotation = 0.0
-    for size in _chunks(samples):
+    def pure_rotation(size):
         rot = minkowski.spatial_rotation(sample_special_orthogonal(n, rng, size))
         a, x, p = point(size), point(size), momentum(size)
         g = minkowski.little_group_element(a, x, rot, p)
-        worst_rotation = np.max([
-            worst_rotation,
-            np.max(np.abs(g.translation)),
-            np.max(np.abs(g.lorentz - rot)),
-        ])
+        return ([g.translation, g.lorentz - rot],)
 
-    worst_comp = 0.0
-    for size in _chunks(samples):
+    def composition(size):
         a, a2, x = point(size), point(size), point(size)
         lam1, lam2, p = frame(size), frame(size), momentum(size)
         moved = minkowski.MassiveMomentum(minkowski.apply_lorentz(lam1, p.vector), mass)
@@ -158,17 +145,16 @@ def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float)
             minkowski.little_group_element(a, x, lam1, p),
         )
         right = minkowski.little_group_element(a + a2, x, lam2 @ lam1, p)
-        worst_comp = np.max([
-            worst_comp,
-            np.max(np.abs(left.translation - right.translation)),
-            np.max(np.abs(left.lorentz - right.lorentz)),
-        ])
+        return ([left.translation - right.translation, left.lorentz - right.lorentz],)
 
+    fix, so = _worst(samples, fix_and_rotation)
+    (reduction,) = _worst(samples, pure_rotation)
+    (law,) = _worst(samples, composition)
     return [
-        CheckRow("little-group-fixes-rest-pair", samples, worst_fix, tol, {"n": n}),
-        CheckRow("pure-rotation-reduction", samples, worst_rotation, tol, {"n": n}),
-        CheckRow("induced-rotation-in-so-n", samples, worst_so, tol, {"n": n}),
-        CheckRow("little-group-composition-law", samples, worst_comp, 10 * tol, {"n": n}),
+        CheckRow("little-group-fixes-rest-pair", samples, fix, tol, {"n": n}),
+        CheckRow("pure-rotation-reduction", samples, reduction, tol, {"n": n}),
+        CheckRow("induced-rotation-in-so-n", samples, so, tol, {"n": n}),
+        CheckRow("little-group-composition-law", samples, law, 10 * tol, {"n": n}),
     ]
 
 
@@ -177,45 +163,42 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
     rep = poincare.rotation_rep(n)
     rest = minkowski.rest_momentum(mass, n)
 
-    worst_pairing = 0.0
-    for size in _chunks(samples):
+    def pairing(size):
         state = poincare.ClassicalMomentumState(rest, zoo.sample_ball_state(n, rng, size))
         effect = poincare.ClassicalMomentumEffect(rest, zoo.sample_ball_effect(n, rng, size))
         lam = minkowski.spatial_rotation(sample_special_orthogonal(n, rng, size))
         g = minkowski.PoincareTransform(np.zeros((size, n + 1)), lam)
-        deviation = poincare.invariance_deviation([(effect, state)], g, rep)
-        worst_pairing = np.maximum(worst_pairing, deviation)
+        return ([poincare.invariance_deviation([(effect, state)], g, rep)],)
 
-    rows = [CheckRow("pairing-invariance", samples, worst_pairing, tol / 10, {"n": n})]
+    (pairing_dev,) = _worst(samples, pairing)
+    rows = [CheckRow("pairing-invariance", samples, pairing_dev, tol / 10, {"n": n})]
 
     if n == 3:
         detectors = np.vstack([np.eye(3), -np.eye(3)])
-        worst_det = 0.0
-        worst_total = 0.0
-        for size in _chunks(samples):
+
+        def detector_sphere(size):
             state = zoo.sample_ball_state(3, rng, size)
             result = poincare.detector_sphere_experiment(
                 state, detectors, sample_special_orthogonal(3, rng, size)
             )
-            worst_det = np.maximum(worst_det, result.worst_deviation)
-            worst_total = np.maximum(worst_total, np.max(np.abs(result.total_before - 1.0)))
-        rows.append(CheckRow("detector-sphere-invariance", samples, worst_det, tol / 10))
-        rows.append(CheckRow("detector-sphere-total-probability", samples, worst_total, tol / 1000))
+            return [result.worst_deviation], [result.total_before - 1.0]
+
+        detector_dev, total_dev = _worst(samples, detector_sphere)
+        rows.append(CheckRow("detector-sphere-invariance", samples, detector_dev, tol / 10))
+        rows.append(CheckRow("detector-sphere-total-probability", samples, total_dev, tol / 1000))
 
     seedling = np.zeros(n)
     seedling[-1] = 1.0
     orbit = poincare.orbit_ball_reconstruction(
         n, seedling, rotation_count=samples, seed=seed, tol=tol / 10
     )
-    rows.append(
-        CheckRow("ball-orbit-reconstruction", samples, orbit.worst_deviation, tol / 10, {"n": n})
-    )
+    orbit_dev = np.max([row.worst_deviation for row in orbit])
+    rows.append(CheckRow("ball-orbit-reconstruction", samples, orbit_dev, tol / 10, {"n": n}))
     return rows
 
 
 def toy_suite(sides: int, shift: int, tol: float) -> list[CheckRow]:
-    _, report = poincare.toy_discrete_spacetime(sides, shift, tol)
-    return list(report.rows)
+    return poincare.toy_discrete_spacetime(sides, shift, tol)[1]
 
 
 def chsh_rows(locals_name: str, exact: bool, scenario_path: str | None) -> list[dict]:

@@ -28,9 +28,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import validate_state
+from .core import Ball, validate_state
 from .minkowski import MassiveMomentum, PoincareTransform, apply_lorentz, spatial_rotation
-from .rotations import dots, norms, sample_special_orthogonal
+from .rotations import dots, norms, rotation_between, sample_special_orthogonal
 from .zoo import polygon_rotation, polygon_theory
 
 DEFAULT_P_TOL = 1e-9
@@ -289,33 +289,6 @@ def detector_sphere_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToySpacetimeReport:
-    """The toy model's homomorphism, invariance and nontriviality rows."""
-
-    rows: tuple[CheckRow, CheckRow, CheckRow]
-
-    @property
-    def representation(self) -> CheckRow:
-        return self.rows[0]
-
-    @property
-    def invariance_deviation(self) -> float:
-        return self.rows[1].worst_deviation
-
-    @property
-    def invariance_passed(self) -> bool:
-        return self.rows[1].passed
-
-    @property
-    def nontrivial(self) -> bool:
-        return self.rows[2].passed
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-
 def toy_translation_rep(sides: int) -> RepMap:
     """Lattice translation by k steps acts as the rotation by k (2 pi / N)."""
     return RepMap(state_map=lambda k: polygon_rotation(sides, int(k)))
@@ -323,16 +296,17 @@ def toy_translation_rep(sides: int) -> RepMap:
 
 def toy_discrete_spacetime(
     sides: int, shift: int, tol: float = 1e-12
-) -> tuple[RepMap, ToySpacetimeReport]:
+) -> tuple[RepMap, list[CheckRow]]:
     """Wire lattice translations to polygon rotations and verify everything.
 
-    Translations compose additively; the assigned rotations must compose the
-    same way (checked exhaustively mod N), leave all outcome probabilities
-    unchanged, and permute the pure states by the translation amount.  The
-    assignment must also be nontrivial: the generator (one lattice step) has
-    to move each pure state onto the next one.  A trivial wiring leaves each
-    state in place and so reads the largest coordinate gap between
-    neighbouring vertices (0.5 to 2.4 for N = 3 ... 12).
+    Returns the representation and three rows labelled with N and k:
+    `toy-spacetime-homomorphism` (the assigned rotations compose additively,
+    checked exhaustively mod N), `toy-spacetime-invariance` (all outcome
+    probabilities unchanged, and the pure states permuted by k steps) and
+    `toy-spacetime-nontrivial` (the generator, one lattice step, moves each
+    pure state onto the next one).  A trivial wiring leaves each state in
+    place and so reads the largest coordinate gap between neighbouring
+    vertices (0.5 to 2.4 for N = 3 ... 12) on the last row.
     """
     if sides < 3:
         raise ValueError("toy model needs a polygon with at least 3 sides")
@@ -353,7 +327,7 @@ def toy_discrete_spacetime(
         return float(np.max(np.abs(states @ rep.state(k).T - np.roll(states, -k, axis=0))))
 
     labels = {"N": sides, "k": shift}
-    rows = (
+    return rep, [
         CheckRow("toy-spacetime-homomorphism", law.samples, law.worst_deviation, tol, labels),
         CheckRow(
             "toy-spacetime-invariance",
@@ -363,36 +337,12 @@ def toy_discrete_spacetime(
             labels,
         ),
         CheckRow("toy-spacetime-nontrivial", sides, shift_residual(1), tol, labels),
-    )
-    return rep, ToySpacetimeReport(rows)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Ball orbit reconstruction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrbitReport:
-    """Each property holds when its own measured deviation is at most the
-    tolerance; `worst_deviation` is the largest of the five deviations."""
-
-    orbit_pure: bool
-    hull_inside: bool
-    transitive: bool
-    effects_extremal: bool
-    distinguishability: bool
-    worst_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.orbit_pure
-            and self.hull_inside
-            and self.transitive
-            and self.effects_extremal
-            and self.distinguishability
-        )
 
 
 def orbit_ball_reconstruction(
@@ -401,19 +351,20 @@ def orbit_ball_reconstruction(
     rotation_count: int = 100,
     seed: int = 0,
     tol: float = 1e-10,
-) -> OrbitReport:
+) -> list[CheckRow]:
     """Rotate a pure ball state around and verify the orbit geometry.
 
-    Measured as deviations: the orbit stays on the unit sphere (norm - 1),
-    convex mixtures of orbit points stay inside the ball (the membership
-    margin), any target direction is reachable with a constructed rotation
-    (|O r - target|), rotated extremal effects (1, v)/2 keep reduced norm 1/2
-    and so stay normalized extremal effects, and antipodal pairs are
-    perfectly distinguished by half their own vectors (Gram matrix - 1).
+    Returns one row per property, each its own measured deviation against
+    `tol` and labelled with n: the orbit stays on the unit sphere
+    (`ball-orbit-pure`, norm - 1), convex mixtures of orbit points stay
+    inside the ball (`ball-orbit-hull-inside`, the membership margin), any
+    target direction is reachable with a constructed rotation
+    (`ball-orbit-transitive`, |O r - target|), rotated extremal effects
+    (1, v)/2 keep reduced norm 1/2 and so stay normalized extremal effects
+    (`ball-orbit-effects-extremal`), and antipodal pairs are perfectly
+    distinguished by half their own vectors (`ball-orbit-distinguishability`,
+    Gram matrix - 1).
     """
-    from .core import Ball
-    from .rotations import rotation_between
-
     r = np.asarray(seed_direction, dtype=float)
     if not abs(np.linalg.norm(r) - 1.0) <= 1e-9:
         raise ValueError("seed direction must be a unit vector")
@@ -450,14 +401,12 @@ def orbit_ball_reconstruction(
     mixture = 0.5 * plus + 0.5 * minus
     hull_dev = np.maximum(hull_dev, validate_state(ball, mixture).margin)
 
-    deviations = {
-        "orbit_pure": pure_dev,
-        "hull_inside": hull_dev,
-        "transitive": transitive_dev,
-        "effects_extremal": effect_dev,
-        "distinguishability": dist_dev,
-    }
-    return OrbitReport(
-        **{name: bool(dev <= tol) for name, dev in deviations.items()},
-        worst_deviation=float(np.max(list(deviations.values()))),
-    )
+    labels = {"n": n}
+    return [
+        CheckRow("ball-orbit-pure", rotation_count, pure_dev, tol, labels),
+        # 20 orbit mixtures and the antipodal one
+        CheckRow("ball-orbit-hull-inside", 21, hull_dev, tol, labels),
+        CheckRow("ball-orbit-transitive", len(targets), transitive_dev, tol, labels),
+        CheckRow("ball-orbit-effects-extremal", rotation_count, effect_dev, tol, labels),
+        CheckRow("ball-orbit-distinguishability", 1, dist_dev, tol, labels),
+    ]

@@ -86,8 +86,10 @@ def polygon_theory(sides: int) -> TheorySpec:
         generators = np.vstack([zero_effect(2), unit_effect(2), extremal])
     else:
         scale = 1.0 / (1.0 + p.radius**2)
-        extremal = scale * states
-        complements = unit_effect(2) - extremal
+        # u - c is exact (Sterbenz: c's first entry lies in [1/2, 1]), so
+        # each pair sums to the unit exactly; u - e would round
+        complements = unit_effect(2) - scale * states
+        extremal = unit_effect(2) - complements
         generators = np.vstack([zero_effect(2), unit_effect(2), extremal, complements])
     return TheorySpec(
         name=f"polygon:{sides}",

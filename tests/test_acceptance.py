@@ -281,26 +281,29 @@ def test_criterion_8_probability_invariance():
 def test_criterion_9_toy_spacetime():
     with criterion(9, "lattice translations as polygon rotations, N <= 12", 5.0):
         for sides in range(3, 13):
-            _, report = poincare.toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
-            assert report.representation.passed
-            assert report.representation.worst_deviation <= 1e-12
-            assert report.invariance_passed
-            assert report.nontrivial  # the wired representation is not trivial
-        _, fig_report = poincare.toy_discrete_spacetime(5, 2, tol=1e-12)
-        assert fig_report.passed
+            _, rows = poincare.toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
+            rows = {row.check: row for row in rows}
+            assert rows["toy-spacetime-homomorphism"].passed
+            assert rows["toy-spacetime-homomorphism"].worst_deviation <= 1e-12
+            assert rows["toy-spacetime-invariance"].passed
+            # the wired representation is not trivial
+            assert rows["toy-spacetime-nontrivial"].passed
+        _, fig_rows = poincare.toy_discrete_spacetime(5, 2, tol=1e-12)
+        assert all(row.passed for row in fig_rows)
 
 
 def test_criterion_10_ball_orbits():
     with criterion(10, "orbit purity, effect orbit, antipodal distinguishability", 10.0):
-        report = poincare.orbit_ball_reconstruction(
+        rows = poincare.orbit_ball_reconstruction(
             3, np.array([0.0, 0.0, 1.0]), rotation_count=100, seed=10, tol=1e-10
         )
-        assert report.orbit_pure
-        assert report.hull_inside
-        assert report.transitive
-        assert report.effects_extremal
-        assert report.distinguishability
-        assert report.worst_deviation <= 1e-10
+        rows = {row.check: row for row in rows}
+        assert rows["ball-orbit-pure"].passed
+        assert rows["ball-orbit-hull-inside"].passed
+        assert rows["ball-orbit-transitive"].passed
+        assert rows["ball-orbit-effects-extremal"].passed
+        assert rows["ball-orbit-distinguishability"].passed
+        assert max(row.worst_deviation for row in rows.values()) <= 1e-10
 
 
 def test_acceptance_suite_runs_from_cli(capsys):

@@ -314,6 +314,34 @@ def test_nan_deviation_fails_its_row(monkeypatch, capsys):
         assert not row["pass"]
 
 
+@pytest.mark.parametrize("nan_call", [1, 3])
+def test_a_nan_in_one_stack_fails_its_row(monkeypatch, capsys, nan_call):
+    # a NaN in the first stack is lost by a running max() seeded with 0.0,
+    # and one in a later stack by max() over the stacks; each suite's first
+    # kernel call falls in its first stack, the third in a later one
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 7)  # 20 samples: stacks of 7, 7 and 6
+    for command, module, kernel, check in (
+        ("minkowski-checks", minkowski, "interval", "interval-invariance"),
+        ("little-group-checks", minkowski, "wigner_rotation", "induced-rotation-in-so-n"),
+        ("invariance-checks", poincare, "classical_pairing", "pairing-invariance"),
+    ):
+        original, calls = getattr(module, kernel), []
+
+        def nan_once(*args, original=original, calls=calls, **kwargs):
+            calls.append(None)
+            out = original(*args, **kwargs)
+            return out * np.nan if len(calls) == nan_call else out
+
+        with monkeypatch.context() as patch, np.errstate(invalid="ignore"):
+            patch.setattr(module, kernel, nan_once)
+            code, out = run_cli([command, "--samples", "20"], capsys)
+        assert len(calls) >= nan_call
+        assert code == 1
+        row = next(row for row in json.loads(out) if row["check"] == check)
+        assert math.isnan(row["worst_deviation"])
+        assert not row["pass"]
+
+
 def test_zoo_roundtrip_rows_measure_the_largest_entry_change(monkeypatch, capsys):
     code, out = run_cli(["report", "--samples", "5"], capsys)
     assert code == 0

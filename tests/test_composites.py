@@ -607,16 +607,19 @@ def test_binary_measurements_sum_to_unit(name):
         assert np.max(np.abs(e + f - theory.unit)) <= 1e-10
 
 
-@pytest.mark.parametrize("name", ["polygon:4", "polygon:6", "polygon:8"])
-def test_even_polygon_measurement_pairs_sum_to_the_unit_exactly(name):
-    # antipodal effect coordinates are exact negatives, so the exact paths
-    # see pairs that sum to the unit with no rounding left over
+@pytest.mark.parametrize(
+    "name", ["polygon:3", "polygon:4", "polygon:5", "polygon:6", "polygon:7", "polygon:8", "polygon:9"]
+)
+def test_polygon_measurement_pairs_sum_to_the_unit_exactly(name):
+    # even polygons' antipodal effect coordinates are exact negatives, and odd
+    # polygons' effects are u minus their complements, so the exact paths see
+    # pairs that sum to the unit with no rounding left over
     theory = get_theory(name)
     for e, f in binary_measurements(theory):
         assert [Fraction(x) + Fraction(y) for x, y in zip(e, f)] == [1, 0, 0]
 
 
-@pytest.mark.parametrize("name", ["polygon:3", "polygon:4", "polygon:6", "polygon:8"])
+@pytest.mark.parametrize("name", ["polygon:3", "polygon:4", "polygon:5", "polygon:6", "polygon:8"])
 def test_exact_single_setting_chsh_stays_at_most_two(name):
     # one setting a side gives S = 2 E(a, b) <= 2 on the exact path
     p = get_theory(name)

@@ -47,6 +47,10 @@ def _rotation_transform(n, rng):
     return PoincareTransform(np.zeros(n + 1), lam)
 
 
+def by_check(rows):
+    return {row.check: row for row in rows}
+
+
 def test_classical_pairing_momentum_measurement():
     rng = np.random.default_rng(30)
     p = rest_momentum(1.0, 3)
@@ -146,9 +150,10 @@ def test_invariance_deviation_measures_the_worst_change():
 
 @pytest.mark.parametrize("sides", range(3, 9))
 def test_toy_report_carries_measured_deviation(sides):
-    _, report = toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
-    assert 0.0 <= report.invariance_deviation <= 1e-12
-    assert report.invariance_passed
+    _, rows = toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
+    invariance = by_check(rows)["toy-spacetime-invariance"]
+    assert 0.0 <= invariance.worst_deviation <= 1e-12
+    assert invariance.passed
 
 
 def test_invariance_trivial_rep():
@@ -302,21 +307,20 @@ def test_detector_sphere_invariance_many_rotations():
 
 
 def test_toy_discrete_spacetime_five_two():
-    rep, report = toy_discrete_spacetime(5, 2)
-    assert report.passed
-    assert report.nontrivial
-    assert report.representation.worst_deviation <= 1e-12
-    assert [row.check for row in report.rows] == [
+    rep, rows = toy_discrete_spacetime(5, 2)
+    assert [row.check for row in rows] == [
         "toy-spacetime-homomorphism",
         "toy-spacetime-invariance",
         "toy-spacetime-nontrivial",
     ]
-    assert all(row.labels == {"N": 5, "k": 2} and row.passed for row in report.rows)
+    assert all(row.labels == {"N": 5, "k": 2} and row.passed for row in rows)
+    assert by_check(rows)["toy-spacetime-nontrivial"].passed
+    assert by_check(rows)["toy-spacetime-homomorphism"].worst_deviation <= 1e-12
 
 
 def test_toy_discrete_spacetime_identity_shift():
-    _, report = toy_discrete_spacetime(5, 5)  # k = N acts as the identity
-    assert report.passed
+    _, rows = toy_discrete_spacetime(5, 5)  # k = N acts as the identity
+    assert all(row.passed for row in rows)
 
 
 @pytest.mark.parametrize("sides", range(3, 13))
@@ -352,31 +356,41 @@ def test_little_group_internal_map_reduces_for_rotations():
 
 
 def test_orbit_ball_reconstruction():
-    report = orbit_ball_reconstruction(3, np.array([0.0, 0.0, 1.0]))
-    assert report.passed
-    assert report.worst_deviation <= 1e-10
-    # each property is its own deviation against tol, so they fail together
+    rows = orbit_ball_reconstruction(3, np.array([0.0, 0.0, 1.0]))
+    assert [row.check for row in rows] == [
+        "ball-orbit-pure",
+        "ball-orbit-hull-inside",
+        "ball-orbit-transitive",
+        "ball-orbit-effects-extremal",
+        "ball-orbit-distinguishability",
+    ]
+    assert all(row.passed and row.labels == {"n": 3} for row in rows)
+    assert all(0.0 <= row.worst_deviation <= row.tolerance == 1e-10 for row in rows)
+    # each property is its own deviation against tol, so a tighter tol fails
+    # the rows whose deviation exceeds it
     tight = orbit_ball_reconstruction(3, np.array([0.0, 0.0, 1.0]), tol=1e-16)
-    assert tight.worst_deviation > 1e-16 and not tight.passed
+    assert [row.passed for row in tight] == [row.worst_deviation <= 1e-16 for row in rows]
+    assert not all(row.passed for row in tight)
 
 
 def test_orbit_worst_deviation_counts_the_hull_margin(monkeypatch):
     monkeypatch.setattr(
         poincare, "validate_state", lambda space, v: MembershipReport(True, 0.25)
     )
-    report = orbit_ball_reconstruction(3, np.array([0.0, 0.0, 1.0]))
-    assert report.worst_deviation == 0.25
-    assert not report.hull_inside and not report.passed
+    rows = by_check(orbit_ball_reconstruction(3, np.array([0.0, 0.0, 1.0])))
+    hull = rows.pop("ball-orbit-hull-inside")
+    assert hull.worst_deviation == 0.25 and not hull.passed
+    assert all(row.passed for row in rows.values())
 
 
 def test_orbit_ball_reconstruction_other_dimensions():
     e1 = np.array([1.0, 0.0])
-    assert orbit_ball_reconstruction(2, e1, rotation_count=50).passed
+    assert all(row.passed for row in orbit_ball_reconstruction(2, e1, rotation_count=50))
     # SO(1) holds the identity only, which keeps -1 where it is
-    assert orbit_ball_reconstruction(1, np.array([-1.0])).passed
+    assert all(row.passed for row in orbit_ball_reconstruction(1, np.array([-1.0])))
     e4 = np.zeros(4)
     e4[0] = 1.0
-    assert orbit_ball_reconstruction(4, e4, rotation_count=50).passed
+    assert all(row.passed for row in orbit_ball_reconstruction(4, e4, rotation_count=50))
     for bad in ([0.0, 0.0, 0.5], [np.nan, 0.0, 1.0]):
         with pytest.raises(ValueError):
             orbit_ball_reconstruction(3, np.array(bad))
