@@ -304,6 +304,13 @@ def maximize_chsh(
     `effect_rows` plus the scenario's effects.  Polytope locals give exact
     optima under exact pivoting; a ball local is bounded through its
     `core.BALL_EFFECT_COUNT` fixed extremal effects, an outer relaxation.
+
+    On the float path a pass with three or more representatives solves them
+    on one warm HiGHS model (`lp.linear_programs`).  If the winner is one of
+    them, it is re-solved cold by `lp.linear_program`, whose value and
+    optimizer are returned: a warm solve may end at another vertex of a
+    degenerate optimum.  With that re-solve, a stack saves time only from
+    its third row on, so smaller passes solve each representative cold.
     """
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
@@ -322,16 +329,24 @@ def maximize_chsh(
     objectives = _chsh_objectives(meas_a, meas_b, choices)
     distinct = (choices[:, 0] != choices[:, 1]) & (choices[:, 2] != choices[:, 3])
     solutions: dict[int, lp.LpSolution] = {}
+    warm: set[int] = set()
     for batch in (np.flatnonzero(distinct), np.flatnonzero(~distinct)):
         classes = symmetry_classes(objectives[batch], group_a, group_b)
         reps = batch[classes == np.arange(len(batch))]
-        # classes are found in float; the exact LP gets the exact objective
-        rep_objectives = (_chsh_objectives(meas_a, meas_b, choices[reps], exact=True)
-                          if exact else objectives[reps])
-        for i, objective in zip(reps, rep_objectives):
-            sol = lp.linear_program(
-                objective, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact
+        if exact or len(reps) < 3:
+            # classes are found in float; the exact LP gets the exact objective
+            rep_objectives = (_chsh_objectives(meas_a, meas_b, choices[reps], exact=True)
+                              if exact else objectives[reps])
+            rep_solutions = [
+                lp.linear_program(objective, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact)
+                for objective in rep_objectives
+            ]
+        else:
+            rep_solutions = lp.linear_programs(
+                objectives[reps], a_eq, b_eq, a_ub, b_ub, maximize=True
             )
+            warm.update(reps.tolist())
+        for i, sol in zip(reps, rep_solutions):
             if sol.status != "optimal":  # pragma: no cover - the set is compact
                 raise RuntimeError(f"CHSH optimization failed: {sol.status}")
             solutions[int(i)] = sol
@@ -340,14 +355,17 @@ def maximize_chsh(
         # 1e-16 by which float effect pairs miss the unit on the exact path
         if solutions and max(s.value for s in solutions.values()) > 2.0 + 1e-6:
             break
-    # HiGHS spreads the optima inside one class by about 3e-14; values within
-    # 1e-9 of the best tie, and the first in row-major order wins
+    # HiGHS spreads the optima inside one class, warm or cold, by under 1e-12;
+    # values within 1e-9 of the best tie, and the first in row-major order wins
     top = max(s.value for s in solutions.values())
     best = min(i for i, s in solutions.items() if s.value >= top - 1e-9)
-    witness = JointState(solutions[best].x, local_a, local_b, check=False)
-    return ChshOptimum(
-        solutions[best].value, witness, tuple(int(i) for i in choices[best])
-    )
+    sol = solutions[best]
+    if best in warm:
+        # warm solves may end at another vertex of a degenerate optimum, and
+        # what is printed for a witness depends on the vertex: re-solve cold
+        sol = lp.linear_program(objectives[best], a_eq, b_eq, a_ub, b_ub, maximize=True)
+    witness = JointState(sol.x, local_a, local_b, check=False)
+    return ChshOptimum(sol.value, witness, tuple(int(i) for i in choices[best]))
 
 
 def enumerate_deterministic_chsh() -> float:

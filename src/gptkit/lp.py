@@ -5,7 +5,9 @@ Each problem builds one LP and hands it to one of two solvers:
 * floating point: HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp.
   10, 119 (2018)), called through the ``scipy.optimize._highspy._core``
   bindings that ``scipy.optimize.linprog`` itself calls, used for
-  interactive-scale runs, and
+  interactive-scale runs.  LPs that differ only in their objective are
+  solved as a stack on one model (`linear_programs`), each warm from the
+  last optimal basis, and
 * exact: a two-phase primal simplex with Bland's rule, used for acceptance
   runs.  Inputs are converted once with ``Fraction(v)``, which is exact for
   floats and Fractions, and each tableau row, the cost row included, is
@@ -340,8 +342,8 @@ def _hull_by_column_generation(pts: np.ndarray, tgt: np.ndarray) -> tuple[np.nda
     while True:
         a_eq = np.hstack([pts[master].T, eye, -eye])
         c = np.concatenate([np.zeros(len(master)), np.ones(width)])
-        status, x, fun, duals = _solve_highs(
-            c, None, None, a_eq, tgt, np.zeros(len(c)), np.full(len(c), np.inf)
+        [(status, x, fun, duals)] = _solve_highs(
+            [c], None, None, a_eq, tgt, np.zeros(len(c)), np.full(len(c), np.inf)
         )
         if status != "optimal":  # pragma: no cover - the relaxation is always feasible
             raise RuntimeError(f"membership LP is {status}")
@@ -382,8 +384,11 @@ def linear_program(
     maximize: bool = False,
     exact: bool = False,
 ) -> LpSolution:
-    """Solve an LP over free variables; thin switch between both backends."""
-    obj = np.asarray(c, dtype=float)
+    """Solve an LP over free variables; thin switch between both backends.
+
+    The float path is `linear_programs` on a stack of one row, solved cold,
+    so its solution is ``linprog(method="highs")``'s bit for bit.
+    """
     sign = -1.0 if maximize else 1.0
     if exact:
         # negate the Fractions themselves: a float sign would round them
@@ -403,13 +408,26 @@ def linear_program(
             np.array([float(v) for v in x]),
             sign * float(value),
         )
-    n = obj.shape[0]
-    status, x, fun, _ = _solve_highs(
-        sign * obj, a_ub, b_ub, a_eq, b_eq, np.full(n, -np.inf), np.full(n, np.inf)
-    )
-    if status != "optimal":
-        return LpSolution(status, None, None)
-    return LpSolution("optimal", x, sign * fun)
+    return linear_programs([c], a_eq, b_eq, a_ub, b_ub, maximize)[0]
+
+
+def linear_programs(objectives, a_eq, b_eq, a_ub, b_ub, maximize=False) -> list[LpSolution]:
+    """The float path of `linear_program` for each row of the 2-D
+    `objectives`, all over the same constraint rows; one solution per row.
+
+    The rows are solved in turn on one HiGHS object, each from the previous
+    optimal basis (`_solve_highs`).  Each optimum equals a cold solve's
+    within HiGHS's tolerances, but where it is degenerate x may be another
+    optimal vertex than a cold solve's.  A stack of one row is solved cold:
+    it is `linear_program`'s float path.
+    """
+    sign = -1.0 if maximize else 1.0
+    costs = sign * np.asarray(objectives, dtype=float)
+    free = np.full(costs.shape[-1], np.inf)
+    return [
+        LpSolution(status, x, None if fun is None else sign * fun)
+        for status, x, fun, _ in _solve_highs(costs, a_ub, b_ub, a_eq, b_eq, -free, free)
+    ]
 
 
 def _rows(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,28 +443,40 @@ def _highs_inf(v) -> list[float]:
     return np.where(np.isinf(v), np.copysign(highs.kHighsInf, v), v).tolist()
 
 
-def _solve_highs(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
-    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, lb <= x <= ub.
+def _solve_highs(costs, a_ub, b_ub, a_eq, b_eq, lb, ub):
+    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, lb <= x <= ub,
+    for each row c of the 2-D stack `costs`.
 
     Builds the model ``linprog(method="highs")`` builds (rows [a_ub; a_eq]
-    in column-compressed order) and solves it cold on a new HiGHS object
-    with linprog's options, so x, the objective and the duals are linprog's
-    bit for bit, without its per-call option handling.  Statuses map as in
-    linprog: a model error reads infeasible, and any status other than
-    optimal, infeasible or unbounded raises.  As in linprog, an optimal
-    point must pass a check: no NaN, bounds, a_ub rows and equality rows
-    within 10 * sqrt(1e-9); a violation raises.  Returns (status, x,
-    objective, equality duals), the last three None unless optimal.
+    in column-compressed order, the first row's costs) once, and passes it
+    to one new HiGHS object.  A stack of one row is solved cold with
+    linprog's options, so x, the objective and the duals are linprog's bit
+    for bit, without its per-call option handling.  A longer stack is solved
+    with presolve off, and only the costs change between solves
+    (``changeColsCost``): the last optimal basis stays primal feasible, so
+    each solve starts from it and takes a few simplex iterations (a warm
+    re-solve never presolves, and presolve's data would stay alive through
+    the whole stack).  Its optima equal the cold ones within HiGHS's
+    tolerances, but a degenerate one may come back at another vertex.
+    Statuses map as in linprog: a model error reads infeasible, and any
+    status other than optimal, infeasible or unbounded raises.  As in
+    linprog, an optimal point must pass a check: no NaN, bounds, a_ub rows
+    and equality rows within 10 * sqrt(1e-9); a violation raises.  Returns
+    one (status, x, objective, equality duals) per row, the last three None
+    unless optimal.
     """
-    c = np.asarray(c, dtype=float)
-    n = len(c)
+    costs = np.asarray(costs, dtype=float)
+    n = costs.shape[-1]
     a_ub, b_ub = _rows(a_ub, b_ub, n)
     a_eq, b_eq = _rows(a_eq, b_eq, n)
     a = np.vstack([a_ub, a_eq])
     rhs = np.concatenate([b_ub, b_eq])
-    finite = np.isfinite(c).all() and np.isfinite(a).all() and not np.isnan(rhs).any()
-    if len(rhs) != len(a) or not finite:
-        raise ValueError("malformed LP: row counts differ, or c, A or b is not finite")
+    finite = np.isfinite(costs).all() and np.isfinite(a).all() and not np.isnan(rhs).any()
+    if costs.ndim != 2 or len(rhs) != len(a) or not finite:
+        raise ValueError("malformed LP: costs are not a stack, row counts differ, "
+                         "or c, A or b is not finite")
+    if not len(costs):
+        return []
     cols, rows = np.nonzero(a.T)  # column by column, rows ascending
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n
@@ -456,40 +486,44 @@ def _solve_highs(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
     model.a_matrix_.start_ = start.tolist()  # lists, as in _highs_inf
     model.a_matrix_.index_ = rows.tolist()
     model.a_matrix_.value_ = a.T[cols, rows].tolist()
-    model.col_cost_ = c.tolist()
+    model.col_cost_ = costs[0].tolist()
     model.col_lower_ = _highs_inf(lb)
     model.col_upper_ = _highs_inf(ub)
     model.row_lower_ = _highs_inf(np.concatenate([np.full(len(b_ub), -np.inf), b_eq]))
     model.row_upper_ = _highs_inf(rhs)
 
     solver = highs._Highs()
-    for name, value in _HIGHS_OPTIONS.items():
+    for name, value in {**_HIGHS_OPTIONS, "presolve": "on" if len(costs) == 1 else "off"}.items():
         if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:  # pragma: no cover
             raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
     if solver.passModel(model) == highs.HighsStatus.kError:
-        status = highs.HighsModelStatus.kModelError
-    else:
+        return [("infeasible", None, None, None)] * len(costs)
+    results = []
+    for k, cost in enumerate(costs):
+        if k:
+            solver.changeColsCost(n, range(n), cost)
         solver.run()
         status = solver.getModelStatus()
-    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
-        return "infeasible", None, None, None
-    if status == highs.HighsModelStatus.kUnbounded:
-        return "unbounded", None, None, None
-    if status != highs.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"LP failed: HiGHS status {solver.modelStatusToString(status)}")
-
-    solution = solver.getSolution()
-    x = np.array(solution.col_value)
-    fun = solver.getInfo().objective_function_value
-    slack = rhs - np.array(solution.row_value)
-    tol = _HIGHS_CHECK_TOL
-    if (
-        np.isnan(x).any()
-        or math.isnan(fun)
-        or np.isnan(slack).any()
-        or not np.all((x >= lb - tol) & (x <= ub + tol))
-        or (slack[: len(b_ub)] < -tol).any()
-        or (np.abs(slack[len(b_ub):]) > tol).any()
-    ):
-        raise RuntimeError(f"HiGHS's optimum violates the LP by more than {tol:.2e}")
-    return "optimal", x, fun, np.array(solution.row_dual)[len(b_ub):]
+        if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
+            results.append(("infeasible", None, None, None))
+        elif status == highs.HighsModelStatus.kUnbounded:
+            results.append(("unbounded", None, None, None))
+        elif status != highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"LP failed: HiGHS status {solver.modelStatusToString(status)}")
+        else:
+            solution = solver.getSolution()
+            x = np.array(solution.col_value)
+            fun = solver.getInfo().objective_function_value
+            slack = rhs - np.array(solution.row_value)
+            tol = _HIGHS_CHECK_TOL
+            if (
+                np.isnan(x).any()
+                or math.isnan(fun)
+                or np.isnan(slack).any()
+                or not np.all((x >= lb - tol) & (x <= ub + tol))
+                or (slack[: len(b_ub)] < -tol).any()
+                or (np.abs(slack[len(b_ub):]) > tol).any()
+            ):
+                raise RuntimeError(f"HiGHS's optimum violates the LP by more than {tol:.2e}")
+            results.append(("optimal", x, fun, np.array(solution.row_dual)[len(b_ub):]))
+    return results

@@ -13,8 +13,10 @@ from gptkit.lp import (
     exact_linprog,
     hull_membership,
     linear_program,
+    linear_programs,
 )
 from gptkit.zoo import get_theory
+from test_composites import REFERENCE_CASES
 
 
 def test_exact_linprog_simple_max():
@@ -486,30 +488,52 @@ def test_direct_highs_sets_the_options_linprog_sets():
     assert options["highs_debug_level"] == highs.HighsDebugLevel.kHighsDebugLevelNone
 
 
-def _assert_matches_linprog(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
+def _assert_matches_linprog(costs, a_ub, b_ub, a_eq, b_eq, lb, ub):
+    """A one-row stack is solved cold: linprog's x, objective and duals bit
+    for bit.  A longer one is solved warm, and may end at another optimal
+    vertex: each row's optimum is linprog's within the CHSH tie width 1e-9,
+    at a point that satisfies the LP within the check tolerance."""
     from scipy.optimize import linprog as scipy_linprog
 
-    status, x, fun, duals = lp_module._solve_highs(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-    ref = scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                        bounds=np.column_stack([lb, ub]), method="highs")
-    assert ref.success and status == "optimal"
-    assert x.tobytes() == ref.x.tobytes()
-    assert fun == ref.fun
-    assert duals.tobytes() == ref.eqlin.marginals.tobytes()
+    results = lp_module._solve_highs(costs, a_ub, b_ub, a_eq, b_eq, lb, ub)
+    assert len(results) == len(costs)
+    tol = lp_module._HIGHS_CHECK_TOL
+    for c, (status, x, fun, duals) in zip(costs, results):
+        ref = scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                            bounds=np.column_stack([lb, ub]), method="highs")
+        assert ref.success and status == "optimal"
+        if len(costs) == 1:
+            assert x.tobytes() == ref.x.tobytes()
+            assert fun == ref.fun
+            assert duals.tobytes() == ref.eqlin.marginals.tobytes()
+        else:
+            assert abs(fun - ref.fun) <= 1e-9
+            assert abs(np.dot(c, x) - fun) <= 1e-9
+            assert np.all((x >= lb - tol) & (x <= ub + tol))
+            if a_ub is not None:
+                assert (a_ub @ x - b_ub).max() <= tol
+            assert np.abs(a_eq @ x - b_eq).max() <= tol
 
 
-@pytest.mark.parametrize(
-    "name_a, name_b",
-    [("polygon:5", "polygon:5"), ("polygon:8", "polygon:8"), ("ball:3", "polygon:4")],
-)
+# the pairs the scan is checked on against a full scan, and the chsh-float
+# benchmark pairs
+CHSH_PAIRS = sorted({(a, b) for a, b, _ in REFERENCE_CASES}
+                    | {("polygon:5", "polygon:5"), ("polygon:8", "polygon:8")})
+
+
+@pytest.mark.parametrize("name_a, name_b", CHSH_PAIRS)
 def test_direct_highs_matches_linprog_on_chsh_class_lps(name_a, name_b):
-    # every class-representative LP of the scan, solved by both routes
+    # every class-representative LP of the scan, and the cold re-solve of a
+    # winner from a warm stack, solved by both routes
     calls = _recorded_highs_lps(
         lambda: composites.maximize_chsh(get_theory(name_a), get_theory(name_b))
     )
     assert calls
     for args in calls:
         _assert_matches_linprog(*args)
+    # a pass of three or more classes is one warm stack, a smaller one is
+    # solved cold, one row at a time
+    assert all(len(args[0]) == 1 or len(args[0]) >= 3 for args in calls)
 
 
 def test_direct_highs_matches_linprog_on_column_generation_masters():
@@ -541,6 +565,30 @@ def test_direct_highs_rejects_malformed_lps():
         linear_program(np.array([np.nan]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
     with pytest.raises(ValueError):
         linear_program(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0, 2.0]))
+
+
+def test_a_stacked_solve_reports_unbounded_for_that_row_only():
+    # maximize over x <= (1, 1): (1, 1) reaches 2, (-1, 0) is unbounded
+    # below in x_0, (0, 1) reaches 1, warm from the unbounded row's basis
+    a_ub, b_ub = np.eye(2), np.ones(2)
+    solutions = linear_programs(
+        np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]]), None, None, a_ub, b_ub, maximize=True
+    )
+    assert [sol.status for sol in solutions] == ["optimal", "unbounded", "optimal"]
+    assert solutions[1] == lp_module.LpSolution("unbounded", None, None)
+    assert [solutions[0].value, solutions[2].value] == [2.0, 1.0]
+    assert solutions[0].x.tolist() == [1.0, 1.0] and solutions[2].x[1] == 1.0
+
+
+def test_a_stacked_solve_rejects_malformed_stacks():
+    a_ub, b_ub = np.eye(2), np.ones(2)
+    with pytest.raises(ValueError):
+        linear_programs(np.array([[1.0, 1.0], [np.nan, 0.0]]), None, None, a_ub, b_ub)
+    with pytest.raises(ValueError):
+        linear_programs(np.array([1.0, 1.0]), None, None, a_ub, b_ub)  # not a stack
+    with pytest.raises(ValueError):
+        linear_programs(np.ones((2, 2)), None, None, a_ub, np.ones(3))
+    assert linear_programs(np.empty((0, 2)), None, None, a_ub, b_ub) == []  # empty, not malformed
 
 
 _SHARED_SCIPY_MODULES = """
