@@ -150,21 +150,9 @@ class TheorySpec:
             if m.shape != (self.dim + 1, self.dim + 1):
                 raise ValueError("reversible generators must be (d+1)x(d+1)")
         object.__setattr__(self, "reversibles", revs)
-        self._validate_effect_generators()
-
-    def _validate_effect_generators(self, tol: float = DEFAULT_TOL) -> None:
-        # every generator must give values in [0, 1] across the state space
-        if not isinstance(self.effects, PolytopeEffects):
-            return
-        gens = self.effects.generators
-        if isinstance(self.states, Polytope):
-            values = gens @ self.states.vertices.T
-            low, high = values.min(), values.max()
-        else:
-            radii = np.linalg.norm(gens[:, 1:], axis=1)
-            low = (gens[:, 0] - radii).min()
-            high = (gens[:, 0] + radii).max()
-        if low < -tol or high > 1.0 + tol:
+        if isinstance(self.effects, PolytopeEffects) and not is_normalized_effect(
+            self, self.effects.generators
+        ):
             raise ValueError("an effect generator leaves [0, 1] on the state space")
 
     @property
@@ -284,17 +272,18 @@ def is_normalized_effect(
 ) -> bool:
     """Does `e` give values in [0, 1] on the whole state space?
 
-    Checked at the vertices for polytopes; for balls the exact condition is
-    0 <= e0 +- ||e_reduced|| <= 1.
+    `e` is one effect or a stack of them, one per row; a stack passes only
+    if every row does.  Checked at the vertices for polytopes; for balls the
+    exact condition is 0 <= e0 +- ||e_reduced|| <= 1.
     """
     vec = np.asarray(e, dtype=float)
-    if vec.shape != (theory.dim + 1,):
+    if vec.ndim not in (1, 2) or vec.shape[-1] != theory.dim + 1:
         raise ValueError("effect has the wrong length for this theory")
     if isinstance(theory.states, Ball):
-        r = float(np.linalg.norm(vec[1:]))
-        lo, hi = vec[0] - r, vec[0] + r
-        return lo >= -tol and hi <= 1.0 + tol
-    values = theory.states.vertices @ vec
+        r = np.linalg.norm(vec[..., 1:], axis=-1)
+        lo, hi = vec[..., 0] - r, vec[..., 0] + r
+        return bool(np.min(lo) >= -tol and np.max(hi) <= 1.0 + tol)
+    values = vec @ theory.states.vertices.T
     return bool(values.min() >= -tol and values.max() <= 1.0 + tol)
 
 
@@ -312,17 +301,14 @@ def _maps_states_inside(theory: TheorySpec, m: np.ndarray, tol: float) -> bool:
             validate_state(theory.states, m @ v, tol).member
             for v in theory.states.vertices
         )
-    # ball path: structural check plus a deterministic sphere sample
+    # an affine bijection of the ball fixes its centre, so the reversible
+    # maps are exactly 1 (+) O(d): first row and column e0, block orthogonal
     d = theory.dim
     first_row_ok = np.max(np.abs(m[0] - unit_effect(d))) <= tol
     first_col_ok = np.max(np.abs(m[:, 0] - unit_effect(d))) <= tol
     block = m[1:, 1:]
     orthogonal = np.max(np.abs(block.T @ block - np.eye(d))) <= tol
-    if not (first_row_ok and first_col_ok and orthogonal):
-        return False
-    images = theory.extreme_states() @ m.T
-    norms = np.linalg.norm(images[:, 1:], axis=1)
-    return bool(np.max(np.abs(images[:, 0] - 1.0)) <= tol and np.max(norms) <= 1.0 + tol)
+    return bool(first_row_ok and first_col_ok and orthogonal)
 
 
 def is_reversible(theory: TheorySpec, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -30,7 +30,6 @@ import numpy as np
 from .rotations import (
     dots,
     norms,
-    rotation_angle_from_trace,
     rotation_taking_first_axis,
     sample_special_orthogonal,
 )
@@ -309,8 +308,10 @@ def wigner_rotation(lam: np.ndarray, p: MassiveMomentum) -> np.ndarray:
 
 
 def rotation_block_angle(w: np.ndarray) -> float:
-    """Rotation angle of a (1+3) little-group output via the trace formula."""
-    return rotation_angle_from_trace(np.asarray(w, dtype=float)[1:, 1:])
+    """Rotation angle of a (1+3) little-group output via acos((tr - 1)/2) of
+    its spatial block, argument clamped."""
+    arg = (float(np.trace(np.asarray(w, dtype=float)[1:, 1:])) - 1.0) / 2.0
+    return float(np.arccos(np.clip(arg, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

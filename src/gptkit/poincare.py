@@ -8,8 +8,8 @@ continuum delta is rendered as exact label agreement).
 
 Frame changes act on the label through their Lorentz part and on the
 internal vectors through an assigned representation.  Effects transform with
-the transpose inverse of the state map by default: that is the unique linear
-choice keeping every outcome probability invariant.
+the transpose inverse of the state map: that is the unique linear choice
+keeping every outcome probability invariant.
 
 The pairing, the frame changes, the invariance deviation and the detector
 experiment take leading sample axes, as the `minkowski` kernels do, with one
@@ -49,34 +49,25 @@ class ClassicalMomentumState:
         object.__setattr__(self, "internal", v)
 
 
-@dataclass(frozen=True)
-class ClassicalMomentumEffect:
-    momentum: MassiveMomentum
-    internal: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.internal, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "internal", v)
+class ClassicalMomentumEffect(ClassicalMomentumState):
+    """A momentum-labelled effect: stored as a state is, moved by
+    `transform_classical` through the transpose inverse of the state map."""
 
 
 @dataclass(frozen=True)
 class RepMap:
     """Assignment of internal linear maps to group elements.
 
-    `state_map` gives the action on states; the effect action defaults to
-    its transpose inverse so that pairings are preserved identically.
+    `state_map` gives the action on states; effects always move by its
+    transpose inverse, so every pairing is preserved identically.
     """
 
     state_map: Callable[[Any], np.ndarray]
-    effect_map: Callable[[Any], np.ndarray] | None = None
 
     def state(self, g) -> np.ndarray:
         return np.asarray(self.state_map(g), dtype=float)
 
     def effect(self, g) -> np.ndarray:
-        if self.effect_map is not None:
-            return np.asarray(self.effect_map(g), dtype=float)
         return np.swapaxes(np.linalg.inv(self.state(g)), -1, -2)
 
 
@@ -110,16 +101,15 @@ def classical_pairing(
 def transform_classical(
     p: PoincareTransform, z: ClassicalMomentumState, rep: RepMap
 ) -> ClassicalMomentumState:
-    """(label, internal) -> (Lambda label, R_state internal)."""
+    """(label, internal) -> (Lambda label, R internal), of the type of `z`.
+
+    R is `rep.effect(p)`, the transpose inverse of the state map, for a
+    `ClassicalMomentumEffect` and `rep.state(p)` for a state.  The label moves
+    first, so a frame change that is not Lorentz fails on the mass shell.
+    """
     moved = MassiveMomentum(apply_lorentz(p.lorentz, z.momentum.vector), z.momentum.mass)
-    return ClassicalMomentumState(moved, apply_lorentz(rep.state(p), z.internal))
-
-
-def transform_classical_effect(
-    p: PoincareTransform, e: ClassicalMomentumEffect, rep: RepMap
-) -> ClassicalMomentumEffect:
-    moved = MassiveMomentum(apply_lorentz(p.lorentz, e.momentum.vector), e.momentum.mass)
-    return ClassicalMomentumEffect(moved, apply_lorentz(rep.effect(p), e.internal))
+    r = rep.effect(p) if isinstance(z, ClassicalMomentumEffect) else rep.state(p)
+    return type(z)(moved, apply_lorentz(r, z.internal))
 
 
 def invariance_deviation(
@@ -139,7 +129,7 @@ def invariance_deviation(
     for effect, state in pairs:
         before = classical_pairing(effect, state, p_tol)
         state2 = transform_classical(element, state, rep)
-        effect2 = transform_classical_effect(element, effect, rep)
+        effect2 = transform_classical(element, effect, rep)
         after = classical_pairing(effect2, state2, p_tol)
         worst = np.maximum(worst, np.max(np.abs(after - before)))
     return float(worst)

@@ -165,9 +165,3 @@ def deterministic_sphere_points(n: int, count: int) -> np.ndarray:
     rng = np.random.default_rng(20240 + n)
     pts = rng.standard_normal((count, n))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def rotation_angle_from_trace(o3: np.ndarray) -> float:
-    """Angle of a 3x3 rotation via acos((tr - 1)/2), argument clamped."""
-    arg = (float(np.trace(o3)) - 1.0) / 2.0
-    return float(np.arccos(np.clip(arg, -1.0, 1.0)))

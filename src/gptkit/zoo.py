@@ -262,15 +262,13 @@ class BoxWorld:
 
     local: TheorySpec
     measurements: tuple[tuple[np.ndarray, np.ndarray], ...]
-    measurement_indices: tuple[tuple[int, int], ...]
 
 
 def box_world_pair() -> BoxWorld:
     local = polygon_theory(4)
     extremal = local.extremal_effects()
-    pairs = ((0, 2), (1, 3))
-    measurements = tuple((extremal[i].copy(), extremal[j].copy()) for i, j in pairs)
-    return BoxWorld(local=local, measurements=measurements, measurement_indices=pairs)
+    measurements = tuple((extremal[i].copy(), extremal[j].copy()) for i, j in ((0, 2), (1, 3)))
+    return BoxWorld(local=local, measurements=measurements)
 
 
 # ---------------------------------------------------------------------------

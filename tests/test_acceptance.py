@@ -264,7 +264,7 @@ def test_criterion_8_probability_invariance():
                 g = minkowski.PoincareTransform(np.zeros(n + 1), lam)
                 before = poincare.classical_pairing(effect, state)
                 after = poincare.classical_pairing(
-                    poincare.transform_classical_effect(g, effect, rep),
+                    poincare.transform_classical(g, effect, rep),
                     poincare.transform_classical(g, state, rep),
                 )
                 assert abs(after - before) <= 1e-10

@@ -7,6 +7,8 @@ from gptkit.core import (
     Ball,
     MembershipReport,
     Polytope,
+    PolytopeEffects,
+    TheorySpec,
     apply_map,
     clamp_probability,
     convex_mix,
@@ -103,6 +105,40 @@ def test_is_normalized_effect():
     assert is_normalized_effect(BIT, BIT.unit)
     assert is_normalized_effect(BALL3, BALL3.unit)
     assert not is_normalized_effect(BIT, np.array([1.0, 1.0]))  # gives 2 on one state
+    # a stack of effects, one per row, passes only if every row does
+    ball_rows = [0.5 * np.array([1.0, 0.6, 0.0, 0.8]), BALL3.unit, BALL3.zero]
+    assert is_normalized_effect(BALL3, np.array(ball_rows))
+    assert not is_normalized_effect(BALL3, np.array(ball_rows + [[0.5, 0.6, 0.0, 0.0]]))
+    assert is_normalized_effect(BIT, BIT.effects.generators)
+    assert not is_normalized_effect(BIT, np.array([BIT.unit, [1.0, 1.0]]))
+    with pytest.raises(ValueError, match="wrong length"):
+        is_normalized_effect(BIT, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="wrong length"):
+        is_normalized_effect(BALL3, np.zeros(3))
+
+
+def test_construction_rejects_a_generator_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+        TheorySpec(
+            name="bad-bit",
+            dim=1,
+            states=BIT.states,
+            effects=PolytopeEffects([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
+        )
+    with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+        TheorySpec(
+            name="bad-disc",
+            dim=2,
+            states=Ball(2),
+            effects=PolytopeEffects([[0, 0, 0], [1, 0, 0], [0.5, 0.6, 0]]),
+        )
+    disc = TheorySpec(
+        name="disc",
+        dim=2,
+        states=Ball(2),
+        effects=PolytopeEffects([[0, 0, 0], [1, 0, 0], [0.5, 0.5, 0]]),
+    )
+    assert disc.effect_rows().shape == (2, 3)
 
 
 def test_apply_map_bit_reflection_swaps_states():
@@ -118,14 +154,28 @@ def test_apply_map_rotation_about_z_by_pi():
     assert np.allclose(out, state_from_point([-1.0, 0.0, 0.0]))
 
 
-def test_is_reversible():
+def test_is_reversible(monkeypatch):
+    # a ball map is decided without the ball discretization: it is
+    # reversible iff it is 1 (+) O(d)
+    listed = TheorySpec.extreme_states
+
+    def no_ball_listing(theory):
+        if isinstance(theory.states, Ball):
+            raise AssertionError("the ball discretization was read")
+        return listed(theory)
+
+    monkeypatch.setattr(TheorySpec, "extreme_states", no_ball_listing)
     assert is_reversible(BIT, BIT.reversibles[0])
     assert not is_reversible(BIT, np.diag([1.0, 0.0]))  # singular: reports False
     for m in sample_ball_rotations(3, 3, seed=5):
         assert is_reversible(BALL3, m)
+    assert is_reversible(BALL3, np.diag([1.0, -1.0, 1.0, 1.0]))  # a reflection
     shear = np.eye(4)
     shear[1, 2] = 0.4
     assert not is_reversible(BALL3, shear)
+    moves_the_centre = np.eye(4)
+    moves_the_centre[1, 0] = 0.1
+    assert not is_reversible(BALL3, moves_the_centre)
 
 
 def test_convex_mix():

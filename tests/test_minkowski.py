@@ -828,7 +828,7 @@ def _reference_invariance_rows(n, mass, stacks, seed, tol):
             g = PoincareTransform(np.zeros(n + 1), lam)
             before = poincare.classical_pairing(effect, state)
             after = poincare.classical_pairing(
-                poincare.transform_classical_effect(g, effect, rep),
+                poincare.transform_classical(g, effect, rep),
                 poincare.transform_classical(g, state, rep),
             )
             worst_pairing = np.maximum(worst_pairing, abs(after - before))

@@ -30,7 +30,6 @@ from gptkit.poincare import (
     toy_discrete_spacetime,
     toy_translation_rep,
     transform_classical,
-    transform_classical_effect,
     trivial_rep,
 )
 from gptkit.rotations import sample_special_orthogonal
@@ -49,6 +48,13 @@ def _rotation_transform(n, rng):
 
 def by_check(rows):
     return {row.check: row for row in rows}
+
+
+class StateMapOnEffects(RepMap):
+    """A wrong effect action: effects move by the state map itself."""
+
+    def effect(self, g):
+        return self.state(g)
 
 
 def test_classical_pairing_momentum_measurement():
@@ -125,7 +131,7 @@ def test_invariance_under_rotations_on_ball_internals():
 def test_invariance_fails_for_mismatched_effect_rep():
     shear = np.eye(4)
     shear[1, 2] = 0.7
-    broken = RepMap(state_map=lambda g: shear, effect_map=lambda g: shear)
+    broken = StateMapOnEffects(state_map=lambda g: shear)
     state = np.array([1.0, 0.5, 0.3, 0.0])
     effect = np.array([0.5, 0.2, 0.0, 0.1])
     assert not invariance_deviation([(effect, state)], None, broken) <= 1e-10
@@ -137,7 +143,7 @@ def test_invariance_fails_for_mismatched_effect_rep():
 def test_invariance_deviation_measures_the_worst_change():
     shear = np.eye(4)
     shear[1, 2] = 0.7
-    broken = RepMap(state_map=lambda g: shear, effect_map=lambda g: shear)
+    broken = StateMapOnEffects(state_map=lambda g: shear)
     state = np.array([1.0, 0.5, 0.3, 0.0])
     effect = np.array([0.5, 0.2, 0.0, 0.1])
     before = effect @ state
@@ -419,9 +425,22 @@ def test_effect_transform_uses_transpose_inverse():
     rest = rest_momentum(1.0, n)
     effect = ClassicalMomentumEffect(rest, sample_ball_effect(n, rng))
     g = _rotation_transform(n, rng)
-    moved = transform_classical_effect(g, effect, rep)
+    moved = transform_classical(g, effect, rep)
+    assert type(moved) is ClassicalMomentumEffect
     # for rotations the transpose inverse is the rotation itself
     assert np.allclose(moved.internal, g.lorentz @ effect.internal, atol=1e-12)
+    # a shear tells the two actions apart: a state with the same internal
+    # vector moves by the shear, the effect by its transpose inverse
+    shear = np.eye(n + 1)
+    shear[1, 2] = 0.7
+    sheared = RepMap(state_map=lambda g: shear)
+    frame = identity_transform(n)
+    state = ClassicalMomentumState(rest, effect.internal)
+    moved_state = transform_classical(frame, state, sheared)
+    moved_effect = transform_classical(frame, effect, sheared)
+    assert type(moved_state) is ClassicalMomentumState
+    assert np.allclose(moved_state.internal, shear @ effect.internal)
+    assert np.allclose(moved_effect.internal, np.linalg.inv(shear).T @ effect.internal)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -439,7 +458,7 @@ def test_stacked_kernels_equal_per_sample_calls(n):
     state = ClassicalMomentumState(MassiveMomentum(labels, 1.0), internals)
     effect = ClassicalMomentumEffect(MassiveMomentum(effect_labels, 1.0), effect_internals)
     moved_state = transform_classical(frames, state, rep)
-    moved_effect = transform_classical_effect(frames, effect, rep)
+    moved_effect = transform_classical(frames, effect, rep)
     before = classical_pairing(effect, state)
     after = classical_pairing(moved_effect, moved_state)
     effect_maps = rep.effect(frames)
@@ -449,7 +468,7 @@ def test_stacked_kernels_equal_per_sample_calls(n):
         z = ClassicalMomentumState(MassiveMomentum(labels[i], 1.0), internals[i])
         e = ClassicalMomentumEffect(MassiveMomentum(effect_labels[i], 1.0), effect_internals[i])
         z2 = transform_classical(frame, z, rep)
-        e2 = transform_classical_effect(frame, e, rep)
+        e2 = transform_classical(frame, e, rep)
         single = classical_pairing(e, z)
         assert type(single) is float and before[i] == single
         assert after[i] == classical_pairing(e2, z2)
