@@ -1,0 +1,43 @@
+"""`chsh-scan` CSV output, byte for byte, against committed files.
+
+Each file under tests/golden/ is the output of one `gptkit chsh-scan` run:
+`<locals>.csv` for `--locals <locals>` (":" written "-"), `<locals>-exact.csv`
+with `--exact`, and `scenarios.csv` for `--scenario scenarios.json`.  A change
+that moves a printed value or verdict shows up as a diff of these files.  The
+exact scans of `polygon:5` (about 5 s) and `polygon:8` (about 2 s) are left
+out.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gptkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SCANS = [
+    *[(name, exact) for name in ("bit", "simplex:2", "polygon:3", "polygon:4", "polygon:6")
+      for exact in (False, True)],
+    ("polygon:5", False),
+    ("polygon:8", False),
+]
+
+
+def _scan(args, capsys) -> str:
+    assert main(["chsh-scan", *args]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, exact", SCANS, ids=[name + ("-exact" if exact else "") for name, exact in SCANS]
+)
+def test_chsh_scan_matches_the_golden_file(name, exact, capsys):
+    out = _scan(["--locals", name] + (["--exact"] if exact else []), capsys)
+    stem = name.replace(":", "-") + ("-exact" if exact else "")
+    assert out == (GOLDEN / f"{stem}.csv").read_text()
+
+
+def test_scenario_scan_matches_the_golden_file(capsys):
+    out = _scan(["--scenario", str(GOLDEN / "scenarios.json")], capsys)
+    assert out == (GOLDEN / "scenarios.csv").read_text()
