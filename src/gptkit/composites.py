@@ -7,13 +7,11 @@ with a product effect e (x) f into  e . Phi . f.
 
 The separable set is the hull of products of local extreme states; the
 maximal set contains every normalized vector that is nonnegative on all
-product effects.  Membership in either is decided by linear programming:
-one LP, solved in floating point for interactive runs or by exact rational
-pivoting for acceptance runs.  For ball-shaped locals the separability LP is
-discretized at the resolution K = `core.BALL_STATE_COUNT`; an infeasible
-discretized LP is reported as inconclusive-at-K (with its residual margin),
-never as an entanglement verdict - those require a CHSH value above the
-separable bound 2.
+product effects.  A given state's membership in either is one LP, in
+floating point or by exact rational pivoting; with a ball local the
+separability LP is discretized at K = `core.BALL_STATE_COUNT` and says only
+separable or inconclusive-at-K.  A CHSH scan compares its optimum with the
+best product state instead (Barrett, PRA 75, 032304 (2007); `run_scenario`).
 """
 
 from __future__ import annotations
@@ -27,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .core import BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec, _sphere_states
+from .core import BALL_EFFECT_COUNT, BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec
+from .core import _sphere_states
 from .lp import HalfspaceIntersection
-from .symmetry import _chsh_objectives, row_symmetries, symmetry_classes
+from .symmetry import _chsh_objectives, product_maximum, row_symmetries, symmetry_classes
 from .zoo import get_theory
 
 BALL_MEASUREMENT_COUNT = 6
@@ -89,14 +88,10 @@ def _product_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
-    seen = set()
-    keep = []
+    first = {}  # rows keyed at 12 decimals, first occurrence kept, in order
     for row in rows:
-        key = tuple(np.round(row, 12))
-        if key not in seen:
-            seen.add(key)
-            keep.append(row)
-    return np.array(keep)
+        first.setdefault(tuple(np.round(row, 12)), row)
+    return np.array(list(first.values()))
 
 
 @dataclass(frozen=True)
@@ -174,11 +169,12 @@ def binary_measurements(theory: TheorySpec) -> list[tuple[np.ndarray, np.ndarray
     unit effect; classical systems without such pairs fall back to
     coarse-grainings of their distinguishing measurement.  Ball effect
     spaces return antipodal extremal pairs along `BALL_MEASUREMENT_COUNT`
-    fixed directions.
+    fixed directions, each distinct direction once (`ball:1` has two).
     """
     u = theory.unit
     if isinstance(theory.effects, BallEffects):
-        return [(e, u - e) for e in 0.5 * _sphere_states(theory.dim, BALL_MEASUREMENT_COUNT)]
+        effects = _dedupe_rows(0.5 * _sphere_states(theory.dim, BALL_MEASUREMENT_COUNT))
+        return [(e, u - e) for e in effects]
     ext = theory.extremal_effects()
     pairs = []
     used = set()
@@ -290,27 +286,18 @@ def maximize_chsh(
     """Maximize the CHSH functional over the maximal tensor product.
 
     One LP per symmetry class (`symmetry.symmetry_classes`) of assignments
-    of measurements to the four scenario slots, in two passes.  An
-    assignment that repeats a setting (a0 = a1 or b0 = b1) gives
-    S = 2 E(a0, b0).  Every point of the maximal tensor product gives valid
-    probabilities to the scenario's own effects, so |E| <= 1 and such an
-    assignment reaches at most 2, up to rounding.  The assignments with
-    a0 != a1 and b0 != b1 are solved first; the repeated ones are solved
-    only if none of the first pass beats 2 + 1e-6.  Values within 1e-9 of
-    the best tie, and the first in row-major order is returned with its
-    optimizer as an operational witness state, as a scan of every
-    assignment would pick under that rule; `run_scenario` rounds the value
-    to 9 decimals (a format change).  Each side's constraint rows are its
-    `effect_rows` plus the scenario's effects.  Polytope locals give exact
-    optima under exact pivoting; a ball local is bounded through its
-    `core.BALL_EFFECT_COUNT` fixed extremal effects, an outer relaxation.
-
-    On the float path a pass with three or more representatives solves them
-    on one warm HiGHS model (`lp.linear_programs`).  If the winner is one of
-    them, it is re-solved cold by `lp.linear_program`, whose value and
-    optimizer are returned: a warm solve may end at another vertex of a
-    degenerate optimum.  With that re-solve, a stack saves time only from
-    its third row on, so smaller passes solve each representative cold.
+    of measurements to the four slots.  An assignment that repeats a setting
+    (a0 = a1 or b0 = b1) gives S = 2 E(a0, b0) <= 2, as the scenario's own
+    effects get valid probabilities, so those are solved only if no other
+    beats 2 + 1e-6.  Values within 1e-9 of the best tie, and the first in
+    row-major order is returned with its optimizer as a witness state.  Each
+    side's constraint rows are its `effect_rows` plus the scenario's
+    effects: exact optima for polytopes under exact pivoting (one
+    `lp.exact_linprog` per class), an outer relaxation through the
+    `core.BALL_EFFECT_COUNT` extremal effects for a ball.  On the float path
+    a pass is one `lp.linear_programs` stack, each solve warm from the last
+    optimal basis, so at a degenerate optimum the witness may be any
+    optimal vertex.
     """
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
@@ -329,23 +316,19 @@ def maximize_chsh(
     objectives = _chsh_objectives(meas_a, meas_b, choices)
     distinct = (choices[:, 0] != choices[:, 1]) & (choices[:, 2] != choices[:, 3])
     solutions: dict[int, lp.LpSolution] = {}
-    warm: set[int] = set()
     for batch in (np.flatnonzero(distinct), np.flatnonzero(~distinct)):
         classes = symmetry_classes(objectives[batch], group_a, group_b)
         reps = batch[classes == np.arange(len(batch))]
-        if exact or len(reps) < 3:
+        if exact:
             # classes are found in float; the exact LP gets the exact objective
-            rep_objectives = (_chsh_objectives(meas_a, meas_b, choices[reps], exact=True)
-                              if exact else objectives[reps])
             rep_solutions = [
-                lp.linear_program(objective, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=exact)
-                for objective in rep_objectives
+                lp.linear_program(objective, a_eq, b_eq, a_ub, b_ub, maximize=True, exact=True)
+                for objective in _chsh_objectives(meas_a, meas_b, choices[reps], exact=True)
             ]
         else:
             rep_solutions = lp.linear_programs(
                 objectives[reps], a_eq, b_eq, a_ub, b_ub, maximize=True
             )
-            warm.update(reps.tolist())
         for i, sol in zip(reps, rep_solutions):
             if sol.status != "optimal":  # pragma: no cover - the set is compact
                 raise RuntimeError(f"CHSH optimization failed: {sol.status}")
@@ -360,10 +343,6 @@ def maximize_chsh(
     top = max(s.value for s in solutions.values())
     best = min(i for i, s in solutions.items() if s.value >= top - 1e-9)
     sol = solutions[best]
-    if best in warm:
-        # warm solves may end at another vertex of a degenerate optimum, and
-        # what is printed for a witness depends on the vertex: re-solve cold
-        sol = lp.linear_program(objectives[best], a_eq, b_eq, a_ub, b_ub, maximize=True)
     witness = JointState(sol.x, local_a, local_b, check=False)
     return ChshOptimum(sol.value, witness, tuple(int(i) for i in choices[best]))
 
@@ -471,14 +450,15 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
 
     Schema: {"id", "local_a", "local_b", optional "measurements_a"/"..._b"
     (index pairs into the extremal effect list), optional "joint_vector"}.
-    Without an explicit vector the CHSH functional is maximized with one LP
-    per symmetry class, values within 1e-9 of the best tie and the first
-    assignment in row-major order wins, and its optimizer is the reported
-    state.  `chsh_value` is rounded to 9 decimals, the precision of that tie
-    rule; this is a format change from the solver's full float.  A document
-    that is not an object with string locals, an index that is not an
-    in-range int, or a pair whose effects do not sum to the unit effect
-    raises ValueError.
+    An explicit vector gets its CHSH value and `is_separable`'s verdict.
+    Otherwise `maximize_chsh` finds S*, printed to 9 decimals (the precision
+    of its tie rule, a format change), and the verdict compares it with
+    `symmetry.product_maximum` P: `separable` if S* <= P + 1e-9, else
+    `entangled` for polytopes and, as a ball side makes S* an outer
+    relaxation, `inconclusive` at K = `core.BALL_EFFECT_COUNT`, with margin
+    S* - P.  A document that is not an object with string locals, an index
+    that is not an in-range int, or a pair whose effects do not sum to the
+    unit effect raises ValueError.
     """
     names = ("local_a", "local_b")
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in names)):
@@ -511,11 +491,14 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
             state,
         )
         value = chsh_value(scenario)
+        verdict = is_separable(state, exact=exact)
     else:
         optimum = maximize_chsh(local_a, local_b, meas_a, meas_b, exact=exact)
-        state = optimum.witness
         value = optimum.value
-    verdict = is_separable(state, exact=exact)
+        gap = value - product_maximum(local_a, local_b, meas_a, meas_b, optimum.measurement_choice)
+        ball = isinstance(local_a.states, Ball) or isinstance(local_b.states, Ball)
+        status = "separable" if gap <= 1e-9 else "inconclusive" if ball else "entangled"
+        verdict = SeparabilityVerdict(status, gap, resolution=BALL_EFFECT_COUNT if ball else None)
     return {
         "scenario_id": doc.get("id", f"{doc['local_a']}x{doc['local_b']}"),
         "local_a": doc["local_a"],

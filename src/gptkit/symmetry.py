@@ -1,4 +1,5 @@
-"""CHSH objectives over a maximal tensor product, and their symmetry classes.
+"""CHSH objectives over a maximal tensor product, their symmetry classes,
+and their best value on product states.
 
 A reversible map g of a local theory that permutes that side's constraint
 rows (rows @ g is rows reordered) maps the maximal tensor product onto
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import TheorySpec
+from .core import Ball, Polytope, TheorySpec
 
 # Matrix products here use np.einsum, not @: a CHSH scan makes no BLAS call
 # otherwise, and a first one maps about 128 KB more code into the process.
@@ -106,3 +107,18 @@ def symmetry_classes(objectives, group_a, group_b) -> np.ndarray:
             for k in {key(image) for image in images[j]}:
                 candidates.setdefault(k, []).append(j)
     return classes
+
+
+def product_maximum(local_a: TheorySpec, local_b: TheorySpec, meas_a, meas_b, choice) -> float:
+    """The best CHSH value P of the assignment `choice` (a0, a1, b0, b1) on
+    products of extreme states.  A ball side is solved in closed form: c0 +
+    ||c reduced|| for c the objective paired with the other side's state.
+    Of two balls side A lists its `extreme_states`, so P is a lower bound.
+    """
+    c = _chsh_objectives(meas_a, meas_b, np.array([choice])).reshape(local_a.dim + 1, -1)
+    if isinstance(local_b.states, Polytope):  # a ball side, if any, is b from here on
+        local_a, local_b, c = local_b, local_a, c.T
+    m = np.einsum("ai,ij->aj", local_a.extreme_states(), c)
+    if isinstance(local_b.states, Ball):
+        return float(np.max(m[:, 0] + np.linalg.norm(m[:, 1:], axis=1)))
+    return float(np.einsum("aj,bj->ab", m, local_b.extreme_states()).max())

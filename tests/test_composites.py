@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptkit import lp
+from gptkit import composites, lp
 from gptkit.composites import (
+    BALL_MEASUREMENT_COUNT,
     ChshScenario,
     JointState,
     _chsh_objectives,
+    _product_rows,
     _scenario_rows,
     ball_measurement,
     binary_measurements,
@@ -32,7 +34,7 @@ from gptkit.composites import (
 )
 from gptkit.core import BALL_EFFECT_COUNT, BallEffects, theory_from_dict, theory_to_dict
 from gptkit.rotations import deterministic_sphere_points
-from gptkit.symmetry import row_symmetries, symmetry_classes
+from gptkit.symmetry import product_maximum, row_symmetries, symmetry_classes
 from gptkit.zoo import (
     box_world_pair,
     classical_simplex,
@@ -289,19 +291,52 @@ def _first_within_tie(solutions):
     return next(key for key, sol in solutions.items() if sol.value >= top - 1e-9)
 
 
+def _assert_full_scan_winner(result, solutions, meas_a, meas_b, exact):
+    """`result` is the full scan's winner: the first assignment in row-major
+    order within 1e-9 of the best.
+
+    A winner solved alone, on the exact path or as a one-row HiGHS stack (the
+    only class of its pass), is that assignment's LP solution bit for bit.
+    One from a warm stack may end at another vertex of a degenerate optimum:
+    its value is the reference's within 1e-12, and its witness is feasible
+    and reaches that value within 1e-9.  Feasible means in the maximal tensor
+    product for polytopes; a ball side's rows are its K = 64 effects, an
+    outer relaxation, so there the witness is checked on the LP's own rows.
+    """
+    local_a, local_b = result.witness.local_a, result.witness.local_b
+    choice = _first_within_tie(solutions)
+    assert result.measurement_choice == choice
+    reference = solutions[choice]
+
+    def repeats(key):
+        return key[0] == key[1] or key[2] == key[3]
+
+    representatives = set(_class_representatives(local_a, local_b, meas_a, meas_b).values())
+    if exact or sum(repeats(rep) == repeats(choice) for rep in representatives) == 1:
+        assert result.value == reference.value
+        assert result.witness.vector.tobytes() == reference.x.tobytes()
+        return
+    assert abs(result.value - reference.value) <= 1e-12
+    a0, a1, b0, b1 = choice
+    scenario = ChshScenario(meas_a[a0], meas_a[a1], meas_b[b0], meas_b[b1], result.witness)
+    assert abs(chsh_value(scenario) - reference.value) <= 1e-9
+    if isinstance(local_a.effects, BallEffects) or isinstance(local_b.effects, BallEffects):
+        rows = _product_rows(_scenario_rows(local_a, meas_a), _scenario_rows(local_b, meas_b))
+        assert (rows @ result.witness.vector).min() >= -1e-9
+    else:
+        assert in_max_tensor(result.witness)
+
+
 @pytest.mark.parametrize("name_a, name_b, exact", REFERENCE_CASES)
 def test_maximize_chsh_equals_the_full_scan(name_a, name_b, exact):
     # one LP per symmetry class returns the first assignment in row-major
     # order within 1e-9 of the full scan's maximum, with that assignment's
-    # LP solution bit for bit
+    # LP solution
     result, _ = _counted_optimum(name_a, name_b, exact)
     _, solutions = _reference(name_a, name_b, exact)
-    choice = _first_within_tie(solutions)
-    assert result.measurement_choice == choice
-    assert result.value == solutions[choice].value
-    assert result.witness.vector.tobytes() == solutions[choice].x.tobytes()
     meas_a = binary_measurements(get_theory(name_a))
     meas_b = binary_measurements(get_theory(name_b))
+    _assert_full_scan_winner(result, solutions, meas_a, meas_b, exact)
     choices = np.array(list(itertools.product(
         range(len(meas_a)), range(len(meas_a)), range(len(meas_b)), range(len(meas_b))
     )))
@@ -318,9 +353,6 @@ def test_maximize_chsh_equals_the_full_scan(name_a, name_b, exact):
         assert (_chsh_objectives(meas_a, meas_b, choices, exact=True) == exact_kron).all()
 
 
-# winners that came from a warm stack, of three or more classes in one
-# pass, and are solved once more, cold
-COLD_RESOLVES = {("polygon:5", "polygon:5"), ("polygon:8", "polygon:8"), ("ball:3", "polygon:4")}
 # LPs solved with one LP per symmetry class
 PER_CLASS_LPS = {
     ("polygon:5", "polygon:5"): 16,
@@ -348,8 +380,7 @@ PER_CLASS_LPS = {
 def test_maximize_chsh_skips_repeated_settings_above_two(name_a, name_b, per_assignment):
     classes = PER_CLASS_LPS[name_a, name_b]
     assert classes <= per_assignment
-    resolves = (name_a, name_b) in COLD_RESOLVES
-    assert _counted_optimum(name_a, name_b, False)[1] == classes + resolves
+    assert _counted_optimum(name_a, name_b, False)[1] == classes
 
 
 def _class_representatives(local_a, local_b, meas_a, meas_b):
@@ -390,10 +421,8 @@ def test_row_symmetries_drop_generators_that_move_the_rows():
         assert gaps.min(axis=1).max() <= 1e-9
     result = maximize_chsh(hexagon, hexagon)
     _, solutions = full_scan_chsh(hexagon, hexagon)
-    choice = _first_within_tie(solutions)
-    assert result.measurement_choice == choice
-    assert result.value == solutions[choice].value
-    assert result.witness.vector.tobytes() == solutions[choice].x.tobytes()
+    meas = binary_measurements(hexagon)
+    _assert_full_scan_winner(result, solutions, meas, meas, False)
 
 
 def test_symmetry_classes_confirm_every_key_match():
@@ -432,9 +461,7 @@ def test_symmetry_classes_on_a_measurement_subset():
         assert abs(solutions[key].value - solutions[rep].value) <= 1e-12
     assert len(set(representative.values())) < len(representative)
     result = maximize_chsh(octagon, octagon, meas_a, meas_b)
-    choice = _first_within_tie(solutions)
-    assert result.measurement_choice == choice
-    assert result.witness.vector.tobytes() == solutions[choice].x.tobytes()
+    _assert_full_scan_winner(result, solutions, meas_a, meas_b, False)
 
 
 @pytest.mark.parametrize(
@@ -758,6 +785,115 @@ def test_scenario_with_explicit_vector():
     )
     assert row["separability_verdict"] == "separable"
     assert abs(row["chsh_value"]) <= 2.0 + 1e-9
+
+
+def test_explicit_vector_rows_keep_the_hull_verdict():
+    # the scan rule would read `entangled` for two squares (S* = 4 > P = 2)
+    # and K = 64 for balls; a given vector is decided by is_separable
+    square = get_theory("polygon:4")
+    product = tensor(square.states.vertices[0], square.states.vertices[1])
+    pr_box = np.array([1.0, 0, 0, 0, 1, 1, 0, 1, -1])
+    singlet = singlet_state().vector
+    for name, vector, verdict in [("polygon:4", product, "separable"),
+                                  ("polygon:4", pr_box, "entangled"),
+                                  ("ball:3", singlet, "inconclusive-at-K=200 ")]:
+        doc = {"local_a": name, "local_b": name, "joint_vector": vector.tolist()}
+        printed = run_scenario(doc)["separability_verdict"]
+        local = get_theory(name)
+        assert printed.startswith(verdict)
+        assert printed == str(is_separable(JointState(vector, local, local)))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("name", ["polygon:6", "polygon:8"])
+def test_single_setting_scans_read_separable(name, exact):
+    # S* = 2 E(a, b) <= 2 is reached by a product of vertices whichever
+    # optimal vertex the LP returns, so every row reads separable
+    n = len(binary_measurements(get_theory(name)))  # pair i is (i, i + n)
+    for i, j in itertools.product(range(n), repeat=2):
+        row = run_scenario({"local_a": name, "local_b": name,
+                            "measurements_a": [[i, i + n]], "measurements_b": [[j, j + n]]},
+                           exact=exact)
+        assert (row["chsh_value"], row["separability_verdict"]) == (2.0, "separable")
+
+
+def test_simplex_single_setting_rows_read_separable_above_two(monkeypatch):
+    # the exact optimum of simplex:2's coarse-grained pairs is 2.0000000000000004,
+    # 4e-16 above its product maximum; the 1e-9 width reads it separable.
+    # These pairs are not extremal effects, so no scenario file can name
+    # them: each row's pairs are handed to run_scenario as its defaults
+    simplex = get_theory("simplex:2")
+    pairs = binary_measurements(simplex)
+    for a, b in itertools.product(pairs, repeat=2):
+        assert maximize_chsh(simplex, simplex, [a], [b], exact=True).value == 2.0000000000000004
+        sides = iter([[a], [b]])
+        monkeypatch.setattr(composites, "binary_measurements", lambda theory: next(sides))
+        row = run_scenario({"local_a": "simplex:2", "local_b": "simplex:2"}, exact=True)
+        assert row["separability_verdict"] == "separable"
+
+
+def _loop_product_maximum(local_a, local_b, meas_a, meas_b, choice):
+    """Reference: the best of every pair of extreme states, a ball side
+    replaced by the closed form c0 + ||c reduced||, one state at a time."""
+    a0, a1, b0, b1 = choice
+    c = kron_objective(meas_a[a0], meas_a[a1], meas_b[b0], meas_b[b1])
+    c = c.reshape(local_a.dim + 1, local_b.dim + 1)
+    ball_a, ball_b = (isinstance(t.effects, BallEffects) for t in (local_a, local_b))
+    best = -np.inf
+    for sa in local_a.extreme_states():
+        if ball_b:
+            v = sa @ c
+            best = max(best, v[0] + np.linalg.norm(v[1:]))
+            continue
+        for sb in local_b.extreme_states():
+            v = c @ sb
+            best = max(best, v[0] + np.linalg.norm(v[1:]) if ball_a else sa @ v)
+    return best
+
+
+@pytest.mark.parametrize(
+    "name_a, name_b",
+    [("polygon:5", "polygon:4"), ("bit", "simplex:2"), ("ball:3", "polygon:4"),
+     ("polygon:4", "ball:2"), ("ball:2", "ball:3")],
+)
+def test_product_maximum_matches_a_loop_over_products(name_a, name_b):
+    local_a, local_b = get_theory(name_a), get_theory(name_b)
+    meas_a, meas_b = binary_measurements(local_a), binary_measurements(local_b)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        choice = (*rng.integers(len(meas_a), size=2), *rng.integers(len(meas_b), size=2))
+        p = product_maximum(local_a, local_b, meas_a, meas_b, choice)
+        assert abs(p - _loop_product_maximum(local_a, local_b, meas_a, meas_b, choice)) <= 1e-12
+
+
+def test_ball_scan_verdicts_compare_the_optimum_with_the_product_maximum():
+    # ball:2 x bit: a product reaches the optimum 2, a definite verdict
+    assert run_scenario({"local_a": "ball:2", "local_b": "bit"})["separability_verdict"] == (
+        "separable")
+    # ball:3 x polygon:4: S* is the K = 64 relaxation's optimum, above every
+    # product, so the verdict is inconclusive at that K with margin S* - P
+    ball, square = get_theory("ball:3"), get_theory("polygon:4")
+    optimum = maximize_chsh(ball, square)
+    meas_a, meas_b = binary_measurements(ball), binary_measurements(square)
+    p = _loop_product_maximum(ball, square, meas_a, meas_b, optimum.measurement_choice)
+    row = run_scenario({"local_a": "ball:3", "local_b": "polygon:4"})
+    assert row["separability_verdict"] == (
+        f"inconclusive-at-K={BALL_EFFECT_COUNT} (margin {optimum.value - p:.3g})")
+    assert optimum.value - p > 0.5
+
+
+def test_ball_measurements_list_each_direction_once():
+    # ball:1's sphere points repeat +-1: two distinct settings, one value
+    ball1 = get_theory("ball:1")
+    assert [e.tolist() for e, _ in binary_measurements(ball1)] == [[0.5, 0.5], [0.5, -0.5]]
+    assert maximize_chsh(ball1, ball1).value == 2.0
+    for name in ("ball:2", "ball:3"):
+        ball = get_theory(name)
+        points = deterministic_sphere_points(ball.dim, BALL_MEASUREMENT_COUNT)
+        expected = 0.5 * np.hstack([np.ones((BALL_MEASUREMENT_COUNT, 1)), points])
+        pairs = binary_measurements(ball)
+        assert np.array_equal(np.array([e for e, _ in pairs]), expected)
+        assert all(np.array_equal(f, ball.unit - e) for e, f in pairs)
 
 
 def test_max_tensor_vertices_bit_pair_are_products():

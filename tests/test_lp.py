@@ -523,17 +523,14 @@ CHSH_PAIRS = sorted({(a, b) for a, b, _ in REFERENCE_CASES}
 
 @pytest.mark.parametrize("name_a, name_b", CHSH_PAIRS)
 def test_direct_highs_matches_linprog_on_chsh_class_lps(name_a, name_b):
-    # every class-representative LP of the scan, and the cold re-solve of a
-    # winner from a warm stack, solved by both routes
+    # every class-representative LP of the scan, one stack per pass, solved
+    # by both routes
     calls = _recorded_highs_lps(
         lambda: composites.maximize_chsh(get_theory(name_a), get_theory(name_b))
     )
     assert calls
     for args in calls:
         _assert_matches_linprog(*args)
-    # a pass of three or more classes is one warm stack, a smaller one is
-    # solved cold, one row at a time
-    assert all(len(args[0]) == 1 or len(args[0]) >= 3 for args in calls)
 
 
 def test_direct_highs_matches_linprog_on_column_generation_masters():
