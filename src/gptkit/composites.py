@@ -178,13 +178,11 @@ def binary_measurements(theory: TheorySpec) -> list[tuple[np.ndarray, np.ndarray
     ext = theory.extremal_effects()
     pairs = []
     used = set()
-    for i in range(len(ext)):
-        for j in range(i + 1, len(ext)):
-            if i in used or j in used:
-                continue
-            if np.allclose(ext[i] + ext[j], u, atol=1e-10):
-                pairs.append((ext[i].copy(), ext[j].copy()))
-                used.update((i, j))
+    sums_to_unit = np.isclose(ext[:, None] + ext[None], u, atol=1e-10).all(-1)
+    for i, j in np.argwhere(sums_to_unit).tolist():  # row by row: the greedy i < j scan
+        if i < j and i not in used and j not in used:
+            pairs.append((ext[i].copy(), ext[j].copy()))
+            used.update((i, j))
     if pairs:
         return pairs
     # restricted classical effect sets: coarse-grain the partition measurement

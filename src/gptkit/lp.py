@@ -9,16 +9,21 @@ Each problem builds one LP and hands it to one of two solvers:
   solved as a stack on one model (`linear_programs`), each warm from the
   last optimal basis, and
 * exact: a two-phase primal simplex with Bland's rule, used for acceptance
-  runs.  Inputs are converted once with ``Fraction(v)``, which is exact for
-  floats and Fractions, and each tableau row, the cost row included, is
-  kept as Python ints over one positive denominator.  A pivot is integer
-  multiply-subtract plus one gcd per row (Edmonds, J. Res. NBS 71B, 1967);
-  Bland's decisions need only signs and cross-multiplied ratios, so no
-  pivoting error enters and the solver returns the exact optimum of the LP
-  built from the given floats.  Phase 1 starts from the LP's own unit
-  columns: a column that reads +e_i after the rhs sign flip (the slack of a
-  <= row with b >= 0, a residual of a hull row) is row i's first basic
-  column, and artificials go only on the rows left over.
+  runs.  Each tableau row, the cost rows included, is kept as Python ints
+  over one positive denominator.  It is built straight from the entries'
+  exact ``as_integer_ratio()`` (ints, floats, Fractions) over their least
+  common denominator: the integers ``Fraction(v)`` gives, with no Fraction
+  object per entry.  A pivot is integer multiply-subtract plus one gcd per
+  row (Edmonds, J. Res. NBS 71B, 1967); Bland's decisions need only signs
+  and cross-multiplied ratios, so no pivoting error enters and the solver
+  returns the exact optimum of the LP built from the given floats.  Phase 1
+  starts from the LP's own unit columns: a column that reads +e_i after the
+  rhs sign flip (the slack of a <= row with b >= 0, a residual of a hull
+  row) is row i's first basic column, and artificials go only on the rows
+  left over.  Bland's rule ends under any fixed column order (Bland, Math.
+  Oper. Res. 2, 103 (1977)), so a caller may choose the order: the exact
+  hull LP lists its points by their pairing with the target
+  (`hull_membership`).
 
 The float path of `hull_membership` solves its LP by delayed column
 generation (Gilbert, SIAM J. Control 4, 61 (1966)).  A restricted master
@@ -118,14 +123,18 @@ class HullMembership:
     margin: float  # l1 residual of the best decomposition; member iff margin <= tol
 
 
-def _as_fraction_rows(a) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in np.atleast_2d(np.asarray(a, dtype=object))]
+def _ratios(values) -> list[tuple[int, int]]:
+    """Fraction(v)'s numerator and denominator for each entry, without the Fraction."""
+    try:
+        return [v.as_integer_ratio() for v in values]
+    except AttributeError:  # numpy's integer scalars have no as_integer_ratio
+        return [Fraction(v).as_integer_ratio() for v in values]
 
 
-def _int_row(values: list[Fraction]) -> tuple[list[int], int]:
-    """The integer numerators of `values` over one positive common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _int_row(ratios) -> tuple[list[int], int]:
+    """The numerators of `ratios` over their least (positive) common denominator."""
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
@@ -188,45 +197,37 @@ def exact_linprog(
     ``nonneg[j]`` marks x_j >= 0; free variables are split internally.  All
     arithmetic is exact.  Returns (status, x, objective value).
     """
-    c = [Fraction(v) for v in c]
-    nvar = len(c)
+    # c first, then each block's rows before its rhs: the first NaN (ValueError)
+    # or inf (OverflowError) in that order raises
+    c = _ratios(np.asarray(c, dtype=object).tolist())
+    eq, le = (
+        [] if a is None else list(zip(
+            [_ratios(row) for row in np.atleast_2d(np.asarray(a, dtype=object)).tolist()],
+            _ratios(np.atleast_1d(np.asarray(b, dtype=object)).tolist())))
+        for a, b in ((a_eq, b_eq), (a_le, b_le))
+    )
+    n_eq, n_le = len(eq), len(le)
+    m, nvar = n_eq + n_le, len(c)
     if nonneg is None:
         nonneg = [True] * nvar
-    rows_in: list[list[Fraction]] = []
-    rhs_in: list[Fraction] = []
-    n_le = 0
-    if a_eq is not None:
-        for row, b in zip(_as_fraction_rows(a_eq), np.atleast_1d(b_eq)):
-            rows_in.append(row)
-            rhs_in.append(Fraction(b))
-    if a_le is not None:
-        for row, b in zip(_as_fraction_rows(a_le), np.atleast_1d(b_le)):
-            rows_in.append(row)
-            rhs_in.append(Fraction(b))
-            n_le += 1
-    m = len(rows_in)
-    n_eq = m - n_le
 
-    # column layout: split/plain structural vars, then slacks, then artificials
-    col_of: list[tuple[int, int]] = []  # (var index, sign) per structural column
-    for j in range(nvar):
-        col_of.append((j, +1))
-        if not nonneg[j]:
-            col_of.append((j, -1))
+    # column layout: split/plain structural vars, then slacks, then artificials;
+    # col_of holds the (var index, sign) of each structural column
+    col_of = [(j, sgn) for j in range(nvar) for sgn in ((1,) if nonneg[j] else (1, -1))]
     n_struct = len(col_of)
     art0 = n_struct + n_le
+    ints, den = _int_row(c)
+    cost_2 = [[sgn * ints[j] for j, sgn in col_of] + [0] * (n_le + 1), den]
 
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    for i in range(m):
-        row = [sgn * rows_in[i][j] for j, sgn in col_of] + [Fraction(0)] * n_le
+    rows, dens = [], []
+    for i, (row, b) in enumerate(eq + le):
+        ints, den = _int_row(row + [b])
+        row = [sgn * ints[j] for j, sgn in col_of] + [0] * n_le + ints[-1:]
         if i >= n_eq:
-            row[n_struct + (i - n_eq)] = Fraction(1)
-        row.append(rhs_in[i])
+            row[n_struct + (i - n_eq)] = den
         if row[-1] < 0:
             row = [-v for v in row]
-        ints, den = _int_row(row)
-        rows.append(ints)
+        rows.append(row)
         dens.append(den)
 
     # start basis: a column that reads +e_i is row i's basic column (the slack
@@ -252,9 +253,7 @@ def exact_linprog(
     cost = [[0] * art0 + [1] * len(left) + [0], 1]
     for i in left:
         cost[:] = _eliminate(*cost, rows[i], dens[i], basis[i])
-    status = _iterate(rows, dens, cost, basis)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        return "infeasible", None, None
+    _iterate(rows, dens, cost, basis)  # always optimal: the mass is bounded below by 0
     if cost[0][-1] < 0:  # the cost row's last entry is minus the artificial mass
         return "infeasible", None, None
 
@@ -265,18 +264,15 @@ def exact_linprog(
             if piv_col >= 0:
                 _pivot(rows, dens, cost, basis, i, piv_col)
             else:
-                del rows[i]
-                del dens[i]
-                del basis[i]
+                del rows[i], dens[i], basis[i]
 
     # phase 2 on the original objective, artificial columns frozen out
     rows = [row[:art0] + row[-1:] for row in rows]
-    cost = list(_int_row([sgn * c[j] for j, sgn in col_of] + [Fraction(0)] * (n_le + 1)))
+    cost = cost_2
     for i, b in enumerate(basis):
         if cost[0][b] != 0:
             cost[:] = _eliminate(*cost, rows[i], dens[i], b)
-    status = _iterate(rows, dens, cost, basis)
-    if status == "unbounded":
+    if _iterate(rows, dens, cost, basis) == "unbounded":
         return "unbounded", None, None
 
     x = [Fraction(0)] * nvar
@@ -284,8 +280,7 @@ def exact_linprog(
         if b < n_struct:
             j, sgn = col_of[b]
             x[j] += sgn * Fraction(rows[i][-1], dens[i])
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return "optimal", x, value
+    return "optimal", x, Fraction(-cost[0][-1], cost[1])  # the cost row ends in -c.x
 
 
 def hull_membership(
@@ -299,7 +294,13 @@ def hull_membership(
     One LP on either backend: minimize the l1 residual sum(s+ + s-) subject
     to  points^T w + s+ - s- = target  over w, s+, s- >= 0.  The optimum is
     the margin, and `target` is a member when margin <= tol.  The exact path
-    computes that optimum exactly from the given floats.  The normalization
+    computes that optimum exactly from the given floats.  Its point columns
+    go in descending order of p.target, the order of the float path's first
+    master, ties by index: a point that pairs well with the target is likely
+    in the support, and Bland's rule, which enters the lowest column first,
+    then takes fewer pivots.  The optimum and margin do not depend on the
+    order; where the optimal decomposition is not unique the weights may.
+    Weights come back in the caller's point order.  The normalization
     constraint rides along in coordinate 0 whenever the points carry a
     leading 1.
 
@@ -316,11 +317,17 @@ def hull_membership(
     tgt = np.asarray(target, dtype=float)
     npts, dim = pts.shape
     if exact:
+        # the columns in the first master's order, largest p.target first; a
+        # NaN or -inf pairing keeps the given order, in which a NaN or inf raises
+        order = _largest(np.einsum("ij,j->i", pts, tgt), npts, -np.inf)
+        if len(order) < npts:
+            order = np.arange(npts)
         eye = np.eye(dim)
-        a_eq = np.hstack([pts.T, eye, -eye])
+        a_eq = np.hstack([pts[order].T, eye, -eye])
         c = np.concatenate([np.zeros(npts), np.ones(2 * dim)])
         _, x, value = exact_linprog(c, a_eq=a_eq, b_eq=tgt)  # feasible, bounded below by 0
-        weights = np.array([float(v) for v in x[:npts]])
+        weights = np.zeros(npts)
+        weights[order] = [float(v) for v in x[:npts]]
         margin = float(value)
     else:
         weights, margin = _hull_by_column_generation(pts, tgt)

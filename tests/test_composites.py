@@ -191,6 +191,33 @@ def test_chsh_value_over_deterministic_product_states():
     assert abs(best - enumerate_deterministic_chsh()) < 1e-12
 
 
+def _binary_measurements_by_pairs(theory):
+    """binary_measurements' polytope scan, one np.allclose per (i, j) pair."""
+    ext, u = theory.extremal_effects(), theory.unit
+    pairs, used = [], set()
+    for i in range(len(ext)):
+        for j in range(i + 1, len(ext)):
+            if i not in used and j not in used and np.allclose(ext[i] + ext[j], u, atol=1e-10):
+                pairs.append((ext[i], ext[j]))
+                used.update((i, j))
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["bit", "simplex:1", "simplex:2", "simplex:3", "simplex:4"]
+                         + [f"polygon:{n}" for n in (3, 4, 5, 6, 7, 8, 9, 12)] + ["boxworld"])
+def test_binary_measurements_match_a_per_pair_scan(name):
+    theory = get_theory(name)
+    reference = _binary_measurements_by_pairs(theory)
+    got = binary_measurements(theory)
+    if reference:
+        assert len(got) == len(reference)
+        for (e, f), (e_ref, f_ref) in zip(got, reference):
+            assert np.array_equal(e, e_ref) and np.array_equal(f, f_ref)
+    else:  # the simplices' coarse-grained measurements
+        assert name.startswith("simplex") or name == "bit"
+        assert all(np.allclose(e + f, theory.unit) for e, f in got)
+
+
 def test_maximize_chsh_box_world_reaches_four():
     result = maximize_chsh(BOX.local, BOX.local, BOX.measurements, BOX.measurements)
     assert abs(result.value - 4.0) < 1e-7

@@ -366,6 +366,194 @@ def test_exact_linprog_keeps_the_reference_pivots_from_an_artificial_start():
         assert exact_linprog(**lp) == _reference_linprog(**lp), (seed, lp)
 
 
+# ---------------------------------------------------------------------------
+# Input types: the same exact values handed over as floats, ints and Fractions
+# ---------------------------------------------------------------------------
+
+
+def _artificial_start_lp(seed, scales):
+    """The LPs of the reference-pivot test, each row scaled by one of `scales`
+    (none of them 1/2 or 1, so that still no column reads +e_i)."""
+    rng = random.Random(seed)
+    nvar, k = rng.randint(3, 5), rng.randint(2, 4)
+    rows = [[rng.randint(-3, 3) for _ in range(nvar)] for _ in range(k)] + [[1] * nvar]
+    s = [rng.choice(scales) for _ in rows]
+    return dict(
+        c=[rng.choice(scales) * rng.randint(-3, 2) for _ in range(nvar)] + [0] * len(rows),
+        a_eq=[[s[i] * v for v in row] + [2 * s[i] * (i == j) for j in range(len(rows))]
+              for i, row in enumerate(rows)],
+        b_eq=[0] * k + [s[-1]],
+    )
+
+
+def _entries(values, convert):
+    return [_entries(v, convert) for v in values] if isinstance(values, list) else convert(values)
+
+
+def _random_entry(rng):
+    def convert(v):
+        kinds = [float, np.float64, Fraction] + ([int, np.int64] if v == int(v) else [])
+        return rng.choice(kinds)(v)
+    return convert
+
+
+# each converts the nested lists of one argument; the int kinds need integral values
+INPUT_KINDS = {
+    "float array": lambda v, rng: np.array(_entries(v, float)),
+    "int list": lambda v, rng: _entries(v, int),
+    "int64 array": lambda v, rng: np.array(_entries(v, int), dtype=np.int64),
+    "Fraction object array": lambda v, rng: np.array(_entries(v, Fraction), dtype=object),
+    "mixed list": lambda v, rng: _entries(v, _random_entry(rng)),
+    "mixed object array": lambda v, rng: np.array(_entries(v, _random_entry(rng)), dtype=object),
+}
+
+
+def test_exact_linprog_reads_every_input_type_alike():
+    # the same values as float, int, int64, Fraction and mixed entries, and
+    # as a different kind per argument, give the reference's (status, x, value)
+    rng = random.Random(5)
+    for seed in range(40):
+        integral = seed % 2 == 0
+        lp = _artificial_start_lp(seed, (2, 3) if integral else (Fraction(1, 4), 0.75, 1.5, 3))
+        expected = _reference_linprog(**{k: _entries(v, Fraction) for k, v in lp.items()})
+        kinds = [k for k in INPUT_KINDS if integral or "int" not in k]
+        for picks in [[kind] * 3 for kind in kinds] + [rng.choices(kinds, k=3) for _ in range(4)]:
+            given = {k: INPUT_KINDS[kind](v, rng) for (k, v), kind in zip(lp.items(), picks)}
+            got = exact_linprog(**given)
+            assert got == expected, (seed, picks)
+            assert type(got[2]) is Fraction and all(type(v) is Fraction for v in got[1])
+
+
+@pytest.mark.parametrize("bad, error", [(float("nan"), ValueError), (float("inf"), OverflowError),
+                                        (-float("inf"), OverflowError)])
+@pytest.mark.parametrize("where", ["c", "a_eq", "b_eq", "a_le", "b_le"])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_exact_linprog_rejects_a_non_finite_entry(bad, error, where, as_array):
+    lp = dict(c=[1, -1, 0.5], a_eq=[[1, 1, 0], [0, 1, 1]], b_eq=[1, Fraction(1, 2)],
+              a_le=[[1, 0, 0]], b_le=[0.75])
+    entry = lp[where][-1]
+    if isinstance(entry, list):
+        entry[1] = bad
+    else:
+        lp[where][-1] = bad
+    if as_array:
+        lp = {k: np.array(v, dtype=object if k == "b_eq" else float) for k, v in lp.items()}
+    with pytest.raises(error):
+        exact_linprog(**lp)
+
+
+def test_exact_linprog_meets_non_finite_entries_rows_first():
+    # every row of a block is read before its right-hand side, and c first
+    with pytest.raises(OverflowError):
+        exact_linprog([1, 1], a_eq=[[1, 1], [1, np.inf]], b_eq=[np.nan, 1])
+    with pytest.raises(ValueError):
+        exact_linprog([np.nan, 1], a_le=[[np.inf, 1]], b_le=[1])
+    with pytest.raises(ValueError):
+        exact_linprog([1, 1], a_eq=[[1, 1]], b_eq=[np.nan], a_le=[[np.inf, 1]], b_le=[1])
+
+
+def test_exact_hull_membership_rejects_non_finite_points():
+    pts = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+    for bad, error in ((np.nan, ValueError), (np.inf, OverflowError), (-np.inf, OverflowError)):
+        given = pts.copy()
+        given[1, 1] = bad
+        with pytest.raises(error):
+            hull_membership(given, np.array([1.0, 0.5]), exact=True)
+        with pytest.raises(error):
+            hull_membership(pts, np.array([1.0, bad]), exact=True)
+    given = pts.copy()
+    given[0, 1], given[2, 1] = np.inf, np.nan  # the first point's inf is met first
+    with pytest.raises(OverflowError):
+        hull_membership(given, np.array([1.0, 0.5]), exact=True)
+
+
+# ---------------------------------------------------------------------------
+# The exact hull LP's column order
+# ---------------------------------------------------------------------------
+
+
+def _exact_hull_cases():
+    """(points, target) of box-world, polygon:5 and random hulls, members and not."""
+    square, pentagon = get_theory("polygon:4"), get_theory("polygon:5")
+    products = composites._product_rows(square.extreme_states(), square.extreme_states())
+    vertices = composites.max_tensor_vertices(square, square)
+    ranks = [np.linalg.matrix_rank(v.reshape(3, 3), tol=1e-9) for v in vertices]
+    boxes = [v for v, r in zip(vertices, ranks) if r > 1]
+    rng = np.random.default_rng(22)
+    cases = [(products, v) for v in vertices]
+    for k in (2, 3, 4, 6):
+        picks = rng.choice(len(products), size=k, replace=False)
+        cases.append((products, rng.dirichlet(np.ones(k)) @ products[picks]))
+    for box in boxes[:4]:
+        p = rng.uniform(0.55, 0.95)
+        cases.append((products, p * box + (1 - p) * products[rng.integers(len(products))]))
+    centre = vertices.mean(axis=0)
+    for v in vertices[::6]:
+        cases.append((products, v + rng.uniform(0.1, 0.3) * (v - centre)))
+    p5 = pentagon.extreme_states()
+    p5_products = composites._product_rows(p5, p5)
+    picks = rng.choice(len(p5_products), size=3, replace=False)
+    cases.append((p5_products, rng.dirichlet(np.ones(3)) @ p5_products[picks]))
+    for _ in range(8):
+        npts, dim = int(rng.integers(4, 12)), int(rng.integers(2, 5))
+        pts = np.hstack([np.ones((npts, 1)), np.round(rng.normal(size=(npts, dim)), 2)])
+        inside = rng.dirichlet(np.ones(npts)) @ pts
+        cases += [(pts, inside), (pts, inside + np.r_[0, rng.normal(size=dim)])]
+    return cases
+
+
+def _counting_pivots(monkeypatch):
+    count = [0]
+    pivot = lp_module._pivot
+
+    def counted(*args):
+        count[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    return count
+
+
+def test_exact_hull_lists_points_by_pairing_and_keeps_the_cold_optimum(monkeypatch):
+    tol = lp_module.FEASIBILITY_SLACK
+    pivots = _counting_pivots(monkeypatch)
+    solved = []
+    solve = lp_module.exact_linprog
+
+    def recording(c, **kwargs):
+        solved.append((kwargs["a_eq"], solve(c, **kwargs)))
+        return solved[-1][1]
+
+    totals = {"identity": 0, "pairing": 0}
+    members = []
+    for pts, target in _exact_hull_cases():
+        npts, dim = pts.shape
+        eye = np.eye(dim)
+        before = pivots[0]
+        cold = solve(np.r_[np.zeros(npts), np.ones(2 * dim)],
+                     a_eq=np.hstack([pts.T, eye, -eye]), b_eq=target)
+        totals["identity"] += pivots[0] - before
+        before = pivots[0]
+        monkeypatch.setattr(lp_module, "exact_linprog", recording)
+        res = hull_membership(pts, target, tol=tol, exact=True)
+        monkeypatch.setattr(lp_module, "exact_linprog", solve)
+        totals["pairing"] += pivots[0] - before
+        a_eq, (status, x, value) = solved[-1]
+        assert status == "optimal" and value == cold[2]  # Fraction-equal
+        assert res.margin == float(cold[2]) and res.member == (value <= tol)
+        # columns by descending p.target, the lower index first on ties
+        pairing = np.einsum("ij,j->i", pts, target).tolist()
+        order = sorted(range(npts), key=lambda i: (-pairing[i], i))
+        assert np.array_equal(a_eq[:, :npts], pts[order].T)
+        members.append(res.member)
+        if res.member:
+            assert res.weights.shape == (npts,) and res.weights.min() >= 0
+            assert res.weights[order].tolist() == [float(v) for v in x[:npts]]
+            assert np.abs(res.weights @ pts - target).sum() <= tol
+    assert any(members) and not all(members)
+    assert totals["pairing"] < totals["identity"], totals
+
+
 def _full_hull_margin(pts, target):
     """The l1 hull LP of `hull_membership`, solved once by HiGHS over every column."""
     from scipy.optimize import linprog as scipy_linprog
