@@ -26,12 +26,11 @@ import numpy as np
 
 from . import lp
 from .core import BALL_EFFECT_COUNT, BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec
-from .core import _sphere_states
+# binary_measurements and its ball count are core's, read here by callers
+from .core import BALL_MEASUREMENT_COUNT, _dedupe_rows, binary_measurements  # noqa: F401
 from .lp import HalfspaceIntersection
 from .symmetry import _chsh_objectives, product_maximum, row_symmetries, symmetry_classes
 from .zoo import get_theory
-
-BALL_MEASUREMENT_COUNT = 6
 
 
 def tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -85,13 +84,6 @@ def marginal(phi: JointState, side: str) -> np.ndarray:
 def _product_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Every x_a (x) y_b as a flattened A-major row, a-major over the pairs."""
     return np.einsum("ai,bj->abij", x, y).reshape(len(x) * len(y), -1)
-
-
-def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
-    first = {}  # rows keyed at 12 decimals, first occurrence kept, in order
-    for row in rows:
-        first.setdefault(tuple(np.round(row, 12)), row)
-    return np.array(list(first.values()))
 
 
 @dataclass(frozen=True)
@@ -160,39 +152,6 @@ def in_max_tensor(phi: JointState, tol: float = 1e-9) -> bool:
     if b_ball:
         columns.append((phi.local_a.effect_rows() @ mat).T)
     return all(min(m[0].min(), _min_ball_pairing(m).min()) >= -tol for m in columns)
-
-
-def binary_measurements(theory: TheorySpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Two-outcome measurements (e, u - e) available in the theory.
-
-    Polytope effect spaces are scanned for extremal pairs summing to the
-    unit effect; classical systems without such pairs fall back to
-    coarse-grainings of their distinguishing measurement.  Ball effect
-    spaces return antipodal extremal pairs along `BALL_MEASUREMENT_COUNT`
-    fixed directions, each distinct direction once (`ball:1` has two).
-    """
-    u = theory.unit
-    if isinstance(theory.effects, BallEffects):
-        effects = _dedupe_rows(0.5 * _sphere_states(theory.dim, BALL_MEASUREMENT_COUNT))
-        return [(e, u - e) for e in effects]
-    ext = theory.extremal_effects()
-    pairs = []
-    used = set()
-    sums_to_unit = np.isclose(ext[:, None] + ext[None], u, atol=1e-10).all(-1)
-    for i, j in np.argwhere(sums_to_unit).tolist():  # row by row: the greedy i < j scan
-        if i < j and i not in used and j not in used:
-            pairs.append((ext[i].copy(), ext[j].copy()))
-            used.update((i, j))
-    if pairs:
-        return pairs
-    # restricted classical effect sets: coarse-grain the partition measurement
-    if np.allclose(ext.sum(axis=0), u, atol=1e-10):
-        n = len(ext)
-        for r in range(1, n // 2 + 1):
-            for subset in itertools.combinations(range(n), r):
-                plus = ext[list(subset)].sum(axis=0)
-                pairs.append((plus, u - plus))
-    return pairs
 
 
 def no_signalling_check(phi: JointState, tol: float = 1e-9) -> bool:
@@ -293,9 +252,11 @@ def maximize_chsh(
     effects: exact optima for polytopes under exact pivoting (one
     `lp.exact_linprog` per class), an outer relaxation through the
     `core.BALL_EFFECT_COUNT` extremal effects for a ball.  On the float path
-    a pass is one `lp.linear_programs` stack, each solve warm from the last
-    optimal basis, so at a degenerate optimum the witness may be any
-    optimal vertex.
+    a pass is one `lp.linear_programs` stack: HiGHS solves the LP dual,
+    whose right-hand side is the objective, so from one class to the next
+    only row bounds change and each solve starts warm from the last optimal
+    basis, on a basis of (d_A + 1)(d_B + 1) rows.  At a degenerate optimum
+    the witness may be any optimal vertex.
     """
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)

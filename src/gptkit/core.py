@@ -7,11 +7,14 @@ shapes are supported: convex polytopes given by their vertices and unit
 Euclidean balls centred at the origin of the last d coordinates.
 
 All containers are immutable after construction and every operation is a
-pure function, so concurrent read-only use is safe.
+pure function, so concurrent read-only use is safe.  The one memo, a
+theory's `binary_measurements` listing, is built from the theory alone, so
+two threads that build it at once store equal listings.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -27,6 +30,9 @@ DEFAULT_TOL = 1e-9
 # and its extremal effects (1, v)/2
 BALL_STATE_COUNT = 200
 BALL_EFFECT_COUNT = 64
+# a ball's binary measurements are antipodal effect pairs along this many
+# fixed directions
+BALL_MEASUREMENT_COUNT = 6
 
 
 def _frozen_array(a, dims: int) -> np.ndarray:
@@ -193,6 +199,61 @@ class TheorySpec:
 
 def _sphere_states(dim: int, count: int) -> np.ndarray:
     return np.hstack([np.ones((count, 1)), deterministic_sphere_points(dim, count)])
+
+
+def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
+    first = {}  # rows keyed at 12 decimals, first occurrence kept, in order
+    for row in rows:
+        first.setdefault(tuple(np.round(row, 12)), row)
+    return np.array(list(first.values()))
+
+
+def binary_measurements(theory: TheorySpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Two-outcome measurements (e, u - e) available in the theory.
+
+    Polytope effect spaces are scanned for extremal pairs summing to the
+    unit effect; classical systems without such pairs fall back to
+    coarse-grainings of their distinguishing measurement.  Ball effect
+    spaces return antipodal extremal pairs along `BALL_MEASUREMENT_COUNT`
+    fixed directions, each distinct direction once (`ball:1` has two).
+
+    The pairs are listed on a theory's first call and kept on the theory.
+    Their arrays are read-only and each call returns a new list, so no
+    caller can change what the next one gets.
+    """
+    pairs = vars(theory).get("_binary_measurements")
+    if pairs is None:
+        pairs = _binary_measurement_pairs(theory)
+        for pair in pairs:
+            for effect in pair:
+                effect.setflags(write=False)
+        object.__setattr__(theory, "_binary_measurements", pairs)
+    return list(pairs)
+
+
+def _binary_measurement_pairs(theory: TheorySpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    u = theory.unit
+    if isinstance(theory.effects, BallEffects):
+        effects = _dedupe_rows(0.5 * _sphere_states(theory.dim, BALL_MEASUREMENT_COUNT))
+        return [(e, u - e) for e in effects]
+    ext = theory.extremal_effects()
+    pairs = []
+    used = set()
+    sums_to_unit = np.isclose(ext[:, None] + ext[None], u, atol=1e-10).all(-1)
+    for i, j in np.argwhere(sums_to_unit).tolist():  # row by row: the greedy i < j scan
+        if i < j and i not in used and j not in used:
+            pairs.append((ext[i].copy(), ext[j].copy()))
+            used.update((i, j))
+    if pairs:
+        return pairs
+    # restricted classical effect sets: coarse-grain the partition measurement
+    if np.allclose(ext.sum(axis=0), u, atol=1e-10):
+        n = len(ext)
+        for r in range(1, n // 2 + 1):
+            for subset in itertools.combinations(range(n), r):
+                plus = ext[list(subset)].sum(axis=0)
+                pairs.append((plus, u - plus))
+    return pairs
 
 
 def probability(effect: np.ndarray, state: np.ndarray) -> float:

@@ -5,9 +5,10 @@ Each problem builds one LP and hands it to one of two solvers:
 * floating point: HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp.
   10, 119 (2018)), called through the ``scipy.optimize._highspy._core``
   bindings that ``scipy.optimize.linprog`` itself calls, used for
-  interactive-scale runs.  LPs that differ only in their objective are
-  solved as a stack on one model (`linear_programs`), each warm from the
-  last optimal basis, and
+  interactive-scale runs.  An optimization LP goes to HiGHS as its LP
+  dual (`linear_programs`), so LPs that differ only in their objective
+  differ only in row bounds: a stack on one model, each solve warm from
+  the last optimal basis, and
 * exact: a two-phase primal simplex with Bland's rule, used for acceptance
   runs.  Each tableau row, the cost rows included, is kept as Python ints
   over one positive denominator.  It is built straight from the entries'
@@ -95,16 +96,19 @@ HalfspaceIntersection = _scipy_extension("scipy.spatial._qhull").HalfspaceInters
 
 FEASIBILITY_SLACK = 1e-9
 
-# The options ``linprog(method="highs")`` sets; every other option keeps
-# HiGHS's default.  The enum values are written out: reading the enums at
-# import maps 64 KB more of the bindings' code, and a test pins them.
+# The options ``linprog(method="highs")`` sets, but presolve off: on these
+# small LPs it saves little, and its code is about 0.35 MB of resident pages.
+# The enum values are written out: reading the enums at import maps 64 KB
+# more of the bindings' code, and a test pins them.
 _HIGHS_OPTIONS = {
-    "presolve": "on",
+    "presolve": "off",
     "simplex_strategy": 1,  # SimplexStrategy.kSimplexStrategyDual
     "output_flag": False,
     "log_to_console": False,
     "highs_debug_level": 0,  # HighsDebugLevel.kHighsDebugLevelNone
 }
+# a stack of more than one solve (`_solve_highs`): 4 is kSimplexStrategyPrimal
+_WARM_OPTIONS = {**_HIGHS_OPTIONS, "simplex_strategy": 4}
 # linprog's check of an optimal point: 10 * sqrt of its default tol 1e-9
 _HIGHS_CHECK_TOL = 10 * math.sqrt(1e-9)
 
@@ -112,8 +116,8 @@ _HIGHS_CHECK_TOL = 10 * math.sqrt(1e-9)
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    value: float | None
+    x: np.ndarray | None = None
+    value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -185,12 +189,7 @@ def _iterate(rows, dens, cost, basis) -> str:
 
 
 def exact_linprog(
-    c: Sequence,
-    a_eq=None,
-    b_eq=None,
-    a_le=None,
-    b_le=None,
-    nonneg: Sequence[bool] | None = None,
+    c: Sequence, a_eq=None, b_eq=None, a_le=None, b_le=None, nonneg: Sequence[bool] | None = None
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Minimize c.x subject to a_eq x = b_eq, a_le x <= b_le.
 
@@ -224,7 +223,7 @@ def exact_linprog(
         ints, den = _int_row(row + [b])
         row = [sgn * ints[j] for j, sgn in col_of] + [0] * n_le + ints[-1:]
         if i >= n_eq:
-            row[n_struct + (i - n_eq)] = den
+            row[n_struct - n_eq + i] = den
         if row[-1] < 0:
             row = [-v for v in row]
         rows.append(row)
@@ -283,12 +282,8 @@ def exact_linprog(
     return "optimal", x, Fraction(-cost[0][-1], cost[1])  # the cost row ends in -c.x
 
 
-def hull_membership(
-    points: np.ndarray,
-    target: np.ndarray,
-    tol: float = FEASIBILITY_SLACK,
-    exact: bool = False,
-) -> HullMembership:
+def hull_membership(points: np.ndarray, target: np.ndarray, tol: float = FEASIBILITY_SLACK,
+                    exact: bool = False) -> HullMembership:
     """Is `target` a convex combination of the rows of `points`?
 
     One LP on either backend: minimize the l1 residual sum(s+ + s-) subject
@@ -313,8 +308,7 @@ def hull_membership(
     every point and is solved once.  Member weights have length npts, zero
     outside the final master.
     """
-    pts = np.asarray(points, dtype=float)
-    tgt = np.asarray(target, dtype=float)
+    pts, tgt = np.asarray(points, dtype=float), np.asarray(target, dtype=float)
     npts, dim = pts.shape
     if exact:
         # the columns in the first master's order, largest p.target first; a
@@ -327,13 +321,11 @@ def hull_membership(
         c = np.concatenate([np.zeros(npts), np.ones(2 * dim)])
         _, x, value = exact_linprog(c, a_eq=a_eq, b_eq=tgt)  # feasible, bounded below by 0
         weights = np.zeros(npts)
-        weights[order] = [float(v) for v in x[:npts]]
+        weights[order] = x[:npts]  # Fractions, each rounded by float()
         margin = float(value)
     else:
         weights, margin = _hull_by_column_generation(pts, tgt)
-    if margin <= tol:
-        return HullMembership(True, weights, margin)
-    return HullMembership(False, None, margin)
+    return HullMembership(margin <= tol, weights if margin <= tol else None, margin)
 
 
 def _hull_by_column_generation(pts: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, float]:
@@ -349,13 +341,9 @@ def _hull_by_column_generation(pts: np.ndarray, tgt: np.ndarray) -> tuple[np.nda
     while True:
         a_eq = np.hstack([pts[master].T, eye, -eye])
         c = np.concatenate([np.zeros(len(master)), np.ones(width)])
-        [(status, x, fun, duals)] = _solve_highs(
-            [c], None, None, a_eq, tgt, np.zeros(len(c)), np.full(len(c), np.inf)
-        )
+        [(status, x, fun, duals)] = _solve_highs([tgt], a_eq, c, 0.0, np.inf)
         if status != "optimal":  # pragma: no cover - the relaxation is always feasible
             raise RuntimeError(f"membership LP is {status}")
-        if len(master) == npts:
-            break
         pricing = np.einsum("ij,j->i", pts, duals)  # minus the reduced costs
         pricing[master] = -np.inf
         entering = _largest(pricing, width, FEASIBILITY_SLACK)
@@ -382,39 +370,21 @@ def _largest(values: np.ndarray, count: int, above: float) -> np.ndarray:
     return np.array(picked, dtype=int)
 
 
-def linear_program(
-    c: np.ndarray,
-    a_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    a_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    maximize: bool = False,
-    exact: bool = False,
-) -> LpSolution:
+def linear_program(c: np.ndarray, a_eq: np.ndarray | None = None, b_eq: np.ndarray | None = None,
+                   a_ub: np.ndarray | None = None, b_ub: np.ndarray | None = None,
+                   maximize: bool = False, exact: bool = False) -> LpSolution:
     """Solve an LP over free variables; thin switch between both backends.
 
-    The float path is `linear_programs` on a stack of one row, solved cold,
-    so its solution is ``linprog(method="highs")``'s bit for bit.
+    The float path is `linear_programs` on a stack of one row, solved cold.
     """
-    sign = -1.0 if maximize else 1.0
     if exact:
         # negate the Fractions themselves: a float sign would round them
         cf = [-Fraction(v) if maximize else Fraction(v) for v in np.asarray(c).tolist()]
-        status, x, value = exact_linprog(
-            cf,
-            a_eq=a_eq,
-            b_eq=b_eq,
-            a_le=a_ub,
-            b_le=b_ub,
-            nonneg=[False] * len(cf),
-        )
+        status, x, value = exact_linprog(cf, a_eq=a_eq, b_eq=b_eq, a_le=a_ub, b_le=b_ub,
+                                         nonneg=[False] * len(cf))
         if status != "optimal":
-            return LpSolution(status, None, None)
-        return LpSolution(
-            "optimal",
-            np.array([float(v) for v in x]),
-            sign * float(value),
-        )
+            return LpSolution(status)
+        return LpSolution(status, np.array(x, dtype=float), float(-value if maximize else value))
     return linear_programs([c], a_eq, b_eq, a_ub, b_ub, maximize)[0]
 
 
@@ -422,115 +392,120 @@ def linear_programs(objectives, a_eq, b_eq, a_ub, b_ub, maximize=False) -> list[
     """The float path of `linear_program` for each row of the 2-D
     `objectives`, all over the same constraint rows; one solution per row.
 
-    The rows are solved in turn on one HiGHS object, each from the previous
-    optimal basis (`_solve_highs`).  Each optimum equals a cold solve's
-    within HiGHS's tolerances, but where it is degenerate x may be another
-    optimal vertex than a cold solve's.  A stack of one row is solved cold:
-    it is `linear_program`'s float path.
+    HiGHS solves each LP's dual, one variable per row (mu >= 0 for a_ub,
+    lambda free for a_eq): min b_ub.mu - b_eq.lambda subject to
+    a_eq^T lambda - a_ub^T mu = c.  As c is its right-hand side, the rows
+    are one `_solve_highs` stack that changes only row bounds, each solve
+    warm on a basis of n rows, n the number of variables.  The optimum is
+    minus the dual's and x minus the dual's row duals; x must meet the
+    primal's rows, and c.x the optimum, within the check tolerance
+    (`_check`).  At a degenerate optimum a warm x may be another vertex
+    than a cold one's.  A stack of one row is solved cold: it is
+    `linear_program`'s float path.  Statuses are the primal's: an unbounded
+    dual means infeasible, an infeasible one unbounded if the primal is
+    feasible, which one dual solve at c = 0 per stack decides (that dual is
+    bounded exactly then, by Farkas).
     """
     sign = -1.0 if maximize else 1.0
     costs = sign * np.asarray(objectives, dtype=float)
-    free = np.full(costs.shape[-1], np.inf)
-    return [
-        LpSolution(status, x, None if fun is None else sign * fun)
-        for status, x, fun, _ in _solve_highs(costs, a_ub, b_ub, a_eq, b_eq, -free, free)
-    ]
-
-
-def _rows(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if a is None:
-        return np.empty((0, n)), np.empty(0)
-    return np.asarray(a, dtype=float).reshape(-1, n), np.asarray(b, dtype=float).reshape(-1)
-
-
-def _highs_inf(v) -> list[float]:
-    """`v` with +-inf replaced by HiGHS's infinity +-kHighsInf, as a list: the
-    bindings copy a list into a std::vector about twice as fast as an array."""
-    v = np.asarray(v, dtype=float)
-    return np.where(np.isinf(v), np.copysign(highs.kHighsInf, v), v).tolist()
-
-
-def _solve_highs(costs, a_ub, b_ub, a_eq, b_eq, lb, ub):
-    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, lb <= x <= ub,
-    for each row c of the 2-D stack `costs`.
-
-    Builds the model ``linprog(method="highs")`` builds (rows [a_ub; a_eq]
-    in column-compressed order, the first row's costs) once, and passes it
-    to one new HiGHS object.  A stack of one row is solved cold with
-    linprog's options, so x, the objective and the duals are linprog's bit
-    for bit, without its per-call option handling.  A longer stack is solved
-    with presolve off, and only the costs change between solves
-    (``changeColsCost``): the last optimal basis stays primal feasible, so
-    each solve starts from it and takes a few simplex iterations (a warm
-    re-solve never presolves, and presolve's data would stay alive through
-    the whole stack).  Its optima equal the cold ones within HiGHS's
-    tolerances, but a degenerate one may come back at another vertex.
-    Statuses map as in linprog: a model error reads infeasible, and any
-    status other than optimal, infeasible or unbounded raises.  As in
-    linprog, an optimal point must pass a check: no NaN, bounds, a_ub rows
-    and equality rows within 10 * sqrt(1e-9); a violation raises.  Returns
-    one (status, x, objective, equality duals) per row, the last three None
-    unless optimal.
-    """
-    costs = np.asarray(costs, dtype=float)
     n = costs.shape[-1]
     a_ub, b_ub = _rows(a_ub, b_ub, n)
     a_eq, b_eq = _rows(a_eq, b_eq, n)
-    a = np.vstack([a_ub, a_eq])
-    rhs = np.concatenate([b_ub, b_eq])
-    finite = np.isfinite(costs).all() and np.isfinite(a).all() and not np.isnan(rhs).any()
-    if costs.ndim != 2 or len(rhs) != len(a) or not finite:
-        raise ValueError("malformed LP: costs are not a stack, row counts differ, "
-                         "or c, A or b is not finite")
-    if not len(costs):
+    a, rhs = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq])
+    s = np.repeat([-1.0, 1.0], [len(b_ub), len(b_eq)])
+    dual = (a.T * s, -s * rhs, np.where(s < 0, 0.0, -np.inf), np.inf)
+    solutions, feasible = [], None
+    for c, (status, _, fun, y) in zip(costs, _solve_highs(costs, *dual)):
+        if status == "infeasible" and feasible is None:
+            feasible = _solve_highs([np.zeros(n)], *dual)[0][0] == "optimal"
+        if status == "optimal":
+            _check(-y, -fun, c, a, rhs, len(b_ub), -np.inf, np.inf)
+            solutions.append(LpSolution(status, -y, -sign * fun))
+        else:
+            status = "unbounded" if status == "infeasible" and feasible else "infeasible"
+            solutions.append(LpSolution(status))
+    return solutions
+
+
+def _rows(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`a` as len(b) rows of n entries (none if `a` is None) and `b` flat."""
+    b = np.asarray([] if a is None else b, dtype=float).reshape(-1)
+    return np.asarray([] if a is None else a, dtype=float).reshape(len(b), n), b
+
+
+def _check(x, fun, c, a, rhs, n_ub, lb, ub) -> None:
+    """Raise unless lb <= x <= ub, a x <= rhs in the first n_ub rows and =
+    in the rest, and c.x = fun, all within linprog's check tolerance."""
+    slack = rhs - np.einsum("ij,j->i", a, x)
+    worst = [lb - x, x - ub, -slack[:n_ub], abs(slack[n_ub:]), [abs(np.einsum("i,i", c, x) - fun)]]
+    if not np.concatenate(worst).max() <= _HIGHS_CHECK_TOL:
+        raise RuntimeError(f"HiGHS's optimum violates the LP by more than {_HIGHS_CHECK_TOL:.2e}")
+
+
+_NOT_OPTIMAL = {"kInfeasible": "infeasible", "kModelError": "infeasible",
+                "kUnbounded": "unbounded"}
+
+
+def _solve_highs(b_eqs, a_eq, c, lb, ub):
+    """Minimize c.x subject to a_eq x = b_eq and lb <= x <= ub, for each
+    row b_eq of the 2-D stack `b_eqs`; lb and ub may be scalars.
+
+    Builds linprog(method="highs")'s model once, on one new HiGHS object;
+    arrays pass as lists, which the bindings copy about twice as fast, and
+    kHighsInf is inf.  No solve presolves (`_HIGHS_OPTIONS`).  A stack of
+    one row is solved cold: x, objective and duals are linprog's with
+    presolve off, bit for bit.  A longer stack changes only row bounds
+    (``changeRowBounds``) and re-solves warm from the last optimal basis
+    with `_WARM_OPTIONS`, the primal simplex: the CHSH duals
+    `linear_programs` passes have costs b = 0 but one, where the dual
+    simplex stalls (`ball:2`^2: 34 941 iterations against 3 216).  A
+    degenerate warm optimum may come back at another vertex.  Statuses map
+    as in linprog (`_NOT_OPTIMAL`: a model error reads infeasible), any
+    status other than optimal, infeasible or unbounded raises, and so does
+    an optimum that fails `_check`.  Returns one (status, x, objective, row
+    duals) per row, the last three None unless optimal.
+    """
+    b_eqs, a_eq, c = given = [np.asarray(v, dtype=float) for v in (b_eqs, a_eq, c)]
+    if b_eqs.ndim != 2 or b_eqs.shape[1:] + c.shape != a_eq.shape or not all(
+        np.isfinite(v).all() for v in given
+    ):
+        raise ValueError("malformed LP: the right-hand sides are not a stack, the shapes "
+                         "do not fit, or an entry is not finite")
+    if not len(b_eqs):
         return []
-    cols, rows = np.nonzero(a.T)  # column by column, rows ascending
+    cols, rows = np.nonzero(a_eq.T)  # column by column, rows ascending
     model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = len(a)
+    model.num_col_ = model.a_matrix_.num_col_ = len(c)
+    model.num_row_ = model.a_matrix_.num_row_ = len(a_eq)
     model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    model.a_matrix_.start_ = start.tolist()  # lists, as in _highs_inf
+    model.a_matrix_.start_ = np.cumsum([0] + np.bincount(cols, minlength=len(c)).tolist()).tolist()
     model.a_matrix_.index_ = rows.tolist()
-    model.a_matrix_.value_ = a.T[cols, rows].tolist()
-    model.col_cost_ = costs[0].tolist()
-    model.col_lower_ = _highs_inf(lb)
-    model.col_upper_ = _highs_inf(ub)
-    model.row_lower_ = _highs_inf(np.concatenate([np.full(len(b_ub), -np.inf), b_eq]))
-    model.row_upper_ = _highs_inf(rhs)
+    model.a_matrix_.value_ = a_eq.T[cols, rows].tolist()
+    model.col_cost_ = c.tolist()
+    model.col_lower_ = np.broadcast_to(lb, c.shape).tolist()
+    model.col_upper_ = np.broadcast_to(ub, c.shape).tolist()
+    model.row_lower_ = model.row_upper_ = b_eqs[0].tolist()
 
     solver = highs._Highs()
-    for name, value in {**_HIGHS_OPTIONS, "presolve": "on" if len(costs) == 1 else "off"}.items():
+    for name, value in (_HIGHS_OPTIONS if len(b_eqs) == 1 else _WARM_OPTIONS).items():
         if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:  # pragma: no cover
             raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
     if solver.passModel(model) == highs.HighsStatus.kError:
-        return [("infeasible", None, None, None)] * len(costs)
+        return [("infeasible", None, None, None)] * len(b_eqs)
     results = []
-    for k, cost in enumerate(costs):
-        if k:
-            solver.changeColsCost(n, range(n), cost)
+    for k, b_eq in enumerate(b_eqs):
+        for i, v in enumerate(b_eq.tolist() if k else []):
+            solver.changeRowBounds(i, v, v)
         solver.run()
         status = solver.getModelStatus()
-        if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
-            results.append(("infeasible", None, None, None))
-        elif status == highs.HighsModelStatus.kUnbounded:
-            results.append(("unbounded", None, None, None))
+        if status.name in _NOT_OPTIMAL:
+            results.append((_NOT_OPTIMAL[status.name], None, None, None))
         elif status != highs.HighsModelStatus.kOptimal:
             raise RuntimeError(f"LP failed: HiGHS status {solver.modelStatusToString(status)}")
         else:
             solution = solver.getSolution()
             x = np.array(solution.col_value)
             fun = solver.getInfo().objective_function_value
-            slack = rhs - np.array(solution.row_value)
-            tol = _HIGHS_CHECK_TOL
-            if (
-                np.isnan(x).any()
-                or math.isnan(fun)
-                or np.isnan(slack).any()
-                or not np.all((x >= lb - tol) & (x <= ub + tol))
-                or (slack[: len(b_ub)] < -tol).any()
-                or (np.abs(slack[len(b_ub):]) > tol).any()
-            ):
-                raise RuntimeError(f"HiGHS's optimum violates the LP by more than {tol:.2e}")
-            results.append(("optimal", x, fun, np.array(solution.row_dual)[len(b_ub):]))
+            _check(x, fun, c, a_eq, b_eq, 0, lb, ub)
+            results.append(("optimal", x, fun, np.array(solution.row_dual)))
     return results

@@ -85,18 +85,20 @@ def symmetry_classes(objectives, group_a, group_b) -> np.ndarray:
     1e-12 entrywise, for some ga, gb of the two stacked groups; otherwise it
     represents itself.  Candidates are looked up by the entries rounded to
     9 decimals (-0.0 read as +0.0) and every match is confirmed entrywise,
-    so a split at a rounding edge costs one more LP.
+    so a split at a rounding edge costs one more LP.  Each block of rows
+    is rounded at once, the objectives in one call and each
+    representative's images in one.
     """
-    def key(v):
-        return (np.round(v, 9) + 0.0).tobytes()
+    def keys(block):
+        return [row.tobytes() for row in np.round(block, 9) + 0.0]
 
     shape = (group_a.shape[1], group_b.shape[1])
     images: dict[int, np.ndarray] = {}
     candidates: dict[bytes, list[int]] = {}
     classes = np.empty(len(objectives), dtype=int)
-    for j, c in enumerate(objectives):
+    for j, (c, key) in enumerate(zip(objectives, keys(objectives))):
         classes[j] = next(
-            (i for i in candidates.get(key(c), ())
+            (i for i in candidates.get(key, ())
              if (np.abs(images[i] - c).max(axis=1) <= 1e-12).any()),
             j,
         )
@@ -104,7 +106,7 @@ def symmetry_classes(objectives, group_a, group_b) -> np.ndarray:
             images[j] = np.einsum(
                 "aki,kl,blm->abim", group_a, c.reshape(shape), group_b
             ).reshape(-1, c.size)
-            for k in {key(image) for image in images[j]}:
+            for k in set(keys(images[j])):
                 candidates.setdefault(k, []).append(j)
     return classes
 

@@ -32,7 +32,13 @@ from gptkit.composites import (
     tensor,
     two_qubit_gpt,
 )
-from gptkit.core import BALL_EFFECT_COUNT, BallEffects, theory_from_dict, theory_to_dict
+from gptkit.core import (
+    BALL_EFFECT_COUNT,
+    BallEffects,
+    _binary_measurement_pairs,
+    theory_from_dict,
+    theory_to_dict,
+)
 from gptkit.rotations import deterministic_sphere_points
 from gptkit.symmetry import product_maximum, row_symmetries, symmetry_classes
 from gptkit.zoo import (
@@ -460,6 +466,57 @@ def test_symmetry_classes_confirm_every_key_match():
     objectives = np.array([c, c + 1e-11, c + 1e-13, -c])
     assert symmetry_classes(objectives, identity, identity).tolist() == [0, 1, 0, 3]
 
+
+
+def _classes_keyed_row_by_row(objectives, group_a, group_b):
+    """symmetry_classes with one np.round call per row and per image."""
+    def key(v):
+        return (np.round(v, 9) + 0.0).tobytes()
+
+    shape = (group_a.shape[1], group_b.shape[1])
+    images, candidates = {}, {}
+    classes = np.empty(len(objectives), dtype=int)
+    for j, c in enumerate(objectives):
+        classes[j] = next((i for i in candidates.get(key(c), ())
+                           if (np.abs(images[i] - c).max(axis=1) <= 1e-12).any()), j)
+        if classes[j] == j:
+            images[j] = np.einsum("aki,kl,blm->abim", group_a, c.reshape(shape),
+                                  group_b).reshape(-1, c.size)
+            for k in {key(image) for image in images[j]}:
+                candidates.setdefault(k, []).append(j)
+    return classes
+
+
+@pytest.mark.parametrize("name_a, name_b", [
+    ("polygon:5", "polygon:5"), ("polygon:8", "polygon:8"), ("ball:3", "polygon:4"),
+    ("polygon:6", "polygon:6"),
+])
+def test_symmetry_classes_keyed_by_block_match_row_by_row_keys(name_a, name_b):
+    local_a, local_b = get_theory(name_a), get_theory(name_b)
+    meas_a, meas_b = binary_measurements(local_a), binary_measurements(local_b)
+    group_a = row_symmetries(local_a, _scenario_rows(local_a, meas_a))
+    group_b = row_symmetries(local_b, _scenario_rows(local_b, meas_b))
+    choices = np.indices((len(meas_a),) * 2 + (len(meas_b),) * 2).reshape(4, -1).T
+    objectives = _chsh_objectives(meas_a, meas_b, choices)
+    got = symmetry_classes(objectives, group_a, group_b)
+    assert got.tolist() == _classes_keyed_row_by_row(objectives, group_a, group_b).tolist()
+    assert len(set(got.tolist())) < len(got)  # the group joins some rows
+
+
+@pytest.mark.parametrize("name", ["polygon:4", "polygon:5", "bit", "simplex:2", "ball:3"])
+def test_binary_measurements_are_listed_once_and_read_only(name):
+    theory = get_theory(name)
+    first, second = binary_measurements(theory), binary_measurements(theory)
+    assert first is not second and len(first) == len(second) > 0
+    fresh = _binary_measurement_pairs(theory)
+    for (e, f), (e2, f2), (e3, f3) in zip(first, second, fresh):
+        assert e is e2 and f is f2  # the kept listing
+        assert not e.flags.writeable and not f.flags.writeable
+        assert e.tobytes() == e3.tobytes() and f.tobytes() == f3.tobytes()
+        with pytest.raises(ValueError):
+            e[0] = 0.5
+    first.clear()  # a caller's list is its own
+    assert len(binary_measurements(theory)) == len(second)
 
 @pytest.mark.parametrize("name_a, name_b, exact", REFERENCE_CASES)
 def test_symmetry_classes_share_their_optimum(name_a, name_b, exact):

@@ -627,9 +627,9 @@ def _record_lp_shapes(monkeypatch):
     shapes = []
     solve = lp_module._solve_highs
 
-    def recording(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
+    def recording(b_eqs, a_eq, c, lb, ub):
         shapes.append(a_eq.shape)
-        return solve(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
+        return solve(b_eqs, a_eq, c, lb, ub)
 
     monkeypatch.setattr(lp_module, "_solve_highs", recording)
     return shapes
@@ -676,21 +676,24 @@ def test_direct_highs_sets_the_options_linprog_sets():
     assert options["highs_debug_level"] == highs.HighsDebugLevel.kHighsDebugLevelNone
 
 
-def _assert_matches_linprog(costs, a_ub, b_ub, a_eq, b_eq, lb, ub):
-    """A one-row stack is solved cold: linprog's x, objective and duals bit
-    for bit.  A longer one is solved warm, and may end at another optimal
-    vertex: each row's optimum is linprog's within the CHSH tie width 1e-9,
-    at a point that satisfies the LP within the check tolerance."""
+def _assert_matches_linprog(b_eqs, a_eq, c, lb, ub):
+    """Each row of the stack `b_eqs` is the LP's equality right-hand side.
+    A one-row stack is solved cold: linprog's x, objective and duals bit
+    for bit, both with presolve off.  A longer one is solved warm, and may
+    end at another optimal vertex: each row's optimum is linprog's within
+    the CHSH tie width 1e-9, at a point that satisfies the LP within the
+    check tolerance."""
     from scipy.optimize import linprog as scipy_linprog
 
-    results = lp_module._solve_highs(costs, a_ub, b_ub, a_eq, b_eq, lb, ub)
-    assert len(results) == len(costs)
+    results = lp_module._solve_highs(b_eqs, a_eq, c, lb, ub)
+    assert len(results) == len(b_eqs)
     tol = lp_module._HIGHS_CHECK_TOL
-    for c, (status, x, fun, duals) in zip(costs, results):
-        ref = scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                            bounds=np.column_stack([lb, ub]), method="highs")
+    lb, ub = np.broadcast_arrays(lb, ub, c)[:2]  # the bounds may be scalars
+    for b_eq, (status, x, fun, duals) in zip(b_eqs, results):
+        ref = scipy_linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=np.column_stack([lb, ub]),
+                            method="highs", options={"presolve": False})
         assert ref.success and status == "optimal"
-        if len(costs) == 1:
+        if len(b_eqs) == 1:
             assert x.tobytes() == ref.x.tobytes()
             assert fun == ref.fun
             assert duals.tobytes() == ref.eqlin.marginals.tobytes()
@@ -698,8 +701,6 @@ def _assert_matches_linprog(costs, a_ub, b_ub, a_eq, b_eq, lb, ub):
             assert abs(fun - ref.fun) <= 1e-9
             assert abs(np.dot(c, x) - fun) <= 1e-9
             assert np.all((x >= lb - tol) & (x <= ub + tol))
-            if a_ub is not None:
-                assert (a_ub @ x - b_ub).max() <= tol
             assert np.abs(a_eq @ x - b_eq).max() <= tol
 
 
@@ -729,6 +730,108 @@ def test_direct_highs_matches_linprog_on_column_generation_masters():
     for args in calls:
         _assert_matches_linprog(*args)
 
+
+def _recorded_class_lps(name_a, name_b):
+    """Every `linear_programs` stack a float scan of the pair solves: its
+    arguments and its solutions."""
+    stacks = []
+    solve = lp_module.linear_programs
+
+    def recording(*args, **kwargs):
+        stacks.append((args, kwargs, solve(*args, **kwargs)))
+        return stacks[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "linear_programs", recording)
+        composites.maximize_chsh(get_theory(name_a), get_theory(name_b))
+    return stacks
+
+
+@pytest.mark.parametrize("name_a, name_b", CHSH_PAIRS)
+def test_dual_stacks_reach_the_primal_optimum_of_every_class_lp(name_a, name_b):
+    # each class LP's value is linprog's on the primal within 1e-9, and its
+    # witness, minus the dual's row duals, meets the primal within the check
+    # tolerance at that value
+    from scipy.optimize import linprog as scipy_linprog
+
+    tol = lp_module._HIGHS_CHECK_TOL
+    stacks = _recorded_class_lps(name_a, name_b)
+    assert sum(len(objectives) for (objectives, *_), _, _ in stacks) > 0
+    for (objectives, a_eq, b_eq, a_ub, b_ub), kwargs, solutions in stacks:
+        assert kwargs == {"maximize": True}
+        for c, sol in zip(objectives, solutions):
+            ref = scipy_linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                                bounds=(None, None), method="highs")
+            assert ref.status == 0 and sol.status == "optimal"
+            assert abs(sol.value + ref.fun) <= 1e-9
+            assert abs(np.dot(c, sol.x) - sol.value) <= 1e-9
+            assert (a_ub @ sol.x - b_ub).max() <= tol
+            assert np.abs(a_eq @ sol.x - b_eq).max() <= tol
+
+
+# (a_ub, b_ub, objective to maximize, linprog's status code) over free x
+_NON_OPTIMAL_CASES = {
+    # x_0 >= 0 and max x_0: the dual is infeasible and the primal feasible
+    "unbounded": (np.array([[-1.0, 0.0]]), np.array([0.0]), np.array([1.0, 0.0]), 3),
+    # x_0 >= 1, x_0 <= 0 and max x_0: the dual is unbounded
+    "infeasible, dual unbounded": (
+        np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 2),
+    # the same rows, max x_1: x_1 is in no row, so the dual is infeasible too
+    "both infeasible": (
+        np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([-1.0, 0.0]), np.array([0.0, 1.0]), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_OPTIMAL_CASES))
+def test_dual_statuses_map_to_linprogs_on_the_primal(case):
+    from scipy.optimize import linprog as scipy_linprog
+
+    a_ub, b_ub, c, code = _NON_OPTIMAL_CASES[case]
+    ref = scipy_linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    assert ref.status == code
+    status = {2: "infeasible", 3: "unbounded"}[code]
+    assert linear_program(c, a_ub=a_ub, b_ub=b_ub, maximize=True) == lp_module.LpSolution(status)
+    # warm, in a stack after an optimal row where there is one: the dual at
+    # c = 0 decides between unbounded and infeasible once per stack
+    bounded = np.array([-1.0, 0.0])
+    stacked = linear_programs(np.array([bounded, c, c]), None, None, a_ub, b_ub, maximize=True)
+    assert [sol.status for sol in stacked[1:]] == [status, status]
+    assert stacked[0].status == ("optimal" if code == 3 else "infeasible")
+
+
+@pytest.mark.parametrize("how", ["row", "objective"])
+def test_a_witness_that_misses_the_primal_raises(monkeypatch, how):
+    # the dual point passes its own check; the x it hands back then misses a
+    # primal row, or the value misses c.x, by more than the check tolerance
+    solve = lp_module._solve_highs
+
+    def off(b_eqs, *args):
+        results = solve(b_eqs, *args)
+        if len(b_eqs[0]) != 2:  # only the dual of the LP below
+            return results
+        # x moves along (1, -1), at right angles to c: c.x stays at the value
+        shift = np.array([1e-3, -1e-3]) if how == "row" else 0.0
+        return [(status, y, fun + (1e-3 if how == "objective" else 0.0), duals - shift)
+                for status, y, fun, duals in results]
+
+    monkeypatch.setattr(lp_module, "_solve_highs", off)
+    with pytest.raises(RuntimeError, match="violates"):
+        linear_program(np.array([1.0, 1.0]), a_ub=np.eye(2), b_ub=np.ones(2), maximize=True)
+
+
+def test_no_stack_presolves_and_warm_stacks_run_the_primal_simplex():
+    from scipy.optimize._highspy import _core as highs
+
+    warm = lp_module._WARM_OPTIONS
+    primal = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
+    assert lp_module._HIGHS_OPTIONS["presolve"] == warm["presolve"] == "off"
+    assert warm["simplex_strategy"] == primal
+    assert {**warm, "simplex_strategy": 1} == lp_module._HIGHS_OPTIONS
+
+
+def test_highs_infinity_is_inf():
+    # `_solve_highs` passes infinite bounds as they are
+    assert lp_module.highs.kHighsInf == np.inf
 
 def test_direct_highs_reports_infeasible_and_unbounded_as_linprog_does():
     from scipy.optimize import linprog as scipy_linprog
