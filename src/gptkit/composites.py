@@ -111,10 +111,16 @@ def is_separable(phi: JointState, tol: float = 1e-9, exact: bool = False) -> Sep
     which the discretized decomposition fails.  A discretized hull is solved
     in floating point even when `exact` is set: its verdict is not definite
     either way, and its K^2 columns are too many for the rational simplex.
+    The float path prices the products from the two lists of extreme states
+    (`lp.product_hull_membership`) and never stores the K^2 columns; only
+    the exact path, two polytope sides, lists them.
     """
     discretized = isinstance(phi.local_a.states, Ball) or isinstance(phi.local_b.states, Ball)
-    rows = _product_rows(phi.local_a.extreme_states(), phi.local_b.extreme_states())
-    res = lp.hull_membership(rows, phi.vector, tol=tol, exact=exact and not discretized)
+    xa, xb = phi.local_a.extreme_states(), phi.local_b.extreme_states()
+    if exact and not discretized:
+        res = lp.hull_membership(_product_rows(xa, xb), phi.vector, tol=tol, exact=True)
+    else:
+        res = lp.product_hull_membership(xa, xb, phi.vector, tol)
     resolution = BALL_STATE_COUNT if discretized else None
     if res.member:
         return SeparabilityVerdict("separable", res.margin, res.weights, resolution)
@@ -196,7 +202,8 @@ def correlator(phi: JointState, a_pair, b_pair) -> float:
 
 
 def _check_measurement(pair, unit, tol):
-    if len(pair) != 2 or not np.allclose(pair[0] + pair[1], unit, atol=tol):
+    # the largest entry miss: np.allclose would add its rtol of 1e-5 to tol
+    if len(pair) != 2 or not np.abs(pair[0] + pair[1] - unit).max() <= tol:
         raise ValueError("measurement pair does not sum to the unit effect")
 
 
@@ -265,7 +272,8 @@ def maximize_chsh(
     rows_a = _scenario_rows(local_a, meas_a)
     rows_b = _scenario_rows(local_b, meas_b)
     group_a = row_symmetries(local_a, rows_a)
-    group_b = row_symmetries(local_b, rows_b)
+    same = local_b is local_a and np.array_equal(rows_a, rows_b)
+    group_b = group_a if same else row_symmetries(local_b, rows_b)
     constraint_rows = _product_rows(rows_a, rows_b)
     a_eq = tensor(local_a.unit, local_b.unit).reshape(1, -1)
     b_eq = np.array([1.0])

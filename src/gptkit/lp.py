@@ -36,7 +36,11 @@ master.  The loop stops when no point prices below that, so the master
 optimum is the optimum over every point.  Points are only ever added, so it
 ends after at most npts - 2*dim + 1 solves, and after ceil(npts / 2*dim)
 when every round adds a full 2*dim.  An LP with npts <= 2*dim fits in the
-first master and is solved once as given.
+first master and is solved once as given.  `product_hull_membership` runs
+the same loop over every product xa (x) xb of two point lists, as
+separability needs: a product's pairing with y is xa . Y . xb, Y being y
+as a matrix, so a round prices all of them from the two factors, and only
+the products that join the master are ever built.
 
 The three compiled scipy modules gptkit calls are loaded here by
 `_scipy_extension` from scipy's install directory: the HiGHS bindings,
@@ -141,7 +145,7 @@ def _int_row(ratios) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
+def _lowest(row, den) -> tuple[list[int], int]:
     g = math.gcd(den, *row)
     if g == 1:
         return row, den
@@ -309,42 +313,57 @@ def hull_membership(points: np.ndarray, target: np.ndarray, tol: float = FEASIBI
     outside the final master.
     """
     pts, tgt = np.asarray(points, dtype=float), np.asarray(target, dtype=float)
-    npts, dim = pts.shape
-    if exact:
-        # the columns in the first master's order, largest p.target first; a
-        # NaN or -inf pairing keeps the given order, in which a NaN or inf raises
-        order = _largest(np.einsum("ij,j->i", pts, tgt), npts, -np.inf)
-        if len(order) < npts:
-            order = np.arange(npts)
-        eye = np.eye(dim)
-        a_eq = np.hstack([pts[order].T, eye, -eye])
-        c = np.concatenate([np.zeros(npts), np.ones(2 * dim)])
-        _, x, value = exact_linprog(c, a_eq=a_eq, b_eq=tgt)  # feasible, bounded below by 0
-        weights = np.zeros(npts)
-        weights[order] = x[:npts]  # Fractions, each rounded by float()
-        margin = float(value)
-    else:
-        weights, margin = _hull_by_column_generation(pts, tgt)
+    if not exact:
+        return _hull_by_column_generation(
+            lambda y: np.einsum("ij,j->i", pts, y), pts.__getitem__, tgt, tol)
+    npts = len(pts)
+    # the columns in the first master's order, largest p.target first; a
+    # NaN or -inf pairing keeps the given order, in which a NaN or inf raises
+    order = _largest(np.einsum("ij,j->i", pts, tgt), npts, -np.inf)
+    if len(order) < npts:
+        order = np.arange(npts)
+    a_eq, c = _hull_lp(pts[order])
+    _, x, value = exact_linprog(c, a_eq=a_eq, b_eq=tgt)  # feasible, bounded below by 0
+    weights = np.zeros(npts)
+    weights[order] = x[:npts]  # Fractions, each rounded by float()
+    margin = float(value)
     return HullMembership(margin <= tol, weights if margin <= tol else None, margin)
 
 
-def _hull_by_column_generation(pts: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, float]:
-    """Weights and optimum of the l1 hull LP over every row of `pts`, by HiGHS."""
-    npts, dim = pts.shape
-    width = 2 * dim
-    eye = np.eye(dim)
-    # einsum, not @: a matrix product would map BLAS code no other LP uses
-    if npts <= width:
-        master = np.arange(npts)
-    else:
-        master = _largest(np.einsum("ij,j->i", pts, tgt), width, -np.inf)
+def product_hull_membership(xa, xb, target, tol=FEASIBILITY_SLACK) -> HullMembership:
+    """`hull_membership`'s float path over every product xa[a] (x) xb[b],
+    flattened A-major and numbered a * len(xb) + b, without storing those
+    len(xa) * len(xb) rows: column generation prices them from the two
+    factors (`_product_pairing`) and builds only the ones that enter the
+    master.
+    """
+    xa, xb, tgt = (np.asarray(v, float) for v in (xa, xb, target))
+    return _hull_by_column_generation(
+        lambda y: _product_pairing(xa, xb, y),
+        lambda idx: np.einsum("ki,kj->kij", xa[idx // len(xb)], xb[idx % len(xb)]).reshape(
+            len(idx), -1), tgt, tol)
+
+
+def _product_pairing(xa, xb, y):
+    """Every product xa[a] (x) xb[b] paired with y, a-major: xa[a] . Y . xb[b],
+    Y being y as a len(xa[0]) x len(xb[0]) matrix; len(xa) * len(xb) floats."""
+    return np.einsum("aj,bj->ab", np.einsum("ai,ij->aj", xa, y.reshape(len(xa[0]), -1)), xb).ravel()
+
+
+def _hull_by_column_generation(pairing, columns, tgt, tol) -> HullMembership:
+    """`hull_membership`'s float path over a list of points given by
+    pairing(y), every point's p.y, and columns(idx), the points idx as rows.
+    Both callers pair by einsum, not @: a matrix product would map BLAS code
+    no other LP uses."""
+    width, pricing = 2 * len(tgt), pairing(tgt)
+    npts = len(pricing)
+    master = np.arange(npts) if npts <= width else _largest(pricing, width, -np.inf)
     while True:
-        a_eq = np.hstack([pts[master].T, eye, -eye])
-        c = np.concatenate([np.zeros(len(master)), np.ones(width)])
+        a_eq, c = _hull_lp(columns(master))
         [(status, x, fun, duals)] = _solve_highs([tgt], a_eq, c, 0.0, np.inf)
         if status != "optimal":  # pragma: no cover - the relaxation is always feasible
             raise RuntimeError(f"membership LP is {status}")
-        pricing = np.einsum("ij,j->i", pts, duals)  # minus the reduced costs
+        pricing = pairing(duals)  # minus the reduced costs
         pricing[master] = -np.inf
         entering = _largest(pricing, width, FEASIBILITY_SLACK)
         if not entering.size:
@@ -352,10 +371,17 @@ def _hull_by_column_generation(pts: np.ndarray, tgt: np.ndarray) -> tuple[np.nda
         master = np.concatenate([master, entering])
     weights = np.zeros(npts)
     weights[master] = x[: len(master)]
-    return weights, fun
+    return HullMembership(fun <= tol, weights if fun <= tol else None, fun)
 
 
-def _largest(values: np.ndarray, count: int, above: float) -> np.ndarray:
+def _hull_lp(columns):
+    """Rows and costs of the l1 hull LP over the rows of `columns`: minimize
+    sum(s+ + s-) subject to columns^T w + s+ - s- = target, all >= 0."""
+    eye = np.eye(columns.shape[1])
+    return np.hstack([columns.T, eye, -eye]), np.repeat([0.0, 1.0], [len(columns), 2 * len(eye)])
+
+
+def _largest(values, count, above) -> np.ndarray:
     """Indices of the `count` largest entries above `above`, largest first,
     the lower index first on ties; the picked entries of `values` are
     overwritten.  Repeated argmax, not a sort: numpy's sort kernels are about
@@ -427,7 +453,7 @@ def linear_programs(objectives, a_eq, b_eq, a_ub, b_ub, maximize=False) -> list[
     return solutions
 
 
-def _rows(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _rows(a, b, n):
     """`a` as len(b) rows of n entries (none if `a` is None) and `b` flat."""
     b = np.asarray([] if a is None else b, dtype=float).reshape(-1)
     return np.asarray([] if a is None else a, dtype=float).reshape(len(b), n), b

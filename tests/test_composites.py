@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -433,6 +434,27 @@ def _class_representatives(local_a, local_b, meas_a, meas_b):
     return representative
 
 
+def test_maximize_chsh_builds_one_row_group_for_equal_sides(monkeypatch):
+    built = []
+    build = composites.row_symmetries
+
+    def recording(theory, rows):
+        built.append(theory.name)
+        return build(theory, rows)
+
+    monkeypatch.setattr(composites, "row_symmetries", recording)
+    pentagon = get_theory("polygon:5")
+    pairs = binary_measurements(pentagon)
+    both = maximize_chsh(pentagon, pentagon)
+    assert built == ["polygon:5"]
+    # a pair of non-extremal effects adds a scenario row on side B only, so
+    # side B's group is built for its own rows
+    half = (0.5 * pentagon.unit, 0.5 * pentagon.unit)
+    more = maximize_chsh(pentagon, pentagon, pairs, pairs + [half])
+    assert built == ["polygon:5"] * 3
+    assert abs(more.value - both.value) <= 1e-9
+
+
 def test_row_symmetries_drop_generators_that_move_the_rows():
     # ball:3's quarter-turns do not permute its K = 64 sphere points
     ball = get_theory("ball:3")
@@ -489,7 +511,7 @@ def _classes_keyed_row_by_row(objectives, group_a, group_b):
 
 @pytest.mark.parametrize("name_a, name_b", [
     ("polygon:5", "polygon:5"), ("polygon:8", "polygon:8"), ("ball:3", "polygon:4"),
-    ("polygon:6", "polygon:6"),
+    ("polygon:6", "polygon:6"), ("simplex:3", "simplex:3"),
 ])
 def test_symmetry_classes_keyed_by_block_match_row_by_row_keys(name_a, name_b):
     local_a, local_b = get_theory(name_a), get_theory(name_b)
@@ -741,9 +763,10 @@ def test_polygon_measurement_pairs_sum_to_the_unit_exactly(name):
         assert [Fraction(x) + Fraction(y) for x, y in zip(e, f)] == [1, 0, 0]
 
 
-@pytest.mark.parametrize("name", ["polygon:3", "polygon:4", "polygon:5", "polygon:6", "polygon:8"])
+@pytest.mark.parametrize("name", ["polygon:3", "polygon:4", "polygon:5", "polygon:6"])
 def test_exact_single_setting_chsh_stays_at_most_two(name):
-    # one setting a side gives S = 2 E(a, b) <= 2 on the exact path
+    # one setting a side gives S = 2 E(a, b) <= 2 on the exact path;
+    # polygon:8 is checked in test_single_setting_scans_read_separable
     p = get_theory(name)
     pairs = binary_measurements(p)
     for a, b in itertools.product(pairs, repeat=2):
@@ -843,6 +866,30 @@ def test_chsh_rejects_malformed_measurements():
         chsh_value(scenario)
 
 
+def test_a_pair_that_misses_the_unit_by_1e_7_is_rejected(monkeypatch):
+    # the miss is in coordinate 0, where the unit reads 1: np.allclose's
+    # default rtol of 1e-5 would let it pass a check at 1e-9
+    square = get_theory("polygon:4")
+    ext = square.extremal_effects()
+    j = next(j for j in range(len(ext)) if np.array_equal(ext[0] + ext[j], square.unit))
+    off = (ext[0] + 1e-7 * square.unit, ext[j])
+    phi = product_state(square.states.vertices[0], square.states.vertices[1], square, square)
+    with pytest.raises(ValueError, match="unit effect"):
+        chsh_value(ChshScenario(off, off, (ext[0], ext[j]), (ext[0], ext[j]), phi))
+
+    class OffUnit(type(square)):
+        def extremal_effects(self):
+            moved = super().extremal_effects().copy()
+            moved[0, 0] += 1e-7
+            return moved
+
+    fields = {f.name: getattr(square, f.name) for f in dataclasses.fields(square)}
+    monkeypatch.setattr(composites, "get_theory", lambda name: OffUnit(**fields))
+    with pytest.raises(ValueError, match="unit effect"):
+        run_scenario({"local_a": "polygon:4", "local_b": "polygon:4",
+                      "measurements_a": [[0, j]]})
+
+
 def test_binary_measurements_for_restricted_classical_sets():
     pairs = binary_measurements(classical_simplex(2))
     assert len(pairs) == 3
@@ -890,15 +937,29 @@ def test_explicit_vector_rows_keep_the_hull_verdict():
 
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("name", ["polygon:6", "polygon:8"])
-def test_single_setting_scans_read_separable(name, exact):
+def test_single_setting_scans_read_separable(monkeypatch, name, exact):
     # S* = 2 E(a, b) <= 2 is reached by a product of vertices whichever
-    # optimal vertex the LP returns, so every row reads separable
+    # optimal vertex the LP returns, so every row reads separable.  The
+    # scan's unrounded optimum is recorded on the way: on the exact path it
+    # stays at most 2 (test_exact_single_setting_chsh_stays_at_most_two)
+    values = []
+    scan = composites.maximize_chsh
+
+    def recording(*args, **kwargs):
+        optimum = scan(*args, **kwargs)
+        values.append(optimum.value)
+        return optimum
+
+    monkeypatch.setattr(composites, "maximize_chsh", recording)
     n = len(binary_measurements(get_theory(name)))  # pair i is (i, i + n)
     for i, j in itertools.product(range(n), repeat=2):
         row = run_scenario({"local_a": name, "local_b": name,
                             "measurements_a": [[i, i + n]], "measurements_b": [[j, j + n]]},
                            exact=exact)
         assert (row["chsh_value"], row["separability_verdict"]) == (2.0, "separable")
+    assert len(values) == n * n
+    if exact:
+        assert max(values) <= 2.0
 
 
 def test_simplex_single_setting_rows_read_separable_above_two(monkeypatch):

@@ -652,6 +652,75 @@ def test_the_singlet_hull_never_hands_highs_the_full_column_set(monkeypatch):
     assert shapes and max(cols for _, cols in shapes) <= 2000
 
 
+def test_product_pairing_equals_the_dense_pairing():
+    # xa[a] . Y . xb[b] against the einsum over the materialized product rows
+    rng = np.random.default_rng(41)
+    for na, nb, da, db in [(7, 5, 3, 4), (200, 200, 4, 4), (1, 6, 2, 3), (9, 1, 5, 1)]:
+        xa, xb = rng.standard_normal((na, da)), rng.standard_normal((nb, db))
+        y = rng.standard_normal(da * db)
+        dense = np.einsum("ij,j->i", composites._product_rows(xa, xb), y)
+        got = lp_module._product_pairing(xa, xb, y)
+        assert got.shape == (na * nb,)
+        assert np.abs(got - dense).max() <= 1e-12
+
+
+def _product_hull_targets(local_a, local_b, rng):
+    """Werner-like states (correlations -v on the diagonal) at v = 0.2, 0.5
+    and 0.7, and three seeded product mixtures, each also pushed off by noise."""
+    rows = composites._product_rows(local_a.extreme_states(), local_b.extreme_states())
+    for v in (0.2, 0.5, 0.7):
+        mat = np.zeros((local_a.dim + 1, local_b.dim + 1))
+        mat[0, 0] = 1.0
+        mat[1:, 1:] = -v * np.eye(local_a.dim, local_b.dim)
+        yield mat.reshape(-1)
+    for _ in range(3):
+        picks = rng.choice(len(rows), size=4, replace=False)
+        member = rng.dirichlet(np.ones(4)) @ rows[picks]
+        yield member
+        outside = member.copy()
+        outside[1:] += 0.3 * rng.standard_normal(len(member) - 1)
+        yield outside
+
+
+@pytest.mark.parametrize("name_a, name_b", [
+    ("ball:3", "ball:3"), ("ball:3", "polygon:4"), ("polygon:5", "polygon:5"),
+    ("polygon:4", "polygon:4"),
+])
+def test_product_hull_matches_the_materialized_hull(name_a, name_b):
+    local_a, local_b = get_theory(name_a), get_theory(name_b)
+    xa, xb = local_a.extreme_states(), local_b.extreme_states()
+    rows = composites._product_rows(xa, xb)
+    tol = lp_module.FEASIBILITY_SLACK
+    members = []
+    for target in _product_hull_targets(local_a, local_b, np.random.default_rng(42)):
+        got = lp_module.product_hull_membership(xa, xb, target, tol)
+        want = hull_membership(rows, target, tol)
+        assert got.member == want.member
+        assert abs(got.margin - want.margin) <= 1e-12, (got.margin, want.margin)
+        if got.member:
+            # weights in the materialized rows' a-major order
+            assert got.weights.shape == (len(rows),) and got.weights.min() >= -1e-12
+            assert np.abs(got.weights @ rows - target).sum() <= tol
+        members.append(got.member)
+    assert any(members) and not all(members)
+
+
+def test_a_ball_hull_never_stores_its_products():
+    import tracemalloc
+
+    werner = composites.two_qubit_gpt(np.zeros(3), np.zeros(3), -0.5 * np.eye(3))
+    composites.is_separable(werner)  # one-time allocations outside the hull
+    tracemalloc.start()
+    try:
+        verdict = composites.is_separable(werner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == "inconclusive"
+    # the 40 000 x 16 product rows alone are 5.1 MB
+    assert peak < 1_000_000, peak
+
+
 def _recorded_highs_lps(run):
     """The arguments of every `_solve_highs` call that `run()` makes."""
     calls = []
