@@ -94,8 +94,7 @@ def minkowski_suite(
     (assoc,) = _worst(samples, associativity)
     (roundtrip,) = _worst(samples, boost_roundtrip)
     if log_transforms:
-        with open(log_transforms, "w", encoding="utf-8") as fh:
-            fh.write(minkowski.transforms_to_json(transforms) + "\n")
+        _write(minkowski.transforms_to_json(transforms) + "\n", log_transforms)
     return [
         CheckRow("interval-invariance", samples, interval, tol, {"n": n}),
         CheckRow("mass-shell-preservation", samples, shell, tol, {"n": n}),
@@ -245,7 +244,7 @@ def _write(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as err:
-            print(f"error: cannot write report to {out!r}: {err}", file=sys.stderr)
+            print(f"error: cannot write {out!r}: {err}", file=sys.stderr)
             raise SystemExit(2)
     else:
         sys.stdout.write(text)

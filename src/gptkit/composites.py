@@ -26,6 +26,7 @@ import numpy as np
 
 from . import lp
 from .core import BALL_EFFECT_COUNT, BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec
+from .core import _effect_floor
 # binary_measurements and its ball count are core's, read here by callers
 from .core import BALL_MEASUREMENT_COUNT, _dedupe_rows, binary_measurements  # noqa: F401
 from .lp import HalfspaceIntersection
@@ -129,35 +130,22 @@ def is_separable(phi: JointState, tol: float = 1e-9, exact: bool = False) -> Sep
     return SeparabilityVerdict("entangled", res.margin, None, None)
 
 
-def _min_ball_pairing(m: np.ndarray) -> np.ndarray:
-    """Minimum of (1, v)/2 . m over unit v, per column: half of m0 - ||m reduced||."""
-    return 0.5 * (m[0] - np.linalg.norm(m[1:], axis=0))
-
-
 def in_max_tensor(phi: JointState, tol: float = 1e-9) -> bool:
     """Normalization plus nonnegativity on all product effects.
 
     Two polytope sides are checked on every pair of their `effect_rows`.  A
-    ball side is closed analytically: against each effect row of the other
-    side (its `core.BALL_EFFECT_COUNT` fixed extremal effects and unit if
-    that side is a ball too) the pairing with every extremal effect of the
-    ball is at least `_min_ball_pairing`, and the pairing with its unit
-    effect is the first entry.
+    ball side is closed analytically (`core._effect_floor`) against the other
+    side's `effect_rows`, and each of two ball sides against the other's.
     """
     mat = phi.matrix
     if abs(mat[0, 0] - 1.0) > tol:
         return False
-    a_ball = isinstance(phi.local_a.effects, BallEffects)
-    b_ball = isinstance(phi.local_b.effects, BallEffects)
-    if not (a_ball or b_ball):
-        values = phi.local_a.effect_rows() @ mat @ phi.local_b.effect_rows().T
-        return bool(values.min() >= -tol)
-    columns = []  # one column per effect row of the side facing a ball
-    if a_ball:
-        columns.append(mat @ phi.local_b.effect_rows().T)
-    if b_ball:
-        columns.append((phi.local_a.effect_rows() @ mat).T)
-    return all(min(m[0].min(), _min_ball_pairing(m).min()) >= -tol for m in columns)
+    a, b = phi.local_a, phi.local_b
+    a_ball = isinstance(a.effects, BallEffects)
+    floors = [_effect_floor(a, (mat @ b.effect_rows().T).T)] if a_ball else []
+    if isinstance(b.effects, BallEffects) or not a_ball:
+        floors.append(_effect_floor(b, a.effect_rows() @ mat))
+    return all(f.min() >= -tol for f in floors)
 
 
 def no_signalling_check(phi: JointState, tol: float = 1e-9) -> bool:

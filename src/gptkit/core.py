@@ -63,7 +63,8 @@ def state_from_point(tilde: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex hull of finitely many states, one per row of `vertices`."""
+    """Convex hull of finitely many states, one per row of `vertices`; the
+    rows are read as its extreme points (`is_pure`, `is_reversible`)."""
 
     vertices: np.ndarray
 
@@ -194,7 +195,7 @@ class TheorySpec:
     def extremal_effects(self) -> np.ndarray:
         """`effect_rows` without the unit effect."""
         rows = self.effect_rows()
-        return rows[~np.all(np.isclose(rows, self.unit, atol=1e-12), axis=1)]
+        return rows[np.abs(rows - self.unit).max(axis=1) > 1e-12]
 
 
 def _sphere_states(dim: int, count: int) -> np.ndarray:
@@ -239,7 +240,7 @@ def _binary_measurement_pairs(theory: TheorySpec) -> list[tuple[np.ndarray, np.n
     ext = theory.extremal_effects()
     pairs = []
     used = set()
-    sums_to_unit = np.isclose(ext[:, None] + ext[None], u, atol=1e-10).all(-1)
+    sums_to_unit = np.abs(ext[:, None] + ext[None] - u).max(-1) <= 1e-10
     for i, j in np.argwhere(sums_to_unit).tolist():  # row by row: the greedy i < j scan
         if i < j and i not in used and j not in used:
             pairs.append((ext[i].copy(), ext[j].copy()))
@@ -247,7 +248,7 @@ def _binary_measurement_pairs(theory: TheorySpec) -> list[tuple[np.ndarray, np.n
     if pairs:
         return pairs
     # restricted classical effect sets: coarse-grain the partition measurement
-    if np.allclose(ext.sum(axis=0), u, atol=1e-10):
+    if np.abs(ext.sum(axis=0) - u).max() <= 1e-10:
         n = len(ext)
         for r in range(1, n // 2 + 1):
             for subset in itertools.combinations(range(n), r):
@@ -328,24 +329,39 @@ def is_pure(space: ConvexSet, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.min(dists) <= tol)
 
 
+def _pairing_range(space: ConvexSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest pairing of each row (last axis, any leading axes)
+    with the states of `space`: a scan of a polytope's vertices by np.einsum,
+    as `symmetry` multiplies, so no BLAS call is made; r0 -+ ||r reduced|| on a ball."""
+    if isinstance(space, Ball):
+        r = np.linalg.norm(rows[..., 1:], axis=-1)
+        return rows[..., 0] - r, rows[..., 0] + r
+    values = np.einsum("...i,vi->...v", rows, space.vertices)
+    return values.min(axis=-1), values.max(axis=-1)
+
+
+def _effect_floor(theory: TheorySpec, rows: np.ndarray) -> np.ndarray:
+    """Least pairing of each row with the theory's `effect_rows`, closed for
+    a ball's: the unit gives r0, the effects (1, v)/2 half the ball's least."""
+    if isinstance(theory.effects, PolytopeEffects):
+        return (rows @ theory.effect_rows().T).min(axis=-1)
+    return np.minimum(rows[..., 0], 0.5 * _pairing_range(Ball(theory.dim), rows)[0])
+
+
 def is_normalized_effect(
     theory: TheorySpec, e: np.ndarray, tol: float = DEFAULT_TOL
 ) -> bool:
     """Does `e` give values in [0, 1] on the whole state space?
 
     `e` is one effect or a stack of them, one per row; a stack passes only
-    if every row does.  Checked at the vertices for polytopes; for balls the
-    exact condition is 0 <= e0 +- ||e_reduced|| <= 1.
+    if every row does.  Each row's range on the state space is its
+    `_pairing_range`: at the vertices of a polytope, exact on a ball.
     """
     vec = np.asarray(e, dtype=float)
     if vec.ndim not in (1, 2) or vec.shape[-1] != theory.dim + 1:
         raise ValueError("effect has the wrong length for this theory")
-    if isinstance(theory.states, Ball):
-        r = np.linalg.norm(vec[..., 1:], axis=-1)
-        lo, hi = vec[..., 0] - r, vec[..., 0] + r
-        return bool(np.min(lo) >= -tol and np.max(hi) <= 1.0 + tol)
-    values = vec @ theory.states.vertices.T
-    return bool(values.min() >= -tol and values.max() <= 1.0 + tol)
+    lo, hi = _pairing_range(theory.states, vec)
+    return bool(np.min(lo) >= -tol and np.max(hi) <= 1.0 + tol)
 
 
 def apply_map(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -356,36 +372,34 @@ def apply_map(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat @ vec
 
 
-def _maps_states_inside(theory: TheorySpec, m: np.ndarray, tol: float) -> bool:
-    if isinstance(theory.states, Polytope):
-        return all(
-            validate_state(theory.states, m @ v, tol).member
-            for v in theory.states.vertices
-        )
-    # an affine bijection of the ball fixes its centre, so the reversible
-    # maps are exactly 1 (+) O(d): first row and column e0, block orthogonal
-    d = theory.dim
-    first_row_ok = np.max(np.abs(m[0] - unit_effect(d))) <= tol
-    first_col_ok = np.max(np.abs(m[:, 0] - unit_effect(d))) <= tol
-    block = m[1:, 1:]
-    orthogonal = np.max(np.abs(block.T @ block - np.eye(d))) <= tol
-    return bool(first_row_ok and first_col_ok and orthogonal)
+def _row_permutation(rows: np.ndarray, moved: np.ndarray, tol: float) -> np.ndarray | None:
+    """`perm` with moved[i] = rows[perm[i]] entrywise within `tol`, one to
+    one, or None.  A moved row that matches two rows matches none."""
+    matches = [np.flatnonzero(np.abs(rows - r).max(axis=1) <= tol) for r in moved]
+    perm = [int(m[0]) for m in matches if len(m) == 1]
+    return np.array(perm) if len(set(perm)) == len(rows) else None
 
 
 def is_reversible(theory: TheorySpec, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Is `m` a reversible transformation of the theory?
-
-    True iff `m` is invertible and both `m` and its inverse carry every
-    extreme state back into the state space.  Singular maps report False
-    rather than raising.
+    """Is `m` a reversible transformation of the theory?  Singular maps
+    report False.  An affine bijection permutes a polytope's vertices, so a
+    polytope map is reversible iff it permutes the distinct vertices within
+    `tol`; one of the ball fixes its centre, so a ball map is reversible iff
+    it is 1 (+) O(d): first row and column e0, block orthogonal.  No LP is
+    solved.
     """
     mat = np.asarray(m, dtype=float)
     if mat.shape != (theory.dim + 1, theory.dim + 1):
         raise ValueError("transformation has the wrong shape for this theory")
     if abs(np.linalg.det(mat)) <= tol:
         return False
-    inv = np.linalg.inv(mat)
-    return _maps_states_inside(theory, mat, tol) and _maps_states_inside(theory, inv, tol)
+    if isinstance(theory.states, Polytope):
+        vertices = _dedupe_rows(theory.states.vertices)
+        moved = np.einsum("ij,vj->vi", mat, vertices)
+        return _row_permutation(vertices, moved, tol) is not None
+    e0, block = unit_effect(theory.dim), mat[1:, 1:]
+    deviations = (mat[0] - e0, mat[:, 0] - e0, block.T @ block - np.eye(theory.dim))
+    return all(np.max(np.abs(x)) <= tol for x in deviations)
 
 
 def convex_mix(

@@ -2,10 +2,10 @@
 
 Each problem builds one LP and hands it to one of two solvers:
 
-* floating point: HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp.
-  10, 119 (2018)), called through the ``scipy.optimize._highspy._core``
-  bindings that ``scipy.optimize.linprog`` itself calls, used for
-  interactive-scale runs.  An optimization LP goes to HiGHS as its LP
+* floating point: HiGHS's simplex (Huangfu & Hall, Math. Prog. Comp. 10,
+  119 (2018)), dual when cold, primal in warm stacks (`_WARM_OPTIONS`), via
+  the ``scipy.optimize._highspy._core`` bindings that ``linprog`` calls,
+  for interactive-scale runs.  An optimization LP goes to HiGHS as its LP
   dual (`linear_programs`), so LPs that differ only in their objective
   differ only in row bounds: a stack on one model, each solve warm from
   the last optimal basis, and

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Ball, Polytope, TheorySpec
+from .core import Polytope, TheorySpec, _pairing_range, _row_permutation
 
 # Matrix products here use np.einsum, not @: a CHSH scan makes no BLAS call
 # otherwise, and a first one maps about 128 KB more code into the process.
@@ -57,12 +57,10 @@ def row_symmetries(theory: TheorySpec, rows: np.ndarray) -> np.ndarray:
     """
     kept = []
     for g in theory.reversibles:
-        matches = [np.flatnonzero(np.abs(rows - r).max(axis=1) <= 1e-9)
-                   for r in np.einsum("ri,ij->rj", rows, g)]
-        perm = [int(m[0]) for m in matches if len(m) == 1]
+        perm = _row_permutation(rows, np.einsum("ri,ij->rj", rows, g), 1e-9)
         # unit @ g is the first row of g, since the unit effect is (1, 0, ..., 0)
-        if np.abs(g[0] - theory.unit).max() <= 1e-9 and len(set(perm)) == len(rows):
-            kept.append((np.array(perm), g))
+        if perm is not None and np.abs(g[0] - theory.unit).max() <= 1e-9:
+            kept.append((perm, g))
     # rows @ m = rows[perm] and rows @ g = rows[p] give rows @ m @ g = rows[p[perm]]
     group = {tuple(range(len(rows))): np.eye(theory.dim + 1)}
     frontier = list(group.items())
@@ -122,14 +120,12 @@ def symmetry_classes(objectives, group_a, group_b) -> np.ndarray:
 
 def product_maximum(local_a: TheorySpec, local_b: TheorySpec, meas_a, meas_b, choice) -> float:
     """The best CHSH value P of the assignment `choice` (a0, a1, b0, b1) on
-    products of extreme states.  A ball side is solved in closed form: c0 +
-    ||c reduced|| for c the objective paired with the other side's state.
-    Of two balls side A lists its `extreme_states`, so P is a lower bound.
-    """
+    products of extreme states: the greatest `core._pairing_range` on side B
+    of the objective paired with each extreme state of side A.  A ball side
+    is put on B; of two balls A lists its `extreme_states`, so P is a lower
+    bound."""
     c = _chsh_objectives(meas_a, meas_b, np.array([choice])).reshape(local_a.dim + 1, -1)
     if isinstance(local_b.states, Polytope):  # a ball side, if any, is b from here on
         local_a, local_b, c = local_b, local_a, c.T
     m = np.einsum("ai,ij->aj", local_a.extreme_states(), c)
-    if isinstance(local_b.states, Ball):
-        return float(np.max(m[:, 0] + np.linalg.norm(m[:, 1:], axis=1)))
-    return float(np.einsum("aj,bj->ab", m, local_b.extreme_states()).max())
+    return float(_pairing_range(local_b.states, m)[1].max())

@@ -201,6 +201,7 @@ def test_invalid_config_rejected(capsys):
     assert main(["minkowski-checks", "--n", "0"]) == 2
     for argv in (
         ["minkowski-checks", "--samples", "2", "--out", "/nonexistent/dir/x.json"],
+        ["minkowski-checks", "--samples", "5", "--log-transforms", "/nonexistent/dir/t.json"],
         ["zoo", "--name", "bit", "--out", "/nonexistent/dir/x.json"],
     ):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gptkit import core, lp
 from gptkit.core import (
     BALL_EFFECT_COUNT,
     BALL_STATE_COUNT,
@@ -9,7 +10,9 @@ from gptkit.core import (
     Polytope,
     PolytopeEffects,
     TheorySpec,
+    _pairing_range,
     apply_map,
+    binary_measurements,
     clamp_probability,
     convex_mix,
     is_normalized_effect,
@@ -37,6 +40,11 @@ from gptkit.zoo import (
 
 BIT = classical_simplex(1)
 BALL3 = euclidean_ball(3)
+ZOO_POLYTOPES = (
+    ["bit", "boxworld"]
+    + [f"simplex:{k}" for k in range(1, 5)]
+    + [f"polygon:{k}" for k in range(3, 13)]
+)
 
 
 def test_probability_bit_distinguishes():
@@ -176,6 +184,84 @@ def test_is_reversible(monkeypatch):
     moves_the_centre = np.eye(4)
     moves_the_centre[1, 0] = 0.1
     assert not is_reversible(BALL3, moves_the_centre)
+
+
+def _maps_vertices_into_the_hull(vertices, m):
+    """The rule `is_reversible` replaced: m and m^-1 carry every vertex
+    into the hull, decided by hull LPs."""
+    if abs(np.linalg.det(m)) <= 1e-9:
+        return False
+    inv = np.linalg.inv(m)
+    return all(lp.hull_membership(vertices, g @ v, tol=1e-9).member
+               for g in (m, inv) for v in vertices)
+
+
+def test_is_reversible_permutes_vertices_without_an_lp(monkeypatch):
+    cases = []  # (vertices, theory, map, expected)
+    for name in ZOO_POLYTOPES:
+        theory = get_theory(name)
+        gens = list(theory.reversibles)
+        maps = [np.eye(theory.dim + 1)] + gens + [g @ h for g in gens for h in gens]
+        cases += [(theory, m, True) for m in maps]
+        for g in gens:
+            cases += [(theory, g + 1e-3, False),
+                      (theory, 0.9 * g + 0.1 * np.eye(theory.dim + 1), False)]
+    doubled = TheorySpec("doubled-bit", 1, Polytope([[1, -1], [1, 1], [1, -1]]),
+                         BIT.effects)
+    cases += [(doubled, np.eye(2), True), (doubled, BIT.reversibles[0], True)]
+    for theory, m, expected in cases:
+        assert _maps_vertices_into_the_hull(theory.states.vertices, m) == expected
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("is_reversible solved an LP")
+
+    monkeypatch.setattr(lp, "hull_membership", no_lp)
+    monkeypatch.setattr(core, "validate_state", no_lp)
+    for theory, m, expected in cases:
+        assert is_reversible(theory, m) == expected
+    # rows are read as extreme points: a listed edge midpoint must move to a
+    # listed row, which the quarter turn of the square does not do
+    square = get_theory("polygon:4")
+    with_midpoint = np.vstack([square.states.vertices,
+                               square.states.vertices[:2].mean(axis=0)])
+    padded = TheorySpec("padded-square", 2, Polytope(with_midpoint), square.effects)
+    assert not is_reversible(padded, square.reversibles[0])
+
+
+def test_pairing_range_on_polytopes_is_the_vertex_scan():
+    rng = np.random.default_rng(41)
+    for name in ZOO_POLYTOPES:
+        states = get_theory(name).states
+        rows = rng.standard_normal((3, 7, states.dim + 1))
+        lo, hi = _pairing_range(states, rows)
+        assert lo.shape == hi.shape == (3, 7)
+        for index in np.ndindex(3, 7):
+            values = [np.einsum("i,i->", rows[index], v) for v in states.vertices]
+            assert lo[index] == min(values) and hi[index] == max(values)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pairing_range_on_balls_is_reached_and_never_passed(d):
+    rng = np.random.default_rng(d)
+    rows = rng.standard_normal((20, d + 1))
+    lo, hi = _pairing_range(Ball(d), rows)
+    reduced = rows[:, 1:]
+    toward = reduced / np.linalg.norm(reduced, axis=1, keepdims=True)
+    assert np.allclose(lo, rows[:, 0] - np.sum(reduced * toward, axis=1), rtol=0, atol=1e-12)
+    assert np.allclose(hi, rows[:, 0] + np.sum(reduced * toward, axis=1), rtol=0, atol=1e-12)
+    sample = rng.standard_normal((20_000, d))
+    sample /= np.linalg.norm(sample, axis=1, keepdims=True)
+    values = rows[:, :1] + reduced @ sample.T
+    assert np.all(values >= lo[:, None] - 1e-12)
+    assert np.all(values <= hi[:, None] + 1e-12)
+
+
+def test_an_effect_pair_that_misses_the_unit_is_no_measurement():
+    # e + f misses the unit by 1e-7 in its first entry; numpy's default
+    # rtol of 1e-5 would read that as a sum to the unit
+    leaky = TheorySpec("leaky-bit", 1, Polytope([[1, -1], [1, 1]]), PolytopeEffects(
+        [[0, 0], [1, 0], [0.4, 0.3], [0.6 - 1e-7, -0.3]]))
+    assert binary_measurements(leaky) == []
 
 
 def test_convex_mix():
