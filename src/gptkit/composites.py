@@ -29,7 +29,6 @@ from .core import BALL_EFFECT_COUNT, BALL_STATE_COUNT, Ball, BallEffects, Polyto
 from .core import _effect_floor
 # binary_measurements and its ball count are core's, read here by callers
 from .core import BALL_MEASUREMENT_COUNT, _dedupe_rows, binary_measurements  # noqa: F401
-from .lp import HalfspaceIntersection
 from .symmetry import _chsh_objectives, product_maximum, row_symmetries, symmetry_classes
 from .zoo import get_theory
 
@@ -373,16 +372,79 @@ def ball_measurement(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+# pairs times rays in one block of the adjacency test: 0.5 MB per word of a
+# tight set.  Unblocked, polygon:8^2 peaked 48 MB higher and ran slower.
+_PAIR_BLOCK = 1 << 16
+
+
+def _extreme_rays(rows: np.ndarray, tol: float) -> np.ndarray:
+    """The extreme rays of the cone {x : rows @ x >= 0}, each scaled to a
+    largest entry of magnitude 1, by double description (Motzkin, Raiffa,
+    Thompson & Thrall 1953; Fukuda & Prodon, LNCS 1120, 91 (1996)).
+
+    The cone starts as that of the first dim independent rows: its rays are
+    the columns of their inverse.  The other rows then cut it in order.  A
+    ray is tight on a row when |row . ray| <= tol and below it when
+    row . ray < -tol.  A row drops the rays below it and adds, for each
+    adjacent pair of a ray above and a ray below, their combination on the
+    row.  The pair is adjacent when it shares at least dim - 2 tight rows and
+    no third ray is tight on all of them (Fukuda & Prodon's combinatorial
+    test).  Tight sets are bit rows of 64-bit words, and the rays below are
+    paired one at a time with every ray above.  Rows of rank below dim leave
+    a line in the cone, and raise ValueError.
+    """
+    count, dim = rows.shape
+    basis = []
+    for i in range(count):
+        if np.linalg.matrix_rank(rows[basis + [i]]) > len(basis):
+            basis.append(i)
+            if len(basis) == dim:
+                break
+    else:
+        raise ValueError("the product effects do not bound a polytope")
+    # bit i of flags[i] marks row i
+    flags = np.packbits(np.eye(count, 64 * -(-count // 64), dtype=bool), axis=1).view(np.uint64)
+    rays = np.linalg.inv(rows[basis]).T
+    rays /= np.abs(rays).max(axis=1, keepdims=True)
+    tight = np.bitwise_or.reduce(flags[basis]) ^ flags[basis]  # all basis rows but its own
+    for k in sorted(set(range(count)) - set(basis)):
+        side = rays @ rows[k]
+        above, below = side > tol, side < -tol
+        tight[~(above | below)] |= flags[k]
+        up = np.flatnonzero(above)
+        tight_up = tight[up]
+        new_rays, new_tight = [rays[~below]], [tight[~below]]
+        step = max(1, _PAIR_BLOCK // len(tight))
+        for n in np.flatnonzero(below):
+            common = tight_up & tight[n]
+            pairs = np.flatnonzero(np.bitwise_count(common).sum(axis=1) >= dim - 2)
+            common = common[pairs]
+            # rays tight on all of a pair's common rows, a block of pairs at a time
+            holders = np.concatenate([
+                ((tight[None] & block[:, None]) == block[:, None]).all(axis=2).sum(axis=1)
+                for block in np.split(common, range(step, len(common), step))
+            ])
+            p = up[pairs[holders == 2]]
+            combined = side[p, None] * rays[n] - side[n] * rays[p]
+            new_rays.append(combined / np.abs(combined).max(axis=1, keepdims=True))
+            new_tight.append(common[holders == 2] | flags[k])
+        rays, tight = np.vstack(new_rays), np.vstack(new_tight)
+    return rays
+
+
 def max_tensor_vertices(
     local_a: TheorySpec, local_b: TheorySpec, tol: float = 1e-9
 ) -> np.ndarray:
     """All vertices of the maximal tensor polytope of two polytope locals.
 
-    One qhull halfspace intersection (Barber, Dobkin & Huhdanpaa, ACM TOMS
-    22, 469 (1996)) over the product facets (e (x) f) . x >= 0, in y where
-    the normalization pins x = (1, y).  The interior point, the product of
-    the local vertex centroids, must clear every facet by more than `tol`.
-    The vertex order is qhull's: the same on every call, but not sorted.
+    The vertices are the extreme rays of the cone of product facets
+    (e (x) f) . x >= 0, found by double description (`_extreme_rays`, with
+    `tol` the tight band), each scaled to the normalization x_0 = 1.  The
+    product of the local vertex centroids must clear every facet by more
+    than `tol`, and the facets must bound a polytope.  Coordinates below
+    1e-12 in magnitude are set to 0.0, so an exact zero is never left as
+    rounding noise or -0.0.  The rows come sorted lexicographically on their
+    values rounded to 9 decimals.
     """
     if not (isinstance(local_a.states, Polytope) and isinstance(local_b.states, Polytope)):
         raise ValueError("vertex enumeration needs polytope locals")
@@ -390,9 +452,12 @@ def max_tensor_vertices(
     centre = tensor(local_a.states.vertices.mean(axis=0), local_b.states.vertices.mean(axis=0))
     if not (rows @ centre).min() > tol:
         raise ValueError("the product of the local centroids is not interior")
-    halfspaces = np.hstack([-rows[:, 1:], -rows[:, :1]])
-    reduced = HalfspaceIntersection(halfspaces, centre[1:]).intersections
-    return np.hstack([np.ones((len(reduced), 1)), reduced])
+    rays = _extreme_rays(rows, tol)
+    if not rays[:, 0].min() > tol:
+        raise ValueError("the product effects do not bound a polytope")
+    vertices = rays / rays[:, :1]
+    vertices[np.abs(vertices) < 1e-12] = 0.0
+    return vertices[np.lexsort(np.round(vertices, 9).T[::-1])]
 
 
 # ---------------------------------------------------------------------------

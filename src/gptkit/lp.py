@@ -42,13 +42,12 @@ separability needs: a product's pairing with y is xa . Y . xb, Y being y
 as a matrix, so a round prices all of them from the two factors, and only
 the products that join the master are ever built.
 
-The three compiled scipy modules gptkit calls are loaded here by
-`_scipy_extension` from scipy's install directory: the HiGHS bindings,
-``scipy.linalg.cython_lapack`` and then ``scipy.spatial._qhull``, whose
-`HalfspaceIntersection` `composites` uses.  A plain import would first run
-``scipy.optimize``'s ``__init__``, which loads about 500 modules
-(``scipy.linalg`` and ``scipy.sparse`` among them) and takes most of a
-second; gptkit calls none of them.
+The one compiled scipy module gptkit calls, the HiGHS bindings, is loaded
+here by `_scipy_extension` from scipy's install directory, which the import
+system finds without running ``scipy``'s ``__init__``.  A plain import would
+first run ``scipy``'s and then ``scipy.optimize``'s ``__init__``, which load
+about 500 modules (``scipy.linalg`` and ``scipy.sparse`` among them) and
+take most of a second; gptkit calls none of them.
 """
 
 from __future__ import annotations
@@ -63,13 +62,11 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import numpy.ma  # qhull imports it on its first call; loaded here, that call costs no import
-import scipy
 
 
 def _scipy_extension(name: str):
     """The compiled scipy module `name`, loaded from its package's directory;
-    the ``__init__`` of the packages between ``scipy`` and it never runs.
+    the ``__init__`` of ``scipy`` and of the packages below it never runs.
 
     It is registered in ``sys.modules`` under its full name, so a later
     ``import scipy.optimize`` finds the same module object, and a module
@@ -77,9 +74,12 @@ def _scipy_extension(name: str):
     """
     if name in sys.modules:
         return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
     package = name.rpartition(".")[0].split(".")
     spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy.__path__[0], *package[1:])]
+        name, [os.path.join(scipy_spec.submodule_search_locations[0], *package[1:])]
     )
     if spec is None:
         raise ImportError(f"scipy has no module {name}", name=name)
@@ -94,9 +94,6 @@ def _scipy_extension(name: str):
 
 
 highs = _scipy_extension("scipy.optimize._highspy._core")
-# _qhull cimports cython_lapack: loaded first, it spares scipy.linalg's __init__
-_scipy_extension("scipy.linalg.cython_lapack")
-HalfspaceIntersection = _scipy_extension("scipy.spatial._qhull").HalfspaceIntersection
 
 FEASIBILITY_SLACK = 1e-9
 

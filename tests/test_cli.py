@@ -37,12 +37,15 @@ def test_importing_the_cli_leaves_sympy_unloaded():
 
 
 def test_importing_the_cli_runs_no_scipy_subpackage_init():
-    # gptkit loads its three compiled scipy modules by path, not through
+    # gptkit loads its one compiled scipy module, HiGHS, by path, not through
     # these packages, whose __init__ would load hundreds of modules
     loaded = _modules_after_importing_the_cli()
-    assert "scipy.spatial._qhull" in loaded
-    for package in ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse"):
+    assert "scipy.optimize._highspy._core" in loaded
+    for package in ("scipy", "scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse"):
         assert package not in loaded
+    # what qhull needed: its extension, the LAPACK it cimports, numpy.ma
+    for module in ("scipy.spatial._qhull", "scipy.linalg.cython_lapack", "numpy.ma"):
+        assert module not in loaded
 
 
 def test_zoo_list(capsys):

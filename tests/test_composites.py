@@ -1106,3 +1106,47 @@ def test_max_tensor_vertices_reach_the_chsh_optimum(name, count):
     objectives = _chsh_objectives(meas, meas, choices)
     best = np.max(vertices @ objectives.T)
     assert abs(best - maximize_chsh(local, local).value) <= 1e-9
+
+
+def test_max_tensor_vertices_of_polygon_6_are_certified_vertices():
+    # each row meets every product facet, and its tight facets with the
+    # normalization row have rank dim: a vertex, with no reference enumeration
+    local = get_theory("polygon:6")
+    vertices = max_tensor_vertices(local, local)
+    assert len(vertices) == 552
+    assert len(np.unique(np.round(vertices, 9), axis=0)) == 552
+    rows = _product_rows(local.extremal_effects(), local.extremal_effects())
+    norm_row = tensor(local.unit, local.unit)
+    slack = vertices @ rows.T
+    assert slack.min() >= -1e-9
+    for vertex_slack in slack:
+        system = np.vstack([norm_row, rows[np.abs(vertex_slack) <= 1e-9]])
+        assert np.linalg.matrix_rank(system) == rows.shape[1]
+
+
+@pytest.mark.parametrize("name", ["polygon:4", "polygon:5"])
+def test_max_tensor_vertices_are_clean_and_sorted(name):
+    local = get_theory(name)
+    vertices = max_tensor_vertices(local, local)
+    # an exact zero comes back as 0.0, not as rounding noise or -0.0
+    assert not np.any((np.abs(vertices) > 0) & (np.abs(vertices) < 1e-12))
+    assert not np.any(np.signbit(vertices[vertices == 0]))
+    keys = [tuple(row) for row in np.round(vertices, 9)]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("effects", [
+    [[0, 0], [1, 0], [0.5, 0.5]],  # one effect besides the unit: a line in the cone
+    [[0, 0], [1, 0], [0.3, 0.3], [0.9, 0.1]],  # the unit outside their cone: a ray at x_0 < 0
+])
+def test_max_tensor_vertices_reject_an_unbounded_product(effects):
+    restricted = theory_from_dict({
+        "name": "restricted",
+        "d": 1,
+        "states": {"kind": "polytope", "vertices": [[1, -1], [1, 1]]},
+        "effects": {"kind": "hull", "generators": effects},
+        "effect_convention": "restricted",
+        "reversibles": [],
+    })
+    with pytest.raises(ValueError, match="do not bound a polytope"):
+        max_tensor_vertices(restricted, BIT)

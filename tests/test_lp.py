@@ -956,10 +956,7 @@ from gptkit import composites, lp
 import numpy as np
 import scipy.optimize, scipy.spatial
 from scipy.optimize._highspy import _core
-from scipy.spatial import _qhull
 assert lp.highs is _core is sys.modules["scipy.optimize._highspy._core"]
-assert composites.HalfspaceIntersection is _qhull.HalfspaceIntersection
-assert composites.HalfspaceIntersection is scipy.spatial.HalfspaceIntersection
 res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=(0, None),
                              method="highs")
 assert res.status == 0 and res.fun == 1.0
