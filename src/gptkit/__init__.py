@@ -46,7 +46,6 @@ from .minkowski import (
     is_lorentz,
     is_proper_orthochronous,
     little_group_element,
-    rotation_to_axis,
     standard_boost,
     wigner_rotation,
 )

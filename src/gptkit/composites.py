@@ -477,8 +477,9 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
     `entangled` for polytopes and, as a ball side makes S* an outer
     relaxation, `inconclusive` at K = `core.BALL_EFFECT_COUNT`, with margin
     S* - P.  A document that is not an object with string locals, an index
-    that is not an in-range int, or a pair whose effects do not sum to the
-    unit effect raises ValueError.
+    that is not an in-range int, a joint vector that is not a flat list of
+    numbers, or a pair whose effects do not sum to the unit effect raises
+    ValueError.
     """
     names = ("local_a", "local_b")
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in names)):
@@ -504,7 +505,14 @@ def run_scenario(doc: dict, exact: bool = False) -> dict:
     meas_a = build_measurements(local_a, "measurements_a")
     meas_b = build_measurements(local_b, "measurements_b")
     if "joint_vector" in doc:
-        state = JointState(np.array(doc["joint_vector"], dtype=float), local_a, local_b)
+        vector = doc["joint_vector"]
+        if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
+            raise ValueError("joint_vector must be a flat list of numbers")
+        try:
+            vector = np.array(vector, dtype=float)
+        except OverflowError:
+            raise ValueError("joint_vector holds an integer beyond float range") from None
+        state = JointState(vector, local_a, local_b)
         scenario = ChshScenario(
             meas_a[0], meas_a[min(1, len(meas_a) - 1)],
             meas_b[0], meas_b[min(1, len(meas_b) - 1)],

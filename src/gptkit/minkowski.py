@@ -36,8 +36,6 @@ from .rotations import (
 
 DEFAULT_TOL = 1e-9
 
-_ZERO_MOMENTUM_EPS = 1e-14
-
 
 def metric(n: int) -> np.ndarray:
     """Minkowski metric diag(-1, +1, ..., +1) on R^(1+n)."""
@@ -165,7 +163,8 @@ class MassiveMomentum:
     """On-shell momentum: p.eta.p = -m^2 with positive energy and m > 0.
 
     `vector` may carry leading sample axes, (..., 1+n), all of one mass;
-    construction fails if any of them is off the mass shell.
+    construction fails if any of them is off the mass shell, tested in
+    units of the mass: |(p/m).eta.(p/m) + 1| <= 1e-6.
     """
 
     vector: np.ndarray
@@ -177,8 +176,7 @@ class MassiveMomentum:
             raise ValueError("mass must be positive")
         if not np.all(v[..., 0] > 0):
             raise ValueError("energy component must be positive")
-        shell = np.abs(minkowski_norm2(v) + self.mass**2)
-        if not np.all(shell <= 1e-6 * max(1.0, self.mass**2)):
+        if not np.all(np.abs(minkowski_norm2(v / self.mass) + 1.0) <= 1e-6):
             raise ValueError("momentum is off the mass shell")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
@@ -233,33 +231,23 @@ def spatial_rotation(o: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation_to_axis(direction: np.ndarray) -> np.ndarray:
-    """Pure rotation (1+n matrix) taking the first spatial axis to `direction`."""
-    return spatial_rotation(rotation_taking_first_axis(direction))
-
-
 def standard_boost(p: MassiveMomentum) -> np.ndarray:
     """Canonical transformation taking the rest momentum (m, 0, ..., 0) to p.
 
-    Factored as Q(p_hat) S(|p|) Q(p_hat)^-1: rotate the first axis onto the
-    momentum direction, boost along it, rotate back.  Zero spatial momentum
-    returns the identity (the continuous limit; the direction is undefined
-    there).  A stack of momenta gives a stack of boosts.
+    The closed form of Weinberg, QFT I, eq. 2.5.24: with u = p_spatial/m and
+    gamma = sqrt(1 + u.u), L00 = gamma, L0i = Li0 = u_i and
+    Lij = delta_ij + u_i u_j / (1 + gamma).  It reads only the dimensionless
+    u, so no power of the mass can overflow or underflow, and it is Lorentz
+    to rounding for any u; zero spatial momentum gives the identity exactly.
+    A stack of momenta gives a stack of boosts.
     """
-    spatial = p.spatial
-    norm = norms(spatial)
-    at_rest = norm < _ZERO_MOMENTUM_EPS
-    if p.n == 1:
-        boost = boost_x(spatial[..., 0], p.mass, 1)
-    else:
-        # any unit vector stands in for the undefined direction at rest
-        first_axis = np.eye(p.n)[0]
-        direction = np.where(
-            at_rest[..., None], first_axis, spatial / np.where(at_rest, 1.0, norm)[..., None]
-        )
-        q = rotation_to_axis(direction)
-        boost = q @ boost_x(norm, p.mass, p.n) @ lorentz_inverse(q)
-    return np.where(at_rest[..., None, None], np.eye(p.n + 1), boost)
+    u = p.spatial / p.mass
+    gamma = np.sqrt(1.0 + dots(u, u))
+    out = _identities(gamma.shape, p.n + 1)
+    out[..., 0, 0] = gamma
+    out[..., 0, 1:] = out[..., 1:, 0] = u
+    out[..., 1:, 1:] += u[..., :, None] * u[..., None, :] / (1.0 + gamma)[..., None, None]
+    return out
 
 
 def little_group_element(
@@ -333,7 +321,7 @@ def random_proper_orthochronous(
     direction = rng.standard_normal(shape + (n,))
     rapidity = rng.uniform(-1.5, 1.5, size)
     unit = direction / norms(direction)[..., None]
-    q = rotation_to_axis(unit) if n > 1 else np.eye(2)
+    q = spatial_rotation(rotation_taking_first_axis(unit)) if n > 1 else np.eye(2)
     s = _identities(shape, n + 1)
     s[..., 0, 0] = s[..., 1, 1] = np.cosh(rapidity)
     s[..., 0, 1] = s[..., 1, 0] = np.sinh(rapidity)

@@ -90,6 +90,12 @@ def test_little_group_checks_pass(capsys):
     assert "little-group-composition-law" in checks
 
 
+def test_little_group_checks_pass_at_a_mass_whose_square_underflows(capsys):
+    code, out = run_cli(["little-group-checks", "--samples", "40", "--mass", "1e-200"], capsys)
+    assert code == 0
+    assert all(row["pass"] for row in json.loads(out))
+
+
 def test_invariance_checks_pass(capsys):
     code, out = run_cli(["invariance-checks", "--samples", "50"], capsys)
     assert code == 0
@@ -142,6 +148,7 @@ def test_chsh_scan_scenario_file(tmp_path, capsys):
 
 
 SQUARE = {"local_a": "polygon:4", "local_b": "polygon:4"}
+BITS = {"local_a": "bit", "local_b": "bit"}
 
 
 @pytest.mark.parametrize(
@@ -160,6 +167,12 @@ SQUARE = {"local_a": "polygon:4", "local_b": "polygon:4"}
         ({**SQUARE, "measurements_a": [[0, 1]]}, 2),  # does not sum to the unit
         ({**SQUARE, "measurements_a": [[0, 2]], "measurements_b": [[0, 2]]}, 0),
         ({**SQUARE, "measurements_a": [[2, 0]], "measurements_b": [[1, 3]]}, 0),
+        ({**BITS, "joint_vector": [1, 0, 0, {}]}, 2),  # a joint vector of numbers only
+        ({**BITS, "joint_vector": {}}, 2),
+        ({**BITS, "joint_vector": ["1", "0", "0", "0"]}, 2),
+        ({**BITS, "joint_vector": [1, True, 0, 0]}, 2),
+        ({**BITS, "joint_vector": [1, 0, 0, 10**400]}, 2),
+        ({**BITS, "joint_vector": [1, 0.5, 0, 0]}, 0),
     ],
 )
 def test_chsh_scan_rejects_malformed_scenarios(tmp_path, capsys, doc, code):

@@ -25,7 +25,6 @@ from gptkit.minkowski import (
     random_proper_orthochronous,
     rest_momentum,
     rotation_block_angle,
-    rotation_to_axis,
     standard_boost,
     transforms_to_json,
     wigner_rotation,
@@ -130,21 +129,18 @@ def test_boost_x():
 
 
 def test_rotation_to_axis():
-    n = 3
     e1 = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(rotation_to_axis(e1), np.eye(n + 1))
-    q = rotation_to_axis(-e1)
-    block = q[1:, 1:]
+    assert np.allclose(rotation_taking_first_axis(e1), np.eye(3))
+    block = rotation_taking_first_axis(-e1)
     assert np.allclose(block @ e1, -e1, atol=1e-12)
     assert abs(np.linalg.det(block) - 1.0) < 1e-12
     # rotation by pi in the (1,2) plane
     assert np.allclose(block, np.diag([-1.0, -1.0, 1.0]))
-    q2 = rotation_to_axis(np.array([0.0, 1.0, 0.0]))
-    b2 = q2[1:, 1:]
+    b2 = rotation_taking_first_axis(np.array([0.0, 1.0, 0.0]))
     assert np.allclose(b2 @ e1, [0.0, 1.0, 0.0], atol=1e-12)
     assert np.max(np.abs(b2.T @ b2 - np.eye(3))) < 1e-12
     with pytest.raises(ValueError):
-        rotation_to_axis(np.array([0.0, 0.5, 0.0]))
+        rotation_taking_first_axis(np.array([0.0, 0.5, 0.0]))
 
 
 def test_standard_boost_maps_rest_to_target():
@@ -166,6 +162,40 @@ def test_standard_boost_one_spatial_dimension():
     lam = standard_boost(p)
     assert is_proper_orthochronous(lam, 1e-9)
     assert np.max(np.abs(lam @ rest_momentum(1.0, 1).vector - p.vector)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_standard_boost_closed_form_across_scales(n):
+    # 2^-664 ~ 1.3e-200 and 2^664 ~ 7.7e199 square to 0 and to inf, and as
+    # powers of two they scale u = p/m exactly, so each momentum is on shell
+    rng = np.random.default_rng(17)
+    axes = np.vstack([np.eye(n), -np.eye(n)])
+    generic = rng.standard_normal((6, n))
+    generic /= np.linalg.norm(generic, axis=1, keepdims=True)
+    eta = metric(n)
+    for mass in (2.0**-664, 1e-3, 1.0, 1e3, 2.0**664):
+        rest = rest_momentum(mass, n)
+        assert np.array_equal(standard_boost(rest), np.eye(n + 1))
+        for speed in (1e-12, 1e-6, 1.0, 1e3, 1e6):
+            # beyond |u| ~ 1e5 the rounding of gamma^2 alone can exceed the
+            # 1e-6 shell test, so only the axes stay on shell there
+            u = speed * (axes if speed > 1e3 else np.vstack([axes, generic]))
+            gamma = np.sqrt(1.0 + np.sum(u * u, axis=1))
+            p = MassiveMomentum(mass * np.column_stack([gamma, u]), mass)
+            boosts = standard_boost(p)
+            defect = np.swapaxes(boosts, -1, -2) @ eta @ boosts - eta
+            assert np.all(np.max(np.abs(defect), axis=(1, 2)) <= 1e-12 * gamma**2)
+            moved = boosts @ rest.vector
+            assert np.all(np.abs(moved - p.vector) <= 1e-12 * mass * gamma[:, None])
+
+
+def test_mass_shell_is_tested_in_units_of_the_mass():
+    # E = 10 m at rest is off shell however small m is
+    with pytest.raises(ValueError, match="mass shell"):
+        MassiveMomentum(np.array([1e-3, 0.0, 0.0, 0.0]), 1e-4)
+    # m^2 overflows, p/m does not
+    huge = MassiveMomentum(np.array([1e200, 0.0, 0.0, 0.0]), 1e200)
+    assert np.array_equal(standard_boost(huge), np.eye(4))
 
 
 def test_mass_shell_preserved():
@@ -513,8 +543,13 @@ def test_batched_kernels_match_scalar_references(n):
     momenta = MassiveMomentum(vectors, 1.0)
     boosts = standard_boost(momenta)
     _assert_matches(boosts, [_ref_standard_boost(v, 1.0) for v in vectors])
-    at_rest = np.linalg.norm(vectors[:, 1:], axis=1) < 1e-14
-    assert at_rest.sum() == 2 and np.array_equal(boosts[at_rest], [np.eye(n + 1)] * 2)
+    # exact zero spatial momentum gives the identity; 1e-15 a boost within
+    # 2e-15 of it
+    speed = np.linalg.norm(vectors[:, 1:], axis=1)
+    at_rest, near_rest = speed == 0.0, (speed > 0.0) & (speed < 1e-14)
+    assert at_rest.sum() == near_rest.sum() == 1
+    assert np.array_equal(boosts[at_rest], [np.eye(n + 1)])
+    assert np.max(np.abs(boosts[near_rest] - np.eye(n + 1))) <= 2e-15
 
     lam = _edge_frames(n, rng, count)
     a = rng.uniform(-2, 2, (count, n + 1))
