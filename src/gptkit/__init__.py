@@ -17,7 +17,6 @@ from .core import (
     validate_state,
 )
 from .zoo import (
-    box_world_pair,
     classical_simplex,
     density_to_gpt,
     euclidean_ball,

@@ -74,7 +74,7 @@ def minkowski_suite(
         moved = minkowski.interval(minkowski.apply_poincare(p, x), minkowski.apply_poincare(p, y))
         return (
             [minkowski.interval(x, y) - moved],
-            [minkowski.minkowski_norm2(minkowski.apply_lorentz(p.lorentz, q.vector)) + mass**2],
+            [minkowski.minkowski_norm2(minkowski.apply_lorentz(p.lorentz, q.vector) / mass) + 1.0],
             [np.swapaxes(p.lorentz, -1, -2) @ eta @ p.lorentz - eta],
         )
 
@@ -85,7 +85,7 @@ def minkowski_suite(
         return ([left.translation - right.translation, left.lorentz - right.lorentz],)
 
     def boost_roundtrip(size):
-        p_mag = rng.uniform(0.0, 2.0, size)
+        p_mag = mass * rng.uniform(0.0, 2.0, size)
         s = minkowski.boost_x(p_mag, mass, n)
         s_inv = minkowski.boost_x(-p_mag, mass, n)
         return ([s @ s_inv - np.eye(n + 1)],)
@@ -127,7 +127,7 @@ def little_group_suite(n: int, mass: float, samples: int, seed: int, tol: float)
         w = minkowski.wigner_rotation(lam, p)
         in_so = [np.swapaxes(w, -1, -2) @ eta @ w - eta, np.linalg.det(w) - 1.0,
                  w[..., 0, :] - axis, w[..., :, 0] - axis]
-        return [b2, q2 - rest], in_so
+        return [b2, (q2 - rest) / mass], in_so
 
     def pure_rotation(size):
         rot = minkowski.spatial_rotation(sample_special_orthogonal(n, rng, size))
@@ -194,10 +194,6 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
     orbit_dev = np.max([row.worst_deviation for row in orbit])
     rows.append(CheckRow("ball-orbit-reconstruction", samples, orbit_dev, tol / 10, {"n": n}))
     return rows
-
-
-def toy_suite(sides: int, shift: int, tol: float) -> list[CheckRow]:
-    return poincare.toy_discrete_spacetime(sides, shift, tol)[1]
 
 
 def chsh_rows(locals_name: str, exact: bool, scenario_path: str | None) -> list[dict]:
@@ -345,7 +341,7 @@ def main(argv=None) -> int:
         rows = invariance_suite(args.n, args.mass, args.samples, args.seed, args.tol)
     elif args.command == "toy-spacetime":
         try:
-            rows = toy_suite(args.N, args.k, args.tol)
+            rows = poincare.toy_discrete_spacetime(args.N, args.k, args.tol)
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
@@ -356,7 +352,7 @@ def main(argv=None) -> int:
         rows += little_group_suite(args.n, args.mass, args.samples, args.seed, args.tol)
         for n in (2, 3, 4):
             rows += invariance_suite(n, args.mass, args.samples, args.seed, args.tol)
-        rows += toy_suite(5, 2, 1e-12)
+        rows += poincare.toy_discrete_spacetime(5, 2, 1e-12)
         rows += zoo_rows()
         scan = chsh_rows("polygon:4", args.exact, None) + chsh_rows("bit", args.exact, None)
         for row in scan:

@@ -138,7 +138,10 @@ class TheorySpec:
 
     `effect_convention` records whether the model ships every normalized
     effect ("all-normalized") or a restricted generating set ("restricted");
-    no global choice is imposed across the zoo.
+    no global choice is imposed across the zoo.  Construction rejects
+    effects that leave [0, 1] on the states: hull generators through
+    `is_normalized_effect`, the ball dual through its least pairing
+    `_effect_floor` with the extreme states.
     """
 
     name: str
@@ -157,10 +160,11 @@ class TheorySpec:
             if m.shape != (self.dim + 1, self.dim + 1):
                 raise ValueError("reversible generators must be (d+1)x(d+1)")
         object.__setattr__(self, "reversibles", revs)
-        if isinstance(self.effects, PolytopeEffects) and not is_normalized_effect(
-            self, self.effects.generators
-        ):
-            raise ValueError("an effect generator leaves [0, 1] on the state space")
+        if isinstance(self.effects, PolytopeEffects):
+            if not is_normalized_effect(self, self.effects.generators):
+                raise ValueError("an effect generator leaves [0, 1] on the state space")
+        elif _effect_floor(self, self.extreme_states()).min() < -DEFAULT_TOL:
+            raise ValueError("ball-dual effects need the states inside the unit ball")
 
     @property
     def unit(self) -> np.ndarray:
@@ -267,13 +271,6 @@ def probability(effect: np.ndarray, state: np.ndarray) -> float:
     if e.shape != z.shape or e.ndim != 1:
         raise ValueError(f"effect/state length mismatch: {e.shape} vs {z.shape}")
     return float(e @ z)
-
-
-def clamp_probability(p: float, tol: float = DEFAULT_TOL) -> float:
-    """Clamp a pairing value to [0, 1] for display, within tolerance only."""
-    if p < -tol or p > 1.0 + tol:
-        raise ValueError(f"value {p} is not a probability within tolerance {tol}")
-    return min(1.0, max(0.0, p))
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,9 @@ class MassiveMomentum:
 
     `vector` may carry leading sample axes, (..., 1+n), all of one mass;
     construction fails if any of them is off the mass shell, tested in
-    units of the mass: |(p/m).eta.(p/m) + 1| <= 1e-6.
+    units of the mass: |(p/m).eta.(p/m) + 1| <= 1e-6 + 1e-12 gamma^2, where
+    gamma^2 = (p0/m)^2 is the size of the two terms that cancel, so rounding
+    at large gamma passes and a spacelike vector still fails.
     """
 
     vector: np.ndarray
@@ -176,7 +178,8 @@ class MassiveMomentum:
             raise ValueError("mass must be positive")
         if not np.all(v[..., 0] > 0):
             raise ValueError("energy component must be positive")
-        if not np.all(np.abs(minkowski_norm2(v / self.mass) + 1.0) <= 1e-6):
+        u = v / self.mass
+        if not np.all(np.abs(minkowski_norm2(u) + 1.0) <= 1e-6 + 1e-12 * u[..., 0] ** 2):
             raise ValueError("momentum is off the mass shell")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
@@ -197,27 +200,32 @@ def rest_momentum(mass: float, n: int) -> MassiveMomentum:
 
 
 def momentum_from_spatial(mass: float, spatial: np.ndarray) -> MassiveMomentum:
+    """The on-shell momentum with spatial part p: energy m sqrt(1 + u.u) of
+    u = p/m, so no power of the mass can overflow or underflow."""
+    if not mass > 0:
+        raise ValueError("mass must be positive")
     s = np.asarray(spatial, dtype=float)
-    energy = float(np.sqrt(mass**2 + s @ s))
-    return MassiveMomentum(np.concatenate([[energy], s]), mass)
+    u = s / mass
+    return MassiveMomentum(np.concatenate([[mass * float(np.sqrt(1.0 + u @ u))], s]), mass)
 
 
 def boost_x(p_first_axis: float | np.ndarray, mass: float, n: int) -> np.ndarray:
     """Pure boost along the first spatial axis parametrized by momentum.
 
-    gamma = sqrt(p^2 + m^2)/m and the off-diagonal entry is p/m, so negating
-    the momentum argument yields the inverse boost.  An array of momenta
-    gives a stack of boosts.
+    With u = p/m, gamma = sqrt(1 + u^2) and the off-diagonal entry is u, so
+    negating the momentum argument yields the inverse boost and no power of
+    the mass can overflow or underflow.  An array of momenta gives a stack
+    of boosts.
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
-    p = np.asarray(p_first_axis, dtype=float)
-    gamma = np.sqrt(p**2 + mass**2) / mass
-    out = _identities(p.shape, n + 1)
+    u = np.asarray(p_first_axis, dtype=float) / mass
+    gamma = np.sqrt(1.0 + u**2)
+    out = _identities(u.shape, n + 1)
     out[..., 0, 0] = gamma
     out[..., 1, 1] = gamma
-    out[..., 0, 1] = p / mass
-    out[..., 1, 0] = p / mass
+    out[..., 0, 1] = u
+    out[..., 1, 0] = u
     return out
 
 

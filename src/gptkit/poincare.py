@@ -284,12 +284,11 @@ def toy_translation_rep(sides: int) -> RepMap:
     return RepMap(state_map=lambda k: polygon_rotation(sides, int(k)))
 
 
-def toy_discrete_spacetime(
-    sides: int, shift: int, tol: float = 1e-12
-) -> tuple[RepMap, list[CheckRow]]:
-    """Wire lattice translations to polygon rotations and verify everything.
+def toy_discrete_spacetime(sides: int, shift: int, tol: float = 1e-12) -> list[CheckRow]:
+    """Wire lattice translations to polygon rotations, `toy_translation_rep`,
+    and verify everything.
 
-    Returns the representation and three rows labelled with N and k:
+    Returns three rows labelled with N and k:
     `toy-spacetime-homomorphism` (the assigned rotations compose additively,
     checked exhaustively mod N), `toy-spacetime-invariance` (all outcome
     probabilities unchanged, and the pure states permuted by k steps) and
@@ -317,7 +316,7 @@ def toy_discrete_spacetime(
         return float(np.max(np.abs(states @ rep.state(k).T - np.roll(states, -k, axis=0))))
 
     labels = {"N": sides, "k": shift}
-    return rep, [
+    return [
         CheckRow("toy-spacetime-homomorphism", law.samples, law.worst_deviation, tol, labels),
         CheckRow(
             "toy-spacetime-invariance",

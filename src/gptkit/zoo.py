@@ -1,18 +1,19 @@
 """Constructors for the example theories, with their symmetry transformations.
 
 The zoo covers classical simplex systems ("bit", "trit", ...), regular
-polygon systems, Euclidean ball systems (the d = 3 case reproduces qubit
-statistics), and the polygon-4 system used as one half of a maximally
-nonlocal box pair.  Theories are addressable by name: "bit", "simplex:N",
-"polygon:N", "ball:d", "boxworld".
+polygon systems and Euclidean ball systems (the d = 3 case reproduces qubit
+statistics).  Theories are addressable by name: "bit", "simplex:N",
+"polygon:N", "ball:d", and "boxworld", which names polygon:4, one half of a
+maximally nonlocal box pair (Barrett, PRA 75, 032304 (2007)); its two
+binary observables per site are `core.binary_measurements` of it.  The
+nonlocal box state is not stored: it is the optimizer of the CHSH
+functional over the maximal tensor product.
 
 Degenerate zero-dimensional systems (a single state) are representable in
 the core containers but every constructor here rejects them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,29 +27,9 @@ from .core import (
     zero_effect,
 )
 from .minkowski import spatial_rotation
-from .rotations import (
-    circle_point,
-    norms,
-    plane_rotation,
-    rotation_between,
-    sample_special_orthogonal,
-)
+from .rotations import circle_point, norms, plane_rotation
 
 DEFAULT_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PolygonParams:
-    """Geometry of a regular polygon system: side count and circumradius."""
-
-    sides: int
-    radius: float
-
-
-def polygon_params(sides: int) -> PolygonParams:
-    if sides < 3:
-        raise ValueError("polygon systems need at least 3 sides")
-    return PolygonParams(sides, float(np.sqrt(1.0 / np.cos(np.pi / sides))))
 
 
 def _circle(ks, m: int, radius: float) -> np.ndarray:
@@ -78,14 +59,16 @@ def polygon_theory(sides: int) -> TheorySpec:
     `circle_point`, so zeros are 0.0 and mirror and antipodal coordinates
     are exact negatives, which keeps the exact simplex's integers small.
     """
-    p = polygon_params(sides)
+    if sides < 3:
+        raise ValueError("polygon systems need at least 3 sides")
+    radius = float(np.sqrt(1.0 / np.cos(np.pi / sides)))
     ones = np.ones((sides, 1))
-    states = np.hstack([ones, _circle(range(1, sides + 1), sides, p.radius)])
+    states = np.hstack([ones, _circle(range(1, sides + 1), sides, radius)])
     if sides % 2 == 0:
-        extremal = 0.5 * np.hstack([ones, _circle(range(1, 2 * sides, 2), 2 * sides, p.radius)])
+        extremal = 0.5 * np.hstack([ones, _circle(range(1, 2 * sides, 2), 2 * sides, radius)])
         generators = np.vstack([zero_effect(2), unit_effect(2), extremal])
     else:
-        scale = 1.0 / (1.0 + p.radius**2)
+        scale = 1.0 / (1.0 + radius**2)
         # u - c is exact (Sterbenz: c's first entry lies in [1/2, 1]), so
         # each pair sums to the unit exactly; u - e would round
         complements = unit_effect(2) - scale * states
@@ -169,9 +152,9 @@ def euclidean_ball(d: int) -> TheorySpec:
     Extremal effects are half the pure-state vectors, and the reversible maps
     are the special-orthogonal rotations of the reduced coordinates.  The
     stored generators are quarter-turn coordinate-plane rotations; Haar-like
-    samples come from `sample_ball_rotations`.  d = 3 reproduces the qubit:
-    the pairing of an extremal effect with a pure state is (1 + cos)/2 of the
-    angle between their axes.
+    samples are `spatial_rotation(sample_special_orthogonal(d, rng, size))`.
+    d = 3 reproduces the qubit: the pairing of an extremal effect with a pure
+    state is (1 + cos)/2 of the angle between their axes.
     """
     if d < 1:
         raise ValueError("ball systems need dimension at least 1")
@@ -191,16 +174,6 @@ def euclidean_ball(d: int) -> TheorySpec:
         reversibles=reversibles,
         effect_convention="all-normalized",
     )
-
-
-def ball_rotation_to(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Reversible ball map taking the pure state along `source` to `target`."""
-    return spatial_rotation(rotation_between(source, target))
-
-
-def sample_ball_rotations(d: int, count: int, seed: int = 0) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    return list(spatial_rotation(sample_special_orthogonal(d, rng, count)))
 
 
 def sample_ball_state(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -225,50 +198,15 @@ def sample_ball_effect(d: int, rng: np.random.Generator, size: int | None = None
     return np.concatenate([np.expand_dims(e0, -1), v], axis=-1)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Expansion coefficients of a qubit density matrix in the Pauli basis."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.r, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError("a Bloch vector has exactly three components")
-        if np.linalg.norm(vec) > 1.0 + DEFAULT_NORM_TOL:
-            raise ValueError("Bloch vector norm exceeds 1")
-        vec = vec.copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "r", vec)
-
-
 def density_to_gpt(r) -> np.ndarray:
-    """Map a Bloch vector to the ball:3 state (1, r)."""
-    vec = r.r if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
+    """Map a Bloch vector, three components of norm at most 1, to the ball:3
+    state (1, r)."""
+    vec = np.asarray(r, dtype=float)
+    if vec.shape != (3,):
+        raise ValueError("a Bloch vector has exactly three components")
     if np.linalg.norm(vec) > 1.0 + DEFAULT_NORM_TOL:
         raise ValueError("Bloch vector norm exceeds 1")
     return np.concatenate([[1.0], vec])
-
-
-@dataclass(frozen=True)
-class BoxWorld:
-    """Polygon-4 local system plus the hooks for building the nonlocal box.
-
-    `measurements` are the two binary observables per site, each a pair of
-    extremal effects summing to the unit effect.  The maximally nonlocal box
-    state itself is not hard-coded anywhere: it is obtained operationally as
-    the optimizer of the CHSH functional over the maximal tensor product.
-    """
-
-    local: TheorySpec
-    measurements: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def box_world_pair() -> BoxWorld:
-    local = polygon_theory(4)
-    extremal = local.extremal_effects()
-    measurements = tuple((extremal[i].copy(), extremal[j].copy()) for i, j in ((0, 2), (1, 3)))
-    return BoxWorld(local=local, measurements=measurements)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +235,7 @@ def _build_theory(name: str) -> TheorySpec:
     if name == "bit":
         return classical_simplex(1)
     if name == "boxworld":
-        return box_world_pair().local
+        return polygon_theory(4)
     if ":" in name:
         kind, _, arg = name.partition(":")
         size = int(arg)

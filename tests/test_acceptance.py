@@ -131,10 +131,9 @@ def test_criterion_3_bloch_consistency():
 
 def test_criterion_4_box_world_chsh():
     with criterion(4, "CHSH: polygon:4 -> 4 (exact LP), bit -> 2 vs enumeration", 60.0):
-        box = zoo.box_world_pair()
-        best = composites.maximize_chsh(
-            box.local, box.local, box.measurements, box.measurements, exact=True
-        )
+        box = zoo.get_theory("boxworld")
+        measurements = composites.binary_measurements(box)
+        best = composites.maximize_chsh(box, box, measurements, measurements, exact=True)
         assert abs(best.value - 4.0) <= 1e-6
         bit = zoo.classical_simplex(1)
         bit_best = composites.maximize_chsh(bit, bit, exact=True)
@@ -281,14 +280,14 @@ def test_criterion_8_probability_invariance():
 def test_criterion_9_toy_spacetime():
     with criterion(9, "lattice translations as polygon rotations, N <= 12", 5.0):
         for sides in range(3, 13):
-            _, rows = poincare.toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
+            rows = poincare.toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
             rows = {row.check: row for row in rows}
             assert rows["toy-spacetime-homomorphism"].passed
             assert rows["toy-spacetime-homomorphism"].worst_deviation <= 1e-12
             assert rows["toy-spacetime-invariance"].passed
             # the wired representation is not trivial
             assert rows["toy-spacetime-nontrivial"].passed
-        _, fig_rows = poincare.toy_discrete_spacetime(5, 2, tol=1e-12)
+        fig_rows = poincare.toy_discrete_spacetime(5, 2, tol=1e-12)
         assert all(row.passed for row in fig_rows)
 
 

@@ -96,6 +96,15 @@ def test_little_group_checks_pass_at_a_mass_whose_square_underflows(capsys):
     assert all(row["pass"] for row in json.loads(out))
 
 
+@pytest.mark.parametrize("mass", ["1e200", "1e6", "1e4", "1e-3", "1e-200"])
+@pytest.mark.parametrize("suite", ["minkowski-checks", "little-group-checks", "invariance-checks"])
+def test_geometry_suites_pass_at_any_mass(capsys, suite, mass):
+    # each row is measured in units of the mass, so none scales with it
+    code, out = run_cli([suite, "--samples", "200", "--mass", mass], capsys)
+    assert code == 0
+    assert all(row["pass"] for row in json.loads(out))
+
+
 def test_invariance_checks_pass(capsys):
     code, out = run_cli(["invariance-checks", "--samples", "50"], capsys)
     assert code == 0

@@ -43,7 +43,6 @@ from gptkit.core import (
 from gptkit.rotations import deterministic_sphere_points
 from gptkit.symmetry import product_maximum, row_symmetries, symmetry_classes
 from gptkit.zoo import (
-    box_world_pair,
     classical_simplex,
     euclidean_ball,
     get_theory,
@@ -54,7 +53,8 @@ from gptkit.zoo import (
 from chsh_reference import full_scan_chsh, kron_objective
 
 BIT = classical_simplex(1)
-BOX = box_world_pair()
+BOX = get_theory("boxworld")
+BOX_MEASUREMENTS = binary_measurements(BOX)
 BALL3 = euclidean_ball(3)
 
 # 4x4 quantum oracle in the Pauli basis
@@ -226,7 +226,7 @@ def test_binary_measurements_match_a_per_pair_scan(name):
 
 
 def test_maximize_chsh_box_world_reaches_four():
-    result = maximize_chsh(BOX.local, BOX.local, BOX.measurements, BOX.measurements)
+    result = maximize_chsh(BOX, BOX, BOX_MEASUREMENTS, BOX_MEASUREMENTS)
     assert abs(result.value - 4.0) < 1e-7
     assert in_max_tensor(result.witness)
     assert no_signalling_check(result.witness)
@@ -599,9 +599,9 @@ def test_box_world_product_vertices_are_separable(exact):
 
 def test_separable_states_respect_chsh_bound():
     rng = np.random.default_rng(26)
-    local = BOX.local
+    local = BOX
     states = local.states.vertices
-    meas = BOX.measurements
+    meas = BOX_MEASUREMENTS
     for _ in range(20):
         w = rng.dirichlet(np.ones(6))
         vec = sum(
@@ -621,20 +621,18 @@ def test_in_max_tensor_examples():
 
 
 def test_no_signalling_examples():
-    phi = product_state(
-        BOX.local.states.vertices[0], BOX.local.states.vertices[2], BOX.local, BOX.local
-    )
+    phi = product_state(BOX.states.vertices[0], BOX.states.vertices[2], BOX, BOX)
     assert no_signalling_check(phi)
     corrupted = phi.vector.copy()
     corrupted[-1] += 0.1
-    assert not no_signalling_check(JointState(corrupted, BOX.local, BOX.local, check=False))
+    assert not no_signalling_check(JointState(corrupted, BOX, BOX, check=False))
 
 
 def test_no_signalling_on_all_box_world_vertices():
-    vertices = max_tensor_vertices(BOX.local, BOX.local)
+    vertices = max_tensor_vertices(BOX, BOX)
     assert len(vertices) > 0
     for v in vertices:
-        phi = JointState(v, BOX.local, BOX.local, check=False)
+        phi = JointState(v, BOX, BOX, check=False)
         assert no_signalling_check(phi)
         assert in_max_tensor(phi)
 

@@ -6,6 +6,7 @@ from gptkit.core import (
     BALL_EFFECT_COUNT,
     BALL_STATE_COUNT,
     Ball,
+    BallEffects,
     MembershipReport,
     Polytope,
     PolytopeEffects,
@@ -13,7 +14,6 @@ from gptkit.core import (
     _pairing_range,
     apply_map,
     binary_measurements,
-    clamp_probability,
     convex_mix,
     is_normalized_effect,
     is_pure,
@@ -28,14 +28,14 @@ from gptkit.core import (
     validate_state,
     zero_effect,
 )
-from gptkit.rotations import deterministic_sphere_points
+from gptkit.minkowski import spatial_rotation
+from gptkit.rotations import deterministic_sphere_points, sample_special_orthogonal
 from gptkit.zoo import (
     classical_simplex,
     euclidean_ball,
     get_theory,
     polygon_rotation,
     polygon_theory,
-    sample_ball_rotations,
 )
 
 BIT = classical_simplex(1)
@@ -69,13 +69,6 @@ def test_probability_bloch_antipodal_is_zero():
 def test_probability_rejects_length_mismatch():
     with pytest.raises(ValueError):
         probability(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-
-def test_clamp_probability():
-    assert clamp_probability(1.0 + 1e-12) == 1.0
-    assert clamp_probability(-1e-12) == 0.0
-    with pytest.raises(ValueError):
-        clamp_probability(1.1)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -147,6 +140,13 @@ def test_construction_rejects_a_generator_outside_the_unit_interval():
         effects=PolytopeEffects([[0, 0, 0], [1, 0, 0], [0.5, 0.5, 0]]),
     )
     assert disc.effect_rows().shape == (2, 3)
+    # ball-dual effects: polygon:4's vertices lie at radius 2^(1/4), where
+    # (1, v)/2 goes negative
+    square = get_theory("polygon:4").states
+    with pytest.raises(ValueError, match="inside the unit ball"):
+        TheorySpec(name="bad", dim=2, states=square, effects=BallEffects(2))
+    inscribed = Polytope(square.vertices * [1.0, 2.0**-0.25, 2.0**-0.25])
+    assert TheorySpec(name="inscribed", dim=2, states=inscribed, effects=BallEffects(2)).dim == 2
 
 
 def test_apply_map_bit_reflection_swaps_states():
@@ -175,7 +175,7 @@ def test_is_reversible(monkeypatch):
     monkeypatch.setattr(TheorySpec, "extreme_states", no_ball_listing)
     assert is_reversible(BIT, BIT.reversibles[0])
     assert not is_reversible(BIT, np.diag([1.0, 0.0]))  # singular: reports False
-    for m in sample_ball_rotations(3, 3, seed=5):
+    for m in spatial_rotation(sample_special_orthogonal(3, np.random.default_rng(5), 3)):
         assert is_reversible(BALL3, m)
     assert is_reversible(BALL3, np.diag([1.0, -1.0, 1.0, 1.0]))  # a reflection
     shear = np.eye(4)
@@ -310,7 +310,7 @@ def test_reversible_maps_preserve_purity():
             assert is_reversible(theory, m)
             for v in theory.states.vertices:
                 assert is_pure(theory.states, apply_map(m, v), tol=1e-9)
-    rot = sample_ball_rotations(3, 1, seed=2)[0]
+    rot = spatial_rotation(sample_special_orthogonal(3, np.random.default_rng(2)))
     for v in BALL3.extreme_states():
         assert is_pure(BALL3.states, apply_map(rot, v), tol=1e-9)
 

@@ -196,6 +196,16 @@ def test_mass_shell_is_tested_in_units_of_the_mass():
     # m^2 overflows, p/m does not
     huge = MassiveMomentum(np.array([1e200, 0.0, 0.0, 0.0]), 1e200)
     assert np.array_equal(standard_boost(huge), np.eye(4))
+    # E^2 and |p|^2 near 1e10 cancel to 1, leaving rounding of order 1e-6
+    for spatial in ([1e5, 0.0, 0.0], [0.0, 3e5, 4e5]):
+        assert np.array_equal(momentum_from_spatial(1.0, spatial).spatial, spatial)
+    # the energy is built from p/m too
+    energy = momentum_from_spatial(1e200, [0.0, 3e200, 4e200]).vector[0]
+    assert abs(energy / (np.sqrt(26.0) * 1e200) - 1.0) <= 1e-15
+    assert momentum_from_spatial(1e-200, [0.0, 0.0, 0.0]).vector[0] == 1e-200
+    # a spacelike vector at the same gamma is still off the shell
+    with pytest.raises(ValueError, match="mass shell"):
+        MassiveMomentum(np.array([1e5, 1e5, 1.0, 0.0]), 1.0)
 
 
 def test_mass_shell_preserved():
@@ -762,7 +772,7 @@ def _reference_minkowski_rows(n, mass, stacks, seed, tol):
             worst["interval"] = np.maximum(
                 worst["interval"], abs(minkowski.interval(x, y) - moved)
             )
-            shell = abs(minkowski.minkowski_norm2(p.lorentz @ q) + mass**2)
+            shell = abs(minkowski.minkowski_norm2(p.lorentz @ q / mass) + 1.0)
             worst["shell"] = np.maximum(worst["shell"], shell)
             defect = np.max(np.abs(p.lorentz.T @ eta @ p.lorentz - eta))
             worst["lorentz"] = np.maximum(worst["lorentz"], defect)
@@ -778,7 +788,7 @@ def _reference_minkowski_rows(n, mass, stacks, seed, tol):
                 np.max(np.abs(left.lorentz - right.lorentz)),
             ])
     for size in stacks:
-        for p_mag in rng.uniform(0.0, 2.0, size):
+        for p_mag in mass * rng.uniform(0.0, 2.0, size):
             s = minkowski.boost_x(p_mag, mass, n) @ minkowski.boost_x(-p_mag, mass, n)
             worst["boost"] = np.maximum(worst["boost"], np.max(np.abs(s - np.eye(n + 1))))
     return list(worst.values())
@@ -806,7 +816,9 @@ def _reference_little_group_rows(n, mass, stacks, seed, tol):
         for a, x, lam, p in zip(a_s, x_s, lams, ps):
             g = minkowski.little_group_element(a, x, lam, p)
             b2, q2 = minkowski.apply_to_pair(g, np.zeros(n + 1), rest.vector)
-            worst_fix = np.max([worst_fix, np.max(np.abs(b2)), np.max(np.abs(q2 - rest.vector))])
+            worst_fix = np.max(
+                [worst_fix, np.max(np.abs(b2)), np.max(np.abs((q2 - rest.vector) / mass))]
+            )
             w = minkowski.wigner_rotation(lam, p)
             worst_so = np.max([
                 worst_so,

@@ -156,7 +156,7 @@ def test_invariance_deviation_measures_the_worst_change():
 
 @pytest.mark.parametrize("sides", range(3, 9))
 def test_toy_report_carries_measured_deviation(sides):
-    _, rows = toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
+    rows = toy_discrete_spacetime(sides, 2 % sides, tol=1e-12)
     invariance = by_check(rows)["toy-spacetime-invariance"]
     assert 0.0 <= invariance.worst_deviation <= 1e-12
     assert invariance.passed
@@ -313,7 +313,7 @@ def test_detector_sphere_invariance_many_rotations():
 
 
 def test_toy_discrete_spacetime_five_two():
-    rep, rows = toy_discrete_spacetime(5, 2)
+    rows = toy_discrete_spacetime(5, 2)
     assert [row.check for row in rows] == [
         "toy-spacetime-homomorphism",
         "toy-spacetime-invariance",
@@ -325,7 +325,7 @@ def test_toy_discrete_spacetime_five_two():
 
 
 def test_toy_discrete_spacetime_identity_shift():
-    _, rows = toy_discrete_spacetime(5, 5)  # k = N acts as the identity
+    rows = toy_discrete_spacetime(5, 5)  # k = N acts as the identity
     assert all(row.passed for row in rows)
 
 

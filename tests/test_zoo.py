@@ -4,29 +4,28 @@ import numpy as np
 import pytest
 
 from gptkit.core import (
+    binary_measurements,
     is_normalized_effect,
     is_pure,
+    is_reversible,
     probability,
     validate_state,
 )
+from gptkit.minkowski import spatial_rotation
 from gptkit.zoo import (
-    BlochVector,
-    ball_rotation_to,
-    box_world_pair,
     classical_simplex,
     density_to_gpt,
     euclidean_ball,
     get_theory,
-    polygon_params,
     polygon_rotation,
     polygon_theory,
     sample_ball_effect,
-    sample_ball_rotations,
     sample_ball_state,
 )
 from gptkit.rotations import (
     circle_point,
     deterministic_sphere_points,
+    rotation_between,
     sample_special_orthogonal,
 )
 from symbolic_theories import exact_classical_simplex, exact_polygon
@@ -41,13 +40,16 @@ def _rho(r):
     return 0.5 * (np.eye(2, dtype=complex) + r[0] * _SX + r[1] * _SY + r[2] * _SZ)
 
 
+def _radius(theory):
+    return float(np.linalg.norm(theory.states.vertices[0, 1:]))
+
+
 def test_polygon_params():
-    p4 = polygon_params(4)
-    assert abs(p4.radius - 2.0**0.25) < 1e-12
-    assert polygon_params(3).radius > 1.0
-    assert abs(polygon_params(4096).radius - 1.0) < 1e-6
+    assert abs(_radius(polygon_theory(4)) - 2.0**0.25) < 1e-12
+    assert _radius(polygon_theory(3)) > 1.0
+    assert abs(_radius(polygon_theory(4096)) - 1.0) < 1e-6
     with pytest.raises(ValueError):
-        polygon_params(2)
+        polygon_theory(2)
 
 
 def test_trit_effect_state_orthogonality():
@@ -147,9 +149,9 @@ def test_odd_polygon_complements_are_normalized():
 
 def test_polygon_converges_to_disk():
     # Hausdorff distance between the 64-gon state set and the unit disk
-    p = polygon_params(64)
-    out = p.radius - 1.0  # vertices poke out of the disk
-    inr = 1.0 - p.radius * np.cos(np.pi / 64)  # edge midpoints fall short
+    radius = _radius(polygon_theory(64))
+    out = radius - 1.0  # vertices poke out of the disk
+    inr = 1.0 - radius * np.cos(np.pi / 64)  # edge midpoints fall short
     assert max(out, inr) < 0.01
 
 
@@ -218,19 +220,23 @@ def test_ball_rotations_act_transitively():
         a /= np.linalg.norm(a)
         b = rng.standard_normal(3)
         b /= np.linalg.norm(b)
-        m = ball_rotation_to(a, b)
+        m = spatial_rotation(rotation_between(a, b))
         moved = m @ np.concatenate([[1.0], a])
         assert np.max(np.abs(moved - np.concatenate([[1.0], b]))) < 1e-10
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_sample_ball_rotations_equal_draws_in_a_row(d):
+    # Haar-like ball maps: a stack of SO(d) draws lifted to 1 (+) O, each a
+    # reversible map of ball:d and equal to the same draws made one by one
+    rotations = spatial_rotation(sample_special_orthogonal(d, np.random.default_rng(9), 6))
     rng = np.random.default_rng(9)
-    for m in sample_ball_rotations(d, 6, seed=9):
+    for m in rotations:
         expected = np.eye(d + 1)
         expected[1:, 1:] = sample_special_orthogonal(d, rng)
         assert np.array_equal(m, expected)
-    assert sample_ball_rotations(d, 0) == []
+        assert is_reversible(euclidean_ball(d), m)
+    assert rotations.shape == (6, d + 1, d + 1)
 
 
 def _ref_sample_ball_state(d, rng):
@@ -311,8 +317,10 @@ def test_density_to_gpt():
     assert is_pure(euclidean_ball(3).states, pure)
     with pytest.raises(ValueError):
         density_to_gpt(np.array([0.0, 0.0, 1.5]))
-    with pytest.raises(ValueError):
-        BlochVector(np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="norm exceeds 1"):
+        density_to_gpt(np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="three components"):
+        density_to_gpt(np.array([0.0, 1.0]))
 
 
 def test_bloch_pairing_matches_quantum_trace():
@@ -328,12 +336,17 @@ def test_bloch_pairing_matches_quantum_trace():
 
 
 def test_box_world_measurements_partition_unity():
-    box = box_world_pair()
-    assert box.local.name == "polygon:4"
-    for e_plus, e_minus in box.measurements:
-        assert np.allclose(e_plus + e_minus, box.local.unit, atol=1e-12)
-    assert len(box.local.states.vertices) == 4
-    z = box.local.states.vertices
+    box = get_theory("boxworld")
+    assert box.name == "polygon:4"
+    measurements = binary_measurements(box)
+    extremal = box.extremal_effects()
+    assert len(measurements) == 2
+    for (e_plus, e_minus), (i, j) in zip(measurements, ((0, 2), (1, 3))):
+        assert e_plus.tobytes() == extremal[i].tobytes()
+        assert e_minus.tobytes() == extremal[j].tobytes()
+        assert np.allclose(e_plus + e_minus, box.unit, atol=1e-12)
+    assert len(box.states.vertices) == 4
+    z = box.states.vertices
     assert not np.allclose(z[0], 0.5 * (z[1] + z[3]))
 
 
