@@ -208,7 +208,7 @@ def chsh_rows(locals_name: str, exact: bool, scenario_path: str | None) -> list[
                 "local_b": locals_name,
             }
         ]
-    return [composites.run_scenario(doc, exact=exact) for doc in docs]
+    return composites.run_scenarios(docs, exact=exact)
 
 
 def zoo_rows() -> list[CheckRow]:

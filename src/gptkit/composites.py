@@ -26,7 +26,7 @@ import numpy as np
 
 from . import lp
 from .core import BALL_EFFECT_COUNT, BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec
-from .core import _effect_floor
+from .core import _effect_floor, _extreme_rays
 # binary_measurements and its ball count are core's, read here by callers
 from .core import BALL_MEASUREMENT_COUNT, _dedupe_rows, binary_measurements  # noqa: F401
 from .symmetry import _chsh_objectives, product_maximum, row_symmetries, symmetry_classes
@@ -112,21 +112,29 @@ def is_separable(phi: JointState, tol: float = 1e-9, exact: bool = False) -> Sep
     in floating point even when `exact` is set: its verdict is not definite
     either way, and its K^2 columns are too many for the rational simplex.
     The float path prices the products from the two lists of extreme states
-    (`lp.product_hull_membership`) and never stores the K^2 columns; only
-    the exact path, two polytope sides, lists them.
+    (`lp.product_hull_memberships`) and never stores the K^2 columns; only
+    the exact path, two polytope sides, lists them.  This is `_verdicts`
+    on a stack of one.
     """
-    discretized = isinstance(phi.local_a.states, Ball) or isinstance(phi.local_b.states, Ball)
-    xa, xb = phi.local_a.extreme_states(), phi.local_b.extreme_states()
+    return _verdicts(phi.local_a, phi.local_b, [phi.vector], tol, exact)[0]
+
+
+def _verdicts(local_a, local_b, vectors, tol, exact) -> list[SeparabilityVerdict]:
+    """`is_separable` of each joint vector over the two locals, as one
+    `lp` stack of hull LPs."""
+    discretized = isinstance(local_a.states, Ball) or isinstance(local_b.states, Ball)
+    xa, xb = local_a.extreme_states(), local_b.extreme_states()
     if exact and not discretized:
-        res = lp.hull_membership(_product_rows(xa, xb), phi.vector, tol=tol, exact=True)
+        stack = lp.hull_memberships(_product_rows(xa, xb), vectors, tol, exact=True)
     else:
-        res = lp.product_hull_membership(xa, xb, phi.vector, tol)
+        stack = lp.product_hull_memberships(xa, xb, vectors, tol)
     resolution = BALL_STATE_COUNT if discretized else None
-    if res.member:
-        return SeparabilityVerdict("separable", res.margin, res.weights, resolution)
-    if discretized:
-        return SeparabilityVerdict("inconclusive", res.margin, None, resolution)
-    return SeparabilityVerdict("entangled", res.margin, None, None)
+    return [
+        SeparabilityVerdict("separable", res.margin, res.weights, resolution) if res.member
+        else SeparabilityVerdict("inconclusive" if discretized else "entangled", res.margin,
+                                 None, resolution)
+        for res in stack
+    ]
 
 
 def in_max_tensor(phi: JointState, tol: float = 1e-9) -> bool:
@@ -372,66 +380,6 @@ def ball_measurement(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# pairs times rays in one block of the adjacency test: 0.5 MB per word of a
-# tight set.  Unblocked, polygon:8^2 peaked 48 MB higher and ran slower.
-_PAIR_BLOCK = 1 << 16
-
-
-def _extreme_rays(rows: np.ndarray, tol: float) -> np.ndarray:
-    """The extreme rays of the cone {x : rows @ x >= 0}, each scaled to a
-    largest entry of magnitude 1, by double description (Motzkin, Raiffa,
-    Thompson & Thrall 1953; Fukuda & Prodon, LNCS 1120, 91 (1996)).
-
-    The cone starts as that of the first dim independent rows: its rays are
-    the columns of their inverse.  The other rows then cut it in order.  A
-    ray is tight on a row when |row . ray| <= tol and below it when
-    row . ray < -tol.  A row drops the rays below it and adds, for each
-    adjacent pair of a ray above and a ray below, their combination on the
-    row.  The pair is adjacent when it shares at least dim - 2 tight rows and
-    no third ray is tight on all of them (Fukuda & Prodon's combinatorial
-    test).  Tight sets are bit rows of 64-bit words, and the rays below are
-    paired one at a time with every ray above.  Rows of rank below dim leave
-    a line in the cone, and raise ValueError.
-    """
-    count, dim = rows.shape
-    basis = []
-    for i in range(count):
-        if np.linalg.matrix_rank(rows[basis + [i]]) > len(basis):
-            basis.append(i)
-            if len(basis) == dim:
-                break
-    else:
-        raise ValueError("the product effects do not bound a polytope")
-    # bit i of flags[i] marks row i
-    flags = np.packbits(np.eye(count, 64 * -(-count // 64), dtype=bool), axis=1).view(np.uint64)
-    rays = np.linalg.inv(rows[basis]).T
-    rays /= np.abs(rays).max(axis=1, keepdims=True)
-    tight = np.bitwise_or.reduce(flags[basis]) ^ flags[basis]  # all basis rows but its own
-    for k in sorted(set(range(count)) - set(basis)):
-        side = rays @ rows[k]
-        above, below = side > tol, side < -tol
-        tight[~(above | below)] |= flags[k]
-        up = np.flatnonzero(above)
-        tight_up = tight[up]
-        new_rays, new_tight = [rays[~below]], [tight[~below]]
-        step = max(1, _PAIR_BLOCK // len(tight))
-        for n in np.flatnonzero(below):
-            common = tight_up & tight[n]
-            pairs = np.flatnonzero(np.bitwise_count(common).sum(axis=1) >= dim - 2)
-            common = common[pairs]
-            # rays tight on all of a pair's common rows, a block of pairs at a time
-            holders = np.concatenate([
-                ((tight[None] & block[:, None]) == block[:, None]).all(axis=2).sum(axis=1)
-                for block in np.split(common, range(step, len(common), step))
-            ])
-            p = up[pairs[holders == 2]]
-            combined = side[p, None] * rays[n] - side[n] * rays[p]
-            new_rays.append(combined / np.abs(combined).max(axis=1, keepdims=True))
-            new_tight.append(common[holders == 2] | flags[k])
-        rays, tight = np.vstack(new_rays), np.vstack(new_tight)
-    return rays
-
-
 def max_tensor_vertices(
     local_a: TheorySpec, local_b: TheorySpec, tol: float = 1e-9
 ) -> np.ndarray:
@@ -466,76 +414,101 @@ def max_tensor_vertices(
 
 
 def run_scenario(doc: dict, exact: bool = False) -> dict:
-    """Execute one scenario document and produce a CSV-ready result row.
+    """`run_scenarios` of one document."""
+    return run_scenarios([doc], exact)[0]
+
+
+def run_scenarios(docs: list, exact: bool = False) -> list[dict]:
+    """Execute scenario documents and produce one CSV-ready row for each.
 
     Schema: {"id", "local_a", "local_b", optional "measurements_a"/"..._b"
     (index pairs into the extremal effect list), optional "joint_vector"}.
-    An explicit vector gets its CHSH value and `is_separable`'s verdict.
-    Otherwise `maximize_chsh` finds S*, printed to 9 decimals (the precision
-    of its tie rule, a format change), and the verdict compares it with
-    `symmetry.product_maximum` P: `separable` if S* <= P + 1e-9, else
-    `entangled` for polytopes and, as a ball side makes S* an outer
-    relaxation, `inconclusive` at K = `core.BALL_EFFECT_COUNT`, with margin
-    S* - P.  A document that is not an object with string locals, an index
-    that is not an in-range int, a joint vector that is not a flat list of
-    numbers, or a pair whose effects do not sum to the unit effect raises
-    ValueError.
+    An explicit vector gets its CHSH value and `is_separable`'s verdict;
+    the vectors over one pair of local theories are decided as one stack of
+    hull LPs (`lp.hull_memberships`), so their verdicts and exact margins
+    are the one-at-a-time ones.  Otherwise `maximize_chsh` finds S*,
+    printed to 9 decimals (the precision of its tie rule, a format change),
+    and the verdict compares it with `symmetry.product_maximum` P:
+    `separable` if S* <= P + 1e-9, else `entangled` for polytopes and, as a
+    ball side makes S* an outer relaxation, `inconclusive` at K =
+    `core.BALL_EFFECT_COUNT`, with margin S* - P.  Every document is
+    checked, in order, before any LP is solved: one that is not an object
+    with string locals, an index that is not an in-range int, a joint vector
+    that is not a flat list of numbers, or a pair whose effects do not sum
+    to the unit effect raises ValueError.
     """
     names = ("local_a", "local_b")
-    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in names)):
-        raise ValueError(f"a scenario must be a JSON object naming local_a and local_b: {doc!r}")
-    local_a = get_theory(doc["local_a"])
-    local_b = get_theory(doc["local_b"])
+    scenarios, stacks = [], {}
+    for doc in docs:
+        if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in names)):
+            raise ValueError(f"a scenario must be a JSON object naming local_a and local_b: {doc!r}")
+        local_a = get_theory(doc["local_a"])
+        local_b = get_theory(doc["local_b"])
+        meas_a = _doc_measurements(doc, local_a, "measurements_a")
+        meas_b = _doc_measurements(doc, local_b, "measurements_b")
+        state = None
+        if "joint_vector" in doc:
+            vector = doc["joint_vector"]
+            if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
+                raise ValueError("joint_vector must be a flat list of numbers")
+            try:
+                vector = np.array(vector, dtype=float)
+            except OverflowError:
+                raise ValueError("joint_vector holds an integer beyond float range") from None
+            state = JointState(vector, local_a, local_b)
+            stacks.setdefault((id(local_a), id(local_b)), []).append(len(scenarios))
+        scenarios.append((doc, local_a, local_b, meas_a, meas_b, state))
+    verdicts = {}
+    for ks in stacks.values():
+        _, local_a, local_b, *_ = scenarios[ks[0]]
+        vectors = [scenarios[k][-1].vector for k in ks]
+        verdicts.update(zip(ks, _verdicts(local_a, local_b, vectors, 1e-9, exact)))
+    rows = []
+    for k, (doc, local_a, local_b, meas_a, meas_b, state) in enumerate(scenarios):
+        if state is not None:
+            value = chsh_value(ChshScenario(
+                meas_a[0], meas_a[min(1, len(meas_a) - 1)],
+                meas_b[0], meas_b[min(1, len(meas_b) - 1)],
+                state,
+            ))
+            verdict = verdicts[k]
+        else:
+            optimum = maximize_chsh(local_a, local_b, meas_a, meas_b, exact=exact)
+            value = optimum.value
+            gap = value - product_maximum(local_a, local_b, meas_a, meas_b,
+                                          optimum.measurement_choice)
+            ball = isinstance(local_a.states, Ball) or isinstance(local_b.states, Ball)
+            status = "separable" if gap <= 1e-9 else "inconclusive" if ball else "entangled"
+            verdict = SeparabilityVerdict(status, gap,
+                                          resolution=BALL_EFFECT_COUNT if ball else None)
+        rows.append({
+            "scenario_id": doc.get("id", f"{doc['local_a']}x{doc['local_b']}"),
+            "local_a": doc["local_a"],
+            "local_b": doc["local_b"],
+            # 9 decimals: maximize_chsh ties values within 1e-9, so the digits
+            # below carry only solver noise (about 3e-14 inside a class)
+            "chsh_value": round(value, 9),
+            "separability_verdict": str(verdict),
+        })
+    return rows
 
-    def build_measurements(theory, key):
-        if key not in doc:
-            return binary_measurements(theory)
-        ext = theory.extremal_effects()
-        pairs = doc[key]
-        if not (isinstance(pairs, list) and pairs and all(
-            isinstance(pair, list) and len(pair) == 2
-            and all(type(i) is int and 0 <= i < len(ext) for i in pair) for pair in pairs
-        )):
-            raise ValueError(f"{key} must be a nonempty list of index pairs below {len(ext)}")
-        measurements = [(ext[i].copy(), ext[j].copy()) for i, j in pairs]
-        for measurement in measurements:
-            _check_measurement(measurement, theory.unit, 1e-9)
-        return measurements
 
-    meas_a = build_measurements(local_a, "measurements_a")
-    meas_b = build_measurements(local_b, "measurements_b")
-    if "joint_vector" in doc:
-        vector = doc["joint_vector"]
-        if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
-            raise ValueError("joint_vector must be a flat list of numbers")
-        try:
-            vector = np.array(vector, dtype=float)
-        except OverflowError:
-            raise ValueError("joint_vector holds an integer beyond float range") from None
-        state = JointState(vector, local_a, local_b)
-        scenario = ChshScenario(
-            meas_a[0], meas_a[min(1, len(meas_a) - 1)],
-            meas_b[0], meas_b[min(1, len(meas_b) - 1)],
-            state,
-        )
-        value = chsh_value(scenario)
-        verdict = is_separable(state, exact=exact)
-    else:
-        optimum = maximize_chsh(local_a, local_b, meas_a, meas_b, exact=exact)
-        value = optimum.value
-        gap = value - product_maximum(local_a, local_b, meas_a, meas_b, optimum.measurement_choice)
-        ball = isinstance(local_a.states, Ball) or isinstance(local_b.states, Ball)
-        status = "separable" if gap <= 1e-9 else "inconclusive" if ball else "entangled"
-        verdict = SeparabilityVerdict(status, gap, resolution=BALL_EFFECT_COUNT if ball else None)
-    return {
-        "scenario_id": doc.get("id", f"{doc['local_a']}x{doc['local_b']}"),
-        "local_a": doc["local_a"],
-        "local_b": doc["local_b"],
-        # 9 decimals: maximize_chsh ties values within 1e-9, so the digits
-        # below carry only solver noise (about 3e-14 inside a class)
-        "chsh_value": round(value, 9),
-        "separability_verdict": str(verdict),
-    }
+def _doc_measurements(doc, theory, key):
+    """The binary measurements `doc` gives under `key`, by index pairs into
+    the extremal effects of `theory`, else `binary_measurements(theory)`."""
+    if key not in doc:
+        return binary_measurements(theory)
+    ext = theory.extremal_effects()
+    pairs = doc[key]
+    if not (isinstance(pairs, list) and pairs and all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(type(i) is int and 0 <= i < len(ext) for i in pair) for pair in pairs
+    )):
+        raise ValueError(f"{key} must be a nonempty list of index pairs below {len(ext)}")
+    measurements = [(ext[i].copy(), ext[j].copy()) for i, j in pairs]
+    for measurement in measurements:
+        _check_measurement(measurement, theory.unit, 1e-9)
+    return measurements
 
 
 CSV_COLUMNS = ["scenario_id", "local_a", "local_b", "chsh_value", "separability_verdict"]

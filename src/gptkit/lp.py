@@ -42,76 +42,30 @@ separability needs: a product's pairing with y is xa . Y . xb, Y being y
 as a matrix, so a round prices all of them from the two factors, and only
 the products that join the master are ever built.
 
-The one compiled scipy module gptkit calls, the HiGHS bindings, is loaded
-here by `_scipy_extension` from scipy's install directory, which the import
-system finds without running ``scipy``'s ``__init__``.  A plain import would
-first run ``scipy``'s and then ``scipy.optimize``'s ``__init__``, which load
-about 500 modules (``scipy.linalg`` and ``scipy.sparse`` among them) and
-take most of a second; gptkit calls none of them.
+The hull LPs of several targets over the same points differ only in the
+right-hand side, and `hull_memberships` solves them as one stack: the
+float path shares one master, solving each round's pending targets as one
+`_solve_highs` stack, and the exact path re-solves each target from the
+last optimal tableau by dual simplex pivots (`_resolve`).
+
+HiGHS itself is reached through `_highs`: its bindings, its options and
+the one model-building solver `_solve_highs`.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-
-def _scipy_extension(name: str):
-    """The compiled scipy module `name`, loaded from its package's directory;
-    the ``__init__`` of ``scipy`` and of the packages below it never runs.
-
-    It is registered in ``sys.modules`` under its full name, so a later
-    ``import scipy.optimize`` finds the same module object, and a module
-    loaded earlier is returned as is.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None:
-        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-    package = name.rpartition(".")[0].split(".")
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy_spec.submodule_search_locations[0], *package[1:])]
-    )
-    if spec is None:
-        raise ImportError(f"scipy has no module {name}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module
-
-
-highs = _scipy_extension("scipy.optimize._highspy._core")
+# the backend's names are read through lp as well
+from ._highs import _HIGHS_CHECK_TOL, _HIGHS_OPTIONS, _WARM_OPTIONS  # noqa: F401
+from ._highs import _check, _scipy_extension, _solve_highs, highs  # noqa: F401
 
 FEASIBILITY_SLACK = 1e-9
-
-# The options ``linprog(method="highs")`` sets, but presolve off: on these
-# small LPs it saves little, and its code is about 0.35 MB of resident pages.
-# The enum values are written out: reading the enums at import maps 64 KB
-# more of the bindings' code, and a test pins them.
-_HIGHS_OPTIONS = {
-    "presolve": "off",
-    "simplex_strategy": 1,  # SimplexStrategy.kSimplexStrategyDual
-    "output_flag": False,
-    "log_to_console": False,
-    "highs_debug_level": 0,  # HighsDebugLevel.kHighsDebugLevelNone
-}
-# a stack of more than one solve (`_solve_highs`): 4 is kSimplexStrategyPrimal
-_WARM_OPTIONS = {**_HIGHS_OPTIONS, "simplex_strategy": 4}
-# linprog's check of an optimal point: 10 * sqrt of its default tol 1e-9
-_HIGHS_CHECK_TOL = 10 * math.sqrt(1e-9)
 
 
 @dataclass(frozen=True)
@@ -195,7 +149,9 @@ def exact_linprog(
     """Minimize c.x subject to a_eq x = b_eq, a_le x <= b_le.
 
     ``nonneg[j]`` marks x_j >= 0; free variables are split internally.  All
-    arithmetic is exact.  Returns (status, x, objective value).
+    arithmetic is exact.  Returns (status, x, objective value); an optimal
+    one also carries its final tableau (`_Optimum`), from which `_resolve`
+    re-solves the LP at another b_eq.
     """
     # c first, then each block's rows before its rhs: the first NaN (ValueError)
     # or inf (OverflowError) in that order raises
@@ -280,7 +236,42 @@ def exact_linprog(
         if b < n_struct:
             j, sgn = col_of[b]
             x[j] += sgn * Fraction(rows[i][-1], dens[i])
-    return "optimal", x, Fraction(-cost[0][-1], cost[1])  # the cost row ends in -c.x
+    solution = _Optimum(("optimal", x, Fraction(-cost[0][-1], cost[1])))  # cost ends in -c.x
+    solution.tableau = rows, dens, cost, basis
+    return solution
+
+
+class _Optimum(tuple):
+    """`exact_linprog`'s ("optimal", x, value), with its final tableau
+    (rows, dens, cost, basis) in `tableau`, for `_resolve`."""
+
+
+def _resolve(tableau, block, target) -> None:
+    """Move the optimal `tableau` to the optimum of its LP at the equality
+    right-hand side `target`.
+
+    ``block[k]`` is the column that read +e_k in the rows as given, at cost
+    1: a residual s+ of the hull LP.  The tableau holds B^-1 D A, D the rows
+    `exact_linprog` negated, so that block reads B^-1 D, and the new rhs is
+    the block times `target`.  Its reduced costs are 1 - y, y = c_B B^-1 D,
+    so the new cost entry -c_B B^-1 D target is (reduced cost - 1).target.
+    Reduced costs do not depend on the rhs, so the basis stays dual
+    feasible, and dual simplex pivots restore primal feasibility under the
+    smallest-subscript rule: the row of the lowest-numbered basic column
+    below 0 leaves, and the column of least ratio cost_j / -row_j enters, the
+    lowest j on ties (Bland's rule on the dual, which cannot cycle).
+    """
+    rows, dens, cost, basis = tableau
+    nums, den = _int_row(_ratios(target))
+    for i, row in enumerate(rows):
+        rhs = sum(row[j] * t for j, t in zip(block, nums))
+        rows[i], dens[i] = _lowest([v * den for v in row[:-1]] + [rhs], dens[i] * den)
+    rhs = sum((cost[0][j] - cost[1]) * t for j, t in zip(block, nums))
+    cost[:] = _lowest([v * den for v in cost[0][:-1]] + [rhs], cost[1] * den)
+    while below := [i for i, row in enumerate(rows) if row[-1] < 0]:
+        r = min(below, key=basis.__getitem__)
+        _, c = min((Fraction(cost[0][j], -a), j) for j, a in enumerate(rows[r][:-1]) if a < 0)
+        _pivot(rows, dens, cost, basis, r, c)
 
 
 def hull_membership(points: np.ndarray, target: np.ndarray, tol: float = FEASIBILITY_SLACK,
@@ -307,38 +298,72 @@ def hull_membership(points: np.ndarray, target: np.ndarray, tol: float = FEASIBI
     -FEASIBILITY_SLACK, until none is left.  That takes at most
     npts - 2*dim + 1 solves.  With npts <= 2*dim the first master holds
     every point and is solved once.  Member weights have length npts, zero
-    outside the final master.
+    outside the final master.  This is `hull_memberships` on a stack of one.
     """
-    pts, tgt = np.asarray(points, dtype=float), np.asarray(target, dtype=float)
-    if not exact:
+    return hull_memberships(points, [target], tol, exact)[0]
+
+
+def hull_memberships(points, targets, tol=FEASIBILITY_SLACK, exact=False) -> list[HullMembership]:
+    """`hull_membership` of each row of the 2-D `targets` in the hull of
+    `points`.  The LPs share their rows and costs and differ only in the
+    right-hand side, so the stack is solved warm: margins and verdicts are
+    the one-at-a-time ones (exact margins `Fraction`-equal, float ones
+    within HiGHS's tolerances), and weights may come from another optimal
+    decomposition.  A stack of one is `hull_membership`, bit for bit.
+
+    On the exact path every LP lists the points in the first target's
+    order.  The first is solved by `exact_linprog`, and each later one from
+    the last optimal tableau by `_resolve`: a new rhs column and a few dual
+    simplex pivots when the targets are alike (box world's vertices and
+    mixtures take about 3), but about as many as a cold solve, on larger
+    integers, when they are far apart.  The float path is
+    `_hull_by_column_generation`.
+    """
+    pts, tgts = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
+    if not exact or not len(tgts):  # an empty stack has no first target to order by
         return _hull_by_column_generation(
-            lambda y: np.einsum("ij,j->i", pts, y), pts.__getitem__, tgt, tol)
+            lambda y: np.einsum("ij,j->i", pts, y), pts.__getitem__, tgts, tol)
     npts = len(pts)
     # the columns in the first master's order, largest p.target first; a
     # NaN or -inf pairing keeps the given order, in which a NaN or inf raises
-    order = _largest(np.einsum("ij,j->i", pts, tgt), npts, -np.inf)
+    order = _largest(np.einsum("ij,j->i", pts, tgts[0]), npts, -np.inf)
     if len(order) < npts:
         order = np.arange(npts)
     a_eq, c = _hull_lp(pts[order])
-    _, x, value = exact_linprog(c, a_eq=a_eq, b_eq=tgt)  # feasible, bounded below by 0
-    weights = np.zeros(npts)
-    weights[order] = x[:npts]  # Fractions, each rounded by float()
-    margin = float(value)
-    return HullMembership(margin <= tol, weights if margin <= tol else None, margin)
+    results = []
+    for tgt in tgts:
+        if results:
+            _resolve(tableau, range(npts, npts + len(tgt)), tgt)
+        else:  # feasible, bounded below by 0
+            tableau = exact_linprog(c, a_eq=a_eq, b_eq=tgt).tableau
+        rows, dens, cost, basis = tableau
+        x = np.zeros(len(c))
+        for i, b in enumerate(basis):
+            x[b] = Fraction(rows[i][-1], dens[i])  # rounded by float()
+        weights = np.zeros(npts)
+        weights[order] = x[:npts]
+        margin = float(Fraction(-cost[0][-1], cost[1]))  # the cost row ends in -c.x
+        results.append(HullMembership(margin <= tol, weights if margin <= tol else None, margin))
+    return results
 
 
 def product_hull_membership(xa, xb, target, tol=FEASIBILITY_SLACK) -> HullMembership:
-    """`hull_membership`'s float path over every product xa[a] (x) xb[b],
+    """`product_hull_memberships` on a stack of one."""
+    return product_hull_memberships(xa, xb, [target], tol)[0]
+
+
+def product_hull_memberships(xa, xb, targets, tol=FEASIBILITY_SLACK) -> list[HullMembership]:
+    """`hull_memberships`' float path over every product xa[a] (x) xb[b],
     flattened A-major and numbered a * len(xb) + b, without storing those
     len(xa) * len(xb) rows: column generation prices them from the two
     factors (`_product_pairing`) and builds only the ones that enter the
     master.
     """
-    xa, xb, tgt = (np.asarray(v, float) for v in (xa, xb, target))
+    xa, xb, tgts = (np.asarray(v, float) for v in (xa, xb, targets))
     return _hull_by_column_generation(
         lambda y: _product_pairing(xa, xb, y),
         lambda idx: np.einsum("ki,kj->kij", xa[idx // len(xb)], xb[idx % len(xb)]).reshape(
-            len(idx), -1), tgt, tol)
+            len(idx), -1), tgts, tol)
 
 
 def _product_pairing(xa, xb, y):
@@ -347,28 +372,47 @@ def _product_pairing(xa, xb, y):
     return np.einsum("aj,bj->ab", np.einsum("ai,ij->aj", xa, y.reshape(len(xa[0]), -1)), xb).ravel()
 
 
-def _hull_by_column_generation(pairing, columns, tgt, tol) -> HullMembership:
-    """`hull_membership`'s float path over a list of points given by
+def _hull_by_column_generation(pairing, columns, targets, tol) -> list[HullMembership]:
+    """`hull_memberships`' float path over a list of points given by
     pairing(y), every point's p.y, and columns(idx), the points idx as rows.
     Both callers pair by einsum, not @: a matrix product would map BLAS code
-    no other LP uses."""
-    width, pricing = 2 * len(tgt), pairing(tgt)
+    no other LP uses.
+
+    The targets share one master, first the 2*dim points with the largest
+    pairing with the first target.  A round solves every target still
+    pending as one `_solve_highs` stack on the master, and prices each
+    against its duals.  A target that prices no point below
+    -FEASIBILITY_SLACK is done; each other one adds its entering points,
+    and the next round solves the pending targets on the grown master.
+    Columns stay in the master for later targets.
+    """
+    if not len(targets):
+        return []
+    width, pricing = 2 * targets.shape[1], pairing(targets[0])
     npts = len(pricing)
     master = np.arange(npts) if npts <= width else _largest(pricing, width, -np.inf)
-    while True:
+    results, pending = [None] * len(targets), range(len(targets))
+    while len(pending):
         a_eq, c = _hull_lp(columns(master))
-        [(status, x, fun, duals)] = _solve_highs([tgt], a_eq, c, 0.0, np.inf)
-        if status != "optimal":  # pragma: no cover - the relaxation is always feasible
-            raise RuntimeError(f"membership LP is {status}")
-        pricing = pairing(duals)  # minus the reduced costs
-        pricing[master] = -np.inf
-        entering = _largest(pricing, width, FEASIBILITY_SLACK)
-        if not entering.size:
-            break
-        master = np.concatenate([master, entering])
-    weights = np.zeros(npts)
-    weights[master] = x[: len(master)]
-    return HullMembership(fun <= tol, weights if fun <= tol else None, fun)
+        solved = _solve_highs(targets[pending], a_eq, c, 0.0, np.inf)
+        listed, grown, waiting = np.zeros(npts, dtype=bool), [master], []
+        listed[master] = True
+        for k, (status, x, fun, duals) in zip(pending, solved):
+            if status != "optimal":  # pragma: no cover - the relaxation is always feasible
+                raise RuntimeError(f"membership LP is {status}")
+            pricing = pairing(duals)  # minus the reduced costs
+            pricing[master] = -np.inf
+            entering = _largest(pricing, width, FEASIBILITY_SLACK)
+            if entering.size:  # a point that two targets pick enters once
+                grown.append(entering[~listed[entering]])
+                listed[entering] = True
+                waiting.append(k)
+            else:
+                weights = np.zeros(npts)
+                weights[master] = x[: len(master)]
+                results[k] = HullMembership(fun <= tol, weights if fun <= tol else None, fun)
+        master, pending = np.concatenate(grown), waiting
+    return results
 
 
 def _hull_lp(columns):
@@ -454,81 +498,3 @@ def _rows(a, b, n):
     """`a` as len(b) rows of n entries (none if `a` is None) and `b` flat."""
     b = np.asarray([] if a is None else b, dtype=float).reshape(-1)
     return np.asarray([] if a is None else a, dtype=float).reshape(len(b), n), b
-
-
-def _check(x, fun, c, a, rhs, n_ub, lb, ub) -> None:
-    """Raise unless lb <= x <= ub, a x <= rhs in the first n_ub rows and =
-    in the rest, and c.x = fun, all within linprog's check tolerance."""
-    slack = rhs - np.einsum("ij,j->i", a, x)
-    worst = [lb - x, x - ub, -slack[:n_ub], abs(slack[n_ub:]), [abs(np.einsum("i,i", c, x) - fun)]]
-    if not np.concatenate(worst).max() <= _HIGHS_CHECK_TOL:
-        raise RuntimeError(f"HiGHS's optimum violates the LP by more than {_HIGHS_CHECK_TOL:.2e}")
-
-
-_NOT_OPTIMAL = {"kInfeasible": "infeasible", "kModelError": "infeasible",
-                "kUnbounded": "unbounded"}
-
-
-def _solve_highs(b_eqs, a_eq, c, lb, ub):
-    """Minimize c.x subject to a_eq x = b_eq and lb <= x <= ub, for each
-    row b_eq of the 2-D stack `b_eqs`; lb and ub may be scalars.
-
-    Builds linprog(method="highs")'s model once, on one new HiGHS object;
-    arrays pass as lists, which the bindings copy about twice as fast, and
-    kHighsInf is inf.  No solve presolves (`_HIGHS_OPTIONS`).  A stack of
-    one row is solved cold: x, objective and duals are linprog's with
-    presolve off, bit for bit.  A longer stack changes only row bounds
-    (``changeRowBounds``) and re-solves warm from the last optimal basis
-    with `_WARM_OPTIONS`, the primal simplex: the CHSH duals
-    `linear_programs` passes have costs b = 0 but one, where the dual
-    simplex stalls (`ball:2`^2: 34 941 iterations against 3 216).  A
-    degenerate warm optimum may come back at another vertex.  Statuses map
-    as in linprog (`_NOT_OPTIMAL`: a model error reads infeasible), any
-    status other than optimal, infeasible or unbounded raises, and so does
-    an optimum that fails `_check`.  Returns one (status, x, objective, row
-    duals) per row, the last three None unless optimal.
-    """
-    b_eqs, a_eq, c = given = [np.asarray(v, dtype=float) for v in (b_eqs, a_eq, c)]
-    if b_eqs.ndim != 2 or b_eqs.shape[1:] + c.shape != a_eq.shape or not all(
-        np.isfinite(v).all() for v in given
-    ):
-        raise ValueError("malformed LP: the right-hand sides are not a stack, the shapes "
-                         "do not fit, or an entry is not finite")
-    if not len(b_eqs):
-        return []
-    cols, rows = np.nonzero(a_eq.T)  # column by column, rows ascending
-    model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = len(c)
-    model.num_row_ = model.a_matrix_.num_row_ = len(a_eq)
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = np.cumsum([0] + np.bincount(cols, minlength=len(c)).tolist()).tolist()
-    model.a_matrix_.index_ = rows.tolist()
-    model.a_matrix_.value_ = a_eq.T[cols, rows].tolist()
-    model.col_cost_ = c.tolist()
-    model.col_lower_ = np.broadcast_to(lb, c.shape).tolist()
-    model.col_upper_ = np.broadcast_to(ub, c.shape).tolist()
-    model.row_lower_ = model.row_upper_ = b_eqs[0].tolist()
-
-    solver = highs._Highs()
-    for name, value in (_HIGHS_OPTIONS if len(b_eqs) == 1 else _WARM_OPTIONS).items():
-        if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:  # pragma: no cover
-            raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
-    if solver.passModel(model) == highs.HighsStatus.kError:
-        return [("infeasible", None, None, None)] * len(b_eqs)
-    results = []
-    for k, b_eq in enumerate(b_eqs):
-        for i, v in enumerate(b_eq.tolist() if k else []):
-            solver.changeRowBounds(i, v, v)
-        solver.run()
-        status = solver.getModelStatus()
-        if status.name in _NOT_OPTIMAL:
-            results.append((_NOT_OPTIMAL[status.name], None, None, None))
-        elif status != highs.HighsModelStatus.kOptimal:
-            raise RuntimeError(f"LP failed: HiGHS status {solver.modelStatusToString(status)}")
-        else:
-            solution = solver.getSolution()
-            x = np.array(solution.col_value)
-            fun = solver.getInfo().objective_function_value
-            _check(x, fun, c, a_eq, b_eq, 0, lb, ub)
-            results.append(("optimal", x, fun, np.array(solution.row_dual)))
-    return results

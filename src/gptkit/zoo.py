@@ -223,8 +223,8 @@ _THEORIES: dict[str, TheorySpec] = {}
 
 def get_theory(name: str) -> TheorySpec:
     """The zoo theory called `name`.  Theories are frozen, so each name is
-    built once and the instance is shared; an unknown name raises KeyError
-    and is not cached."""
+    built once and the instance is shared, and "boxworld" is the instance
+    of "polygon:4"; an unknown name raises KeyError and is not cached."""
     theory = _THEORIES.get(name)
     if theory is None:
         theory = _THEORIES[name] = _build_theory(name)
@@ -235,7 +235,7 @@ def _build_theory(name: str) -> TheorySpec:
     if name == "bit":
         return classical_simplex(1)
     if name == "boxworld":
-        return polygon_theory(4)
+        return get_theory("polygon:4")
     if ":" in name:
         kind, _, arg = name.partition(":")
         size = int(arg)

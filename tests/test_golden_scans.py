@@ -2,10 +2,18 @@
 
 Each file under tests/golden/ is the output of one `gptkit chsh-scan` run:
 `<locals>.csv` for `--locals <locals>` (":" written "-"), `<locals>-exact.csv`
-with `--exact`, and `scenarios.csv` for `--scenario scenarios.json`.  A change
-that moves a printed value or verdict shows up as a diff of these files.  The
-exact scans of `polygon:5` (about 5 s) and `polygon:8` (about 2 s) are left
-out.
+with `--exact`, `scenarios.csv` for `--scenario scenarios.json`, and
+`joint-vectors.csv` and `joint-vectors-exact.csv` for `--scenario
+joint-vectors.json` without and with `--exact`.  A change that moves a
+printed value or verdict shows up as a diff of these files.  The exact scans
+of `polygon:5` (about 5 s) and `polygon:8` (about 2 s) are left out.
+
+`joint-vectors.json` holds the 24 vertices of box world's maximal tensor
+product, product mixtures, PR-box mixtures and points outside, one document
+named `boxworld`, interleaved with a `polygon:5` product mixture, a `ball:3`
+Werner state and a `bit` x `polygon:3` mixture, the only document of its
+pair.  A scan decides the vectors of one pair of locals as one stack of hull
+LPs; the files were written by one-at-a-time solves.
 """
 
 from pathlib import Path
@@ -41,3 +49,10 @@ def test_chsh_scan_matches_the_golden_file(name, exact, capsys):
 def test_scenario_scan_matches_the_golden_file(capsys):
     out = _scan(["--scenario", str(GOLDEN / "scenarios.json")], capsys)
     assert out == (GOLDEN / "scenarios.csv").read_text()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_joint_vector_scan_matches_the_golden_file(exact, capsys):
+    out = _scan(["--scenario", str(GOLDEN / "joint-vectors.json")] + (["--exact"] if exact else []),
+                capsys)
+    assert out == (GOLDEN / f"joint-vectors{'-exact' if exact else ''}.csv").read_text()

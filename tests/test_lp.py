@@ -721,6 +721,124 @@ def test_a_ball_hull_never_stores_its_products():
     assert peak < 1_000_000, peak
 
 
+# ---------------------------------------------------------------------------
+# Stacks of hull LPs over one set of points
+# ---------------------------------------------------------------------------
+
+
+def _stack_cases(name):
+    """The product states of `name` with itself, and eight seeded targets:
+    four product mixtures, each followed by its push off by noise."""
+    theory = get_theory(name)
+    pts = composites._product_rows(theory.extreme_states(), theory.extreme_states())
+    rng = np.random.default_rng(sum(map(ord, name)))
+    targets = []
+    for _ in range(4):
+        picks = rng.choice(len(pts), size=3, replace=False)
+        member = rng.dirichlet(np.ones(3)) @ pts[picks]
+        outside = member.copy()
+        outside[1:] += 0.3 * rng.standard_normal(len(member) - 1)
+        targets += [member, outside]
+    return pts, np.array(targets)
+
+
+def _one_hull_at_a_time(pts, target, tol, exact):
+    """The hull LP of one target, solved as the stacks' reference: exact,
+    cold over the points by descending p.target; float, by column generation
+    that hands HiGHS a new master every round."""
+    npts, dim = pts.shape
+    pairing = np.einsum("ij,j->i", pts, target)
+    eye = np.eye(dim)
+    if exact:
+        order = np.array(sorted(range(npts), key=lambda i: (-pairing[i], i)))
+        _, x, value = exact_linprog(np.r_[np.zeros(npts), np.ones(2 * dim)],
+                                    a_eq=np.hstack([pts[order].T, eye, -eye]), b_eq=target)
+        weights, fun = np.zeros(npts), float(value)
+        weights[order] = x[:npts]
+        return lp_module.HullMembership(fun <= tol, weights if fun <= tol else None, fun)
+    master = np.arange(npts) if npts <= 2 * dim else np.argsort(-pairing, kind="stable")[: 2 * dim]
+    while True:
+        a_eq = np.hstack([pts[master].T, eye, -eye])
+        c = np.r_[np.zeros(len(master)), np.ones(2 * dim)]
+        [(_, x, fun, duals)] = lp_module._solve_highs([target], a_eq, c, 0.0, np.inf)
+        pricing = np.einsum("ij,j->i", pts, duals)
+        pricing[master] = -np.inf
+        entering = [i for i in np.argsort(-pricing, kind="stable")[: 2 * dim]
+                    if pricing[i] > lp_module.FEASIBILITY_SLACK]
+        if not entering:
+            weights = np.zeros(npts)
+            weights[master] = x[: len(master)]
+            return lp_module.HullMembership(fun <= tol, weights if fun <= tol else None, fun)
+        master = np.concatenate([master, entering])
+
+
+def _recorded_exact_margins(monkeypatch):
+    """Every exact hull margin computed from here on, as a Fraction, in
+    order: the cold solve's and each warm re-solve's."""
+    margins = []
+    solve, resolve = lp_module.exact_linprog, lp_module._resolve
+
+    def cold(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        margins.append(result[2])
+        return result
+
+    def warm(tableau, block, target):
+        resolve(tableau, block, target)
+        cost = tableau[2]
+        margins.append(Fraction(-cost[0][-1], cost[1]))  # the cost row ends in -c.x
+
+    monkeypatch.setattr(lp_module, "exact_linprog", cold)
+    monkeypatch.setattr(lp_module, "_resolve", warm)
+    return margins
+
+
+STACK_PAIRS = ["polygon:3", "polygon:4", "polygon:5", "polygon:6", "polygon:8", "simplex:2"]
+
+
+@pytest.mark.parametrize("name", STACK_PAIRS)
+def test_a_hull_stack_keeps_every_margin_and_verdict(name, monkeypatch):
+    # forward and reversed: exact margins Fraction-equal to a cold solve of
+    # each LP, float margins within 1e-9 of one call each, same verdicts
+    tol = lp_module.FEASIBILITY_SLACK
+    pts, targets = _stack_cases(name)
+    npts, dim = pts.shape
+    eye = np.eye(dim)
+    cold = [exact_linprog(np.r_[np.zeros(npts), np.ones(2 * dim)],
+                          a_eq=np.hstack([pts.T, eye, -eye]), b_eq=t)[2] for t in targets]
+    singles = [hull_membership(pts, t, tol) for t in targets]
+    members = [res.member for res in singles]
+    assert any(members) and not all(members)
+    margins = _recorded_exact_margins(monkeypatch)
+    for step in (1, -1):
+        margins.clear()
+        exact = lp_module.hull_memberships(pts, targets[::step], tol, exact=True)
+        assert margins == cold[::step]
+        assert [res.margin for res in exact] == [float(m) for m in cold[::step]]
+        stack = lp_module.hull_memberships(pts, targets[::step], tol)
+        for res, single in zip(stack, singles[::step]):
+            assert abs(res.margin - single.margin) <= 1e-9
+            assert res.member == single.member
+        for target, res in zip(np.vstack([targets[::step]] * 2), exact + stack):
+            assert res.member == (res.weights is not None)
+            if res.member:  # another optimal decomposition may come back
+                assert res.weights.min() >= -1e-12
+                assert np.abs(res.weights @ pts - target).sum() <= tol
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", STACK_PAIRS)
+def test_a_stack_of_one_is_one_hull_lp_bit_for_bit(name, exact):
+    tol = lp_module.FEASIBILITY_SLACK
+    pts, targets = _stack_cases(name)
+    for target in targets:
+        [res] = lp_module.hull_memberships(pts, [target], tol, exact)
+        ref = _one_hull_at_a_time(pts, target, tol, exact)
+        assert (res.member, res.margin) == (ref.member, ref.margin)
+        assert (res.weights is None and ref.weights is None
+                or res.weights.tobytes() == ref.weights.tobytes())
+
+
 def _recorded_highs_lps(run):
     """The arguments of every `_solve_highs` call that `run()` makes."""
     calls = []

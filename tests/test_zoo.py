@@ -374,6 +374,17 @@ def test_get_theory_shares_one_instance_per_name():
     assert "spekkens" not in zoo._THEORIES
 
 
+def test_box_world_is_the_polygon_4_instance(monkeypatch):
+    # one theory under both names, whichever is asked for first, so a scan
+    # that names both builds it once and stacks their LPs together
+    from gptkit import zoo
+
+    for first, second in (("boxworld", "polygon:4"), ("polygon:4", "boxworld")):
+        monkeypatch.setattr(zoo, "_THEORIES", {})
+        assert get_theory(first) is get_theory(second)
+        assert sorted(zoo._THEORIES) == ["boxworld", "polygon:4"]
+
+
 def test_exact_polygon_trit_is_exactly_orthogonal():
     import sympy as sp
 
