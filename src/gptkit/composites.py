@@ -11,7 +11,7 @@ product effects.  A given state's membership in either is one LP, in
 floating point or by exact rational pivoting; with a ball local the
 separability LP is discretized at K = `core.BALL_STATE_COUNT` and says only
 separable or inconclusive-at-K.  A CHSH scan compares its optimum with the
-best product state instead (Barrett, PRA 75, 032304 (2007); `run_scenario`).
+best product state instead (Barrett, PRA 75, 032304 (2007); `run_scenarios`).
 """
 
 from __future__ import annotations
@@ -411,11 +411,6 @@ def max_tensor_vertices(
 # ---------------------------------------------------------------------------
 # Scenario files and CSV emission
 # ---------------------------------------------------------------------------
-
-
-def run_scenario(doc: dict, exact: bool = False) -> dict:
-    """`run_scenarios` of one document."""
-    return run_scenarios([doc], exact)[0]
 
 
 def run_scenarios(docs: list, exact: bool = False) -> list[dict]:

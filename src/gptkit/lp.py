@@ -36,7 +36,7 @@ master.  The loop stops when no point prices below that, so the master
 optimum is the optimum over every point.  Points are only ever added, so it
 ends after at most npts - 2*dim + 1 solves, and after ceil(npts / 2*dim)
 when every round adds a full 2*dim.  An LP with npts <= 2*dim fits in the
-first master and is solved once as given.  `product_hull_membership` runs
+first master and is solved once as given.  `product_hull_memberships` runs
 the same loop over every product xa (x) xb of two point lists, as
 separability needs: a product's pairing with y is xa . Y . xb, Y being y
 as a matrix, so a round prices all of them from the two factors, and only
@@ -61,9 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-# the backend's names are read through lp as well
-from ._highs import _HIGHS_CHECK_TOL, _HIGHS_OPTIONS, _WARM_OPTIONS  # noqa: F401
-from ._highs import _check, _scipy_extension, _solve_highs, highs  # noqa: F401
+from ._highs import _check, _solve_highs
 
 FEASIBILITY_SLACK = 1e-9
 
@@ -345,11 +343,6 @@ def hull_memberships(points, targets, tol=FEASIBILITY_SLACK, exact=False) -> lis
         margin = float(Fraction(-cost[0][-1], cost[1]))  # the cost row ends in -c.x
         results.append(HullMembership(margin <= tol, weights if margin <= tol else None, margin))
     return results
-
-
-def product_hull_membership(xa, xb, target, tol=FEASIBILITY_SLACK) -> HullMembership:
-    """`product_hull_memberships` on a stack of one."""
-    return product_hull_memberships(xa, xb, [target], tol)[0]
 
 
 def product_hull_memberships(xa, xb, targets, tol=FEASIBILITY_SLACK) -> list[HullMembership]:

@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotations import (
-    dots,
-    norms,
-    rotation_taking_first_axis,
-    sample_special_orthogonal,
-)
+from .rotations import dots, norms, sample_special_orthogonal
 
 DEFAULT_TOL = 1e-9
 
@@ -212,21 +207,18 @@ def momentum_from_spatial(mass: float, spatial: np.ndarray) -> MassiveMomentum:
 def boost_x(p_first_axis: float | np.ndarray, mass: float, n: int) -> np.ndarray:
     """Pure boost along the first spatial axis parametrized by momentum.
 
-    With u = p/m, gamma = sqrt(1 + u^2) and the off-diagonal entry is u, so
-    negating the momentum argument yields the inverse boost and no power of
+    The closed form of `_boost` at u = (p/m) e1, so it equals
+    standard_boost(momentum_from_spatial(mass, p e1)) bit for bit, negating
+    the momentum argument yields the inverse boost exactly, and no power of
     the mass can overflow or underflow.  An array of momenta gives a stack
     of boosts.
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
-    u = np.asarray(p_first_axis, dtype=float) / mass
-    gamma = np.sqrt(1.0 + u**2)
-    out = _identities(u.shape, n + 1)
-    out[..., 0, 0] = gamma
-    out[..., 1, 1] = gamma
-    out[..., 0, 1] = u
-    out[..., 1, 0] = u
-    return out
+    p = np.asarray(p_first_axis, dtype=float)
+    u = np.zeros(p.shape + (n,))
+    u[..., 0] = p / mass
+    return _boost(u)
 
 
 def spatial_rotation(o: np.ndarray) -> np.ndarray:
@@ -239,23 +231,31 @@ def spatial_rotation(o: np.ndarray) -> np.ndarray:
     return out
 
 
-def standard_boost(p: MassiveMomentum) -> np.ndarray:
-    """Canonical transformation taking the rest momentum (m, 0, ..., 0) to p.
+def _boost(u: np.ndarray) -> np.ndarray:
+    """The pure boost taking the rest frame to velocity parameter u = p/m.
 
-    The closed form of Weinberg, QFT I, eq. 2.5.24: with u = p_spatial/m and
-    gamma = sqrt(1 + u.u), L00 = gamma, L0i = Li0 = u_i and
-    Lij = delta_ij + u_i u_j / (1 + gamma).  It reads only the dimensionless
-    u, so no power of the mass can overflow or underflow, and it is Lorentz
-    to rounding for any u; zero spatial momentum gives the identity exactly.
-    A stack of momenta gives a stack of boosts.
+    The closed form of Weinberg, QFT I, eq. 2.5.24: with gamma =
+    sqrt(1 + u.u), L00 = gamma, L0i = Li0 = u_i and
+    Lij = delta_ij + u_i u_j / (1 + gamma).  u is dimensionless, so no power
+    of a mass can overflow or underflow; the result is Lorentz to rounding
+    for any u, and u = 0 gives the identity exactly.  Leading sample axes of
+    u, (..., n), give a stack (..., 1+n, 1+n).  Every pure boost of the
+    module is built here.
     """
-    u = p.spatial / p.mass
     gamma = np.sqrt(1.0 + dots(u, u))
-    out = _identities(gamma.shape, p.n + 1)
+    out = _identities(gamma.shape, u.shape[-1] + 1)
     out[..., 0, 0] = gamma
     out[..., 0, 1:] = out[..., 1:, 0] = u
     out[..., 1:, 1:] += u[..., :, None] * u[..., None, :] / (1.0 + gamma)[..., None, None]
     return out
+
+
+def standard_boost(p: MassiveMomentum) -> np.ndarray:
+    """Canonical transformation taking the rest momentum (m, 0, ..., 0) to p:
+    the closed-form boost `_boost` at u = p_spatial/m.  A stack of momenta
+    gives a stack of boosts.
+    """
+    return _boost(p.spatial / p.mass)
 
 
 def little_group_element(
@@ -322,18 +322,16 @@ def random_proper_orthochronous(
     along a Gaussian direction; a stack of `size` of them for an int.
 
     Each variable is drawn as one array for the whole stack: the rotations,
-    then the directions, then the rapidities.
+    then the directions, then the rapidities.  The boost is the closed form
+    `_boost` at u = sinh(rapidity) times the unit direction, so at n = 1 it
+    uses the direction's sign: a direction of -1 flips the rapidity's.
     """
     shape = () if size is None else (size,)
     rotation = spatial_rotation(sample_special_orthogonal(n, rng, size))
     direction = rng.standard_normal(shape + (n,))
     rapidity = rng.uniform(-1.5, 1.5, size)
     unit = direction / norms(direction)[..., None]
-    q = spatial_rotation(rotation_taking_first_axis(unit)) if n > 1 else np.eye(2)
-    s = _identities(shape, n + 1)
-    s[..., 0, 0] = s[..., 1, 1] = np.cosh(rapidity)
-    s[..., 0, 1] = s[..., 1, 0] = np.sinh(rapidity)
-    return rotation @ (q @ s @ lorentz_inverse(q))
+    return rotation @ _boost(np.sinh(rapidity)[..., None] * unit)
 
 
 def random_poincare(

@@ -28,7 +28,7 @@ from gptkit.composites import (
     no_signalling_check,
     product_state,
     rows_to_csv,
-    run_scenario,
+    run_scenarios,
     singlet_state,
     tensor,
     two_qubit_gpt,
@@ -761,9 +761,10 @@ def test_polygon_measurement_pairs_sum_to_the_unit_exactly(name):
         assert [Fraction(x) + Fraction(y) for x, y in zip(e, f)] == [1, 0, 0]
 
 
-@pytest.mark.parametrize("name", ["polygon:3", "polygon:4", "polygon:5", "polygon:6", "polygon:8"])
+@pytest.mark.parametrize("name", ["polygon:3", "polygon:4", "polygon:5"])
 def test_exact_single_setting_chsh_stays_at_most_two(name):
-    # one setting a side gives S = 2 E(a, b) <= 2 on the exact path
+    # one setting a side gives S = 2 E(a, b) <= 2 on the exact path;
+    # test_single_setting_scans_read_separable covers polygon:6 and polygon:8
     p = get_theory(name)
     pairs = binary_measurements(p)
     for a, b in itertools.product(pairs, repeat=2):
@@ -883,8 +884,8 @@ def test_a_pair_that_misses_the_unit_by_1e_7_is_rejected(monkeypatch):
     fields = {f.name: getattr(square, f.name) for f in dataclasses.fields(square)}
     monkeypatch.setattr(composites, "get_theory", lambda name: OffUnit(**fields))
     with pytest.raises(ValueError, match="unit effect"):
-        run_scenario({"local_a": "polygon:4", "local_b": "polygon:4",
-                      "measurements_a": [[0, j]]})
+        run_scenarios([{"local_a": "polygon:4", "local_b": "polygon:4",
+                        "measurements_a": [[0, j]]}])
 
 
 def test_binary_measurements_for_restricted_classical_sets():
@@ -897,7 +898,7 @@ def test_binary_measurements_for_restricted_classical_sets():
 
 def test_scenario_round_trip_and_csv():
     docs = load_scenarios('[{"id": "box", "local_a": "polygon:4", "local_b": "polygon:4"}]')
-    row = run_scenario(docs[0])
+    [row] = run_scenarios(docs)
     assert row["scenario_id"] == "box"
     assert abs(row["chsh_value"] - 4.0) < 1e-6
     text = rows_to_csv([row])
@@ -908,9 +909,7 @@ def test_scenario_round_trip_and_csv():
 
 def test_scenario_with_explicit_vector():
     vec = tensor(BIT.states.vertices[0], BIT.states.vertices[1]).tolist()
-    row = run_scenario(
-        {"id": "prod", "local_a": "bit", "local_b": "bit", "joint_vector": vec}
-    )
+    [row] = run_scenarios([{"id": "prod", "local_a": "bit", "local_b": "bit", "joint_vector": vec}])
     assert row["separability_verdict"] == "separable"
     assert abs(row["chsh_value"]) <= 2.0 + 1e-9
 
@@ -926,7 +925,7 @@ def test_explicit_vector_rows_keep_the_hull_verdict():
                                   ("polygon:4", pr_box, "entangled"),
                                   ("ball:3", singlet, "inconclusive-at-K=200 ")]:
         doc = {"local_a": name, "local_b": name, "joint_vector": vector.tolist()}
-        printed = run_scenario(doc)["separability_verdict"]
+        printed = run_scenarios([doc])[0]["separability_verdict"]
         local = get_theory(name)
         assert printed.startswith(verdict)
         assert printed == str(is_separable(JointState(vector, local, local)))
@@ -934,29 +933,42 @@ def test_explicit_vector_rows_keep_the_hull_verdict():
 
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("name", ["polygon:6", "polygon:8"])
-def test_single_setting_scans_read_separable(name, exact):
+def test_single_setting_scans_read_separable(monkeypatch, name, exact):
     # S* = 2 E(a, b) <= 2 is reached by a product of vertices whichever
-    # optimal vertex the LP returns, so every row reads separable
+    # optimal vertex the LP returns, so every row reads separable; on the
+    # exact path the unrounded optimum stays at most 2 as well
+    values = []
+    real = composites.maximize_chsh
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        values.append(result.value)
+        return result
+
+    monkeypatch.setattr(composites, "maximize_chsh", recording)
     n = len(binary_measurements(get_theory(name)))  # pair i is (i, i + n)
     for i, j in itertools.product(range(n), repeat=2):
-        row = run_scenario({"local_a": name, "local_b": name,
-                            "measurements_a": [[i, i + n]], "measurements_b": [[j, j + n]]},
-                           exact=exact)
+        [row] = run_scenarios([{"local_a": name, "local_b": name,
+                                "measurements_a": [[i, i + n]], "measurements_b": [[j, j + n]]}],
+                              exact=exact)
         assert (row["chsh_value"], row["separability_verdict"]) == (2.0, "separable")
+    assert len(values) == n * n
+    if exact:
+        assert max(values) <= 2.0
 
 
 def test_simplex_single_setting_rows_read_separable_above_two(monkeypatch):
     # the exact optimum of simplex:2's coarse-grained pairs is 2.0000000000000004,
     # 4e-16 above its product maximum; the 1e-9 width reads it separable.
     # These pairs are not extremal effects, so no scenario file can name
-    # them: each row's pairs are handed to run_scenario as its defaults
+    # them: each row's pairs are handed to run_scenarios as its defaults
     simplex = get_theory("simplex:2")
     pairs = binary_measurements(simplex)
     for a, b in itertools.product(pairs, repeat=2):
         assert maximize_chsh(simplex, simplex, [a], [b], exact=True).value == 2.0000000000000004
         sides = iter([[a], [b]])
         monkeypatch.setattr(composites, "binary_measurements", lambda theory: next(sides))
-        row = run_scenario({"local_a": "simplex:2", "local_b": "simplex:2"}, exact=True)
+        [row] = run_scenarios([{"local_a": "simplex:2", "local_b": "simplex:2"}], exact=True)
         assert row["separability_verdict"] == "separable"
 
 
@@ -996,15 +1008,15 @@ def test_product_maximum_matches_a_loop_over_products(name_a, name_b):
 
 def test_ball_scan_verdicts_compare_the_optimum_with_the_product_maximum():
     # ball:2 x bit: a product reaches the optimum 2, a definite verdict
-    assert run_scenario({"local_a": "ball:2", "local_b": "bit"})["separability_verdict"] == (
-        "separable")
+    [row] = run_scenarios([{"local_a": "ball:2", "local_b": "bit"}])
+    assert row["separability_verdict"] == "separable"
     # ball:3 x polygon:4: S* is the K = 64 relaxation's optimum, above every
     # product, so the verdict is inconclusive at that K with margin S* - P
     ball, square = get_theory("ball:3"), get_theory("polygon:4")
     optimum = maximize_chsh(ball, square)
     meas_a, meas_b = binary_measurements(ball), binary_measurements(square)
     p = _loop_product_maximum(ball, square, meas_a, meas_b, optimum.measurement_choice)
-    row = run_scenario({"local_a": "ball:3", "local_b": "polygon:4"})
+    [row] = run_scenarios([{"local_a": "ball:3", "local_b": "polygon:4"}])
     assert row["separability_verdict"] == (
         f"inconclusive-at-K={BALL_EFFECT_COUNT} (margin {optimum.value - p:.3g})")
     assert optimum.value - p > 0.5

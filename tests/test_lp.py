@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptkit import composites, lp as lp_module
+from gptkit import _highs as highs_module, composites, lp as lp_module
 from gptkit.lp import (
     exact_linprog,
     hull_membership,
@@ -693,7 +693,7 @@ def test_product_hull_matches_the_materialized_hull(name_a, name_b):
     tol = lp_module.FEASIBILITY_SLACK
     members = []
     for target in _product_hull_targets(local_a, local_b, np.random.default_rng(42)):
-        got = lp_module.product_hull_membership(xa, xb, target, tol)
+        got = lp_module.product_hull_memberships(xa, xb, [target], tol)[0]
         want = hull_membership(rows, target, tol)
         assert got.member == want.member
         assert abs(got.margin - want.margin) <= 1e-12, (got.margin, want.margin)
@@ -857,7 +857,7 @@ def _recorded_highs_lps(run):
 def test_direct_highs_sets_the_options_linprog_sets():
     from scipy.optimize._highspy import _core as highs
 
-    options = lp_module._HIGHS_OPTIONS
+    options = highs_module._HIGHS_OPTIONS
     dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     assert options["simplex_strategy"] == dual
     assert options["highs_debug_level"] == highs.HighsDebugLevel.kHighsDebugLevelNone
@@ -874,7 +874,7 @@ def _assert_matches_linprog(b_eqs, a_eq, c, lb, ub):
 
     results = lp_module._solve_highs(b_eqs, a_eq, c, lb, ub)
     assert len(results) == len(b_eqs)
-    tol = lp_module._HIGHS_CHECK_TOL
+    tol = highs_module._HIGHS_CHECK_TOL
     lb, ub = np.broadcast_arrays(lb, ub, c)[:2]  # the bounds may be scalars
     for b_eq, (status, x, fun, duals) in zip(b_eqs, results):
         ref = scipy_linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=np.column_stack([lb, ub]),
@@ -941,7 +941,7 @@ def test_dual_stacks_reach_the_primal_optimum_of_every_class_lp(name_a, name_b):
     # tolerance at that value
     from scipy.optimize import linprog as scipy_linprog
 
-    tol = lp_module._HIGHS_CHECK_TOL
+    tol = highs_module._HIGHS_CHECK_TOL
     stacks = _recorded_class_lps(name_a, name_b)
     assert sum(len(objectives) for (objectives, *_), _, _ in stacks) > 0
     for (objectives, a_eq, b_eq, a_ub, b_ub), kwargs, solutions in stacks:
@@ -1009,16 +1009,16 @@ def test_a_witness_that_misses_the_primal_raises(monkeypatch, how):
 def test_no_stack_presolves_and_warm_stacks_run_the_primal_simplex():
     from scipy.optimize._highspy import _core as highs
 
-    warm = lp_module._WARM_OPTIONS
+    warm = highs_module._WARM_OPTIONS
     primal = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
-    assert lp_module._HIGHS_OPTIONS["presolve"] == warm["presolve"] == "off"
+    assert highs_module._HIGHS_OPTIONS["presolve"] == warm["presolve"] == "off"
     assert warm["simplex_strategy"] == primal
-    assert {**warm, "simplex_strategy": 1} == lp_module._HIGHS_OPTIONS
+    assert {**warm, "simplex_strategy": 1} == highs_module._HIGHS_OPTIONS
 
 
 def test_highs_infinity_is_inf():
     # `_solve_highs` passes infinite bounds as they are
-    assert lp_module.highs.kHighsInf == np.inf
+    assert highs_module.highs.kHighsInf == np.inf
 
 def test_direct_highs_reports_infeasible_and_unbounded_as_linprog_does():
     from scipy.optimize import linprog as scipy_linprog
@@ -1070,11 +1070,11 @@ _SHARED_SCIPY_MODULES = """
 import sys
 if sys.argv[1] == "scipy-first":
     import scipy.optimize, scipy.spatial
-from gptkit import composites, lp
+from gptkit import _highs, composites, lp
 import numpy as np
 import scipy.optimize, scipy.spatial
 from scipy.optimize._highspy import _core
-assert lp.highs is _core is sys.modules["scipy.optimize._highspy._core"]
+assert _highs.highs is _core is sys.modules["scipy.optimize._highspy._core"]
 res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=(0, None),
                              method="highs")
 assert res.status == 0 and res.fun == 1.0
@@ -1093,5 +1093,5 @@ def test_gptkit_and_scipy_share_the_compiled_modules(order):
 
 def test_a_module_scipy_does_not_ship_raises_import_error():
     with pytest.raises(ImportError, match="scipy.optimize._no_such_module"):
-        lp_module._scipy_extension("scipy.optimize._no_such_module")
+        highs_module._scipy_extension("scipy.optimize._no_such_module")
     assert "scipy.optimize._no_such_module" not in sys.modules

@@ -490,6 +490,26 @@ def _ref_random_proper_orthochronous(n, rng, max_rapidity=1.5):
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
     rapidity = rng.uniform(-max_rapidity, max_rapidity)
+    # the closed-form boost, with the operations of minkowski._boost
+    u = np.sinh(rapidity) * direction
+    gamma = np.sqrt(1.0 + u @ u)
+    s = np.eye(n + 1)
+    s[0, 0] = gamma
+    s[0, 1:] = s[1:, 0] = u
+    s[1:, 1:] += np.outer(u, u) / (1.0 + gamma)
+    return rotation @ s
+
+
+def _ref_product_frame(n, rng, max_rapidity=1.5):
+    """The frame change built as a rotation-boost-rotation product: a boost
+    along e1 conjugated by the Householder rotation taking e1 to the
+    direction.  At n = 1 that rotation is the identity, so the direction's
+    sign is not used."""
+    rotation = np.eye(n + 1)
+    rotation[1:, 1:] = _ref_sample_special_orthogonal(n, rng)
+    direction = rng.standard_normal(n)
+    direction /= np.linalg.norm(direction)
+    rapidity = rng.uniform(-max_rapidity, max_rapidity)
     q = _ref_rotation_to_axis(direction) if n > 1 else np.eye(2)
     s = np.eye(n + 1)
     s[0, 0] = s[1, 1] = np.cosh(rapidity)
@@ -670,6 +690,37 @@ def test_samplers_draw_the_reference_numbers(n):
     rest = rest_momentum(1.3, n).vector
     assert np.array_equal(q.vector, _ref_frames(n, _frame_draws(n, ref_rng, size)) @ rest)
     assert stack_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_frames_equal_the_rotation_boost_rotation_product(n):
+    size = 400
+    frames = random_proper_orthochronous(n, np.random.default_rng(90 + n), size)
+    draws = list(_frame_draws(n, np.random.default_rng(90 + n), size))
+    if n == 1:
+        # SO(1) holds no rotation taking e1 to -e1, so the product boosts
+        # along +e1 whatever the direction: a direction of -1 flips the
+        # rapidity's sign instead
+        assert {-1.0, 1.0} == set(np.sign(draws[0][:, 0]))
+        draws[1] = draws[1] * np.sign(draws[0][:, 0])
+    products = np.array([_ref_product_frame(n, _Replay(*d)) for d in zip(*draws)])
+    assert np.max(np.abs(frames - products)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_boost_x_is_the_standard_boost_along_the_first_axis(n):
+    rng = np.random.default_rng(100 + n)
+    e1 = np.eye(n)[0]
+    for mass in (1e-200, 1.0, 1e200):
+        momenta = mass * np.concatenate([rng.uniform(-3.0, 3.0, 7), [0.0, 1e-15, -1e6]])
+        boosts = boost_x(momenta, mass, n)
+        vectors = np.array([momentum_from_spatial(mass, p * e1).vector for p in momenta])
+        assert np.array_equal(boosts, standard_boost(MassiveMomentum(vectors, mass)))
+        assert np.array_equal(lorentz_inverse(boosts), boost_x(-momenta, mass, n))
+        for p, boost in zip(momenta, boosts):
+            assert np.array_equal(boost_x(p, mass, n), boost)
+            assert np.array_equal(boost, standard_boost(momentum_from_spatial(mass, p * e1)))
+            assert np.array_equal(lorentz_inverse(boost), boost_x(-p, mass, n))
 
 
 # ---------------------------------------------------------------------------
