@@ -370,8 +370,14 @@ def singlet_state() -> JointState:
 
 
 def ball_measurement(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two effects (1, +-v)/2 of the unit vector v along `direction`;
+    a zero, NaN or infinite direction (or one whose norm overflows or
+    underflows) has no unit vector and is rejected."""
     v = np.asarray(direction, dtype=float)
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        raise ValueError("measurement direction must be nonzero and finite")
+    v = v / norm
     return 0.5 * np.concatenate([[1.0], v]), 0.5 * np.concatenate([[1.0], -v])
 
 

@@ -213,7 +213,7 @@ def boost_x(p_first_axis: float | np.ndarray, mass: float, n: int) -> np.ndarray
     the mass can overflow or underflow.  An array of momenta gives a stack
     of boosts.
     """
-    if mass <= 0:
+    if not mass > 0:
         raise ValueError("mass must be positive")
     p = np.asarray(p_first_axis, dtype=float)
     u = np.zeros(p.shape + (n,))

@@ -1,8 +1,9 @@
 """Small dense orthogonal-matrix helpers shared across the package.
 
-Everything here is deterministic: rotations are built from Householder
-reflections, Haar-like samples come from a caller-supplied seeded generator,
-and sphere discretizations are fixed lattices.
+Everything here is deterministic: the rotation between two directions is
+one closed form in their plane, Haar-like samples come from a
+caller-supplied seeded generator, and sphere discretizations are fixed
+lattices.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import math
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; loaded here, gptkit's first rng costs no import
-
-_AXIS_EPS = 1e-12
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -32,61 +31,39 @@ def norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(dots(vectors, vectors))
 
 
-def _outer(v: np.ndarray) -> np.ndarray:
-    return v[..., :, None] * v[..., None, :]
-
-
-def rotation_taking_first_axis(direction: np.ndarray) -> np.ndarray:
-    """Rotation O in SO(n) with O e1 = direction, for unit n-vectors.
-
-    Built as a double Householder reflection: one reflection swaps e1 and the
-    target, a second one fixing the target restores determinant +1.  Stable
-    near direction = +-e1.  Takes any leading sample axes: (..., n) gives
-    (..., n, n).
-    """
-    d = np.asarray(direction, dtype=float)
-    n = d.shape[-1]
-    if not np.all(np.abs(norms(d) - 1.0) <= 1e-9):
-        raise ValueError("direction must be a unit vector")
-    if n == 1 and not np.all(d > 0):
-        raise ValueError("SO(1) holds no rotation taking e1 to -e1")
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    v = d - e1
-    at_e1 = norms(v) < _AXIS_EPS
-    h1 = np.eye(n) - 2.0 * _outer(v) / np.where(at_e1, 1.0, dots(v, v))[..., None, None]
-    # second reflection axis must be orthogonal to the target direction
-    w = e1 - dots(e1, d)[..., None] * d
-    # direction ~ -e1: any axis orthogonal to it works; pick the least
-    # aligned coordinate axis and orthogonalize
-    k = np.argmin(np.abs(d), axis=-1)
-    axis = (np.arange(n) == k[..., None]).astype(float)
-    axis = axis - dots(axis, d)[..., None] * d
-    w = np.where((norms(w) < 1e-8)[..., None], axis, w)
-    h2 = np.eye(n) - 2.0 * _outer(w) / np.where(at_e1, 1.0, dots(w, w))[..., None, None]
-    return np.where(at_e1[..., None, None], np.eye(n), h2 @ h1)
-
-
 def rotation_between(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rotation O in SO(n) mapping one unit vector onto another, over any
-    leading sample axes of either."""
-    s, t = np.asarray(source, dtype=float), np.asarray(target, dtype=float)
-    if s.shape[-1] == 1:  # SO(1) = {1} maps -1 onto -1 only: make the source +1
-        s, t = s * np.sign(s), t * np.sign(s)
-    return rotation_taking_first_axis(t) @ np.swapaxes(rotation_taking_first_axis(s), -1, -2)
+    """Rotation R in SO(n) with R s = t for unit vectors s and t, over any
+    leading sample axes of either; a stack equals single calls bit for bit.
 
-
-def plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
-    """Rotation by `angle` in the coordinate plane (i, j) of R^n."""
-    if not (0 <= i < j < n):
-        raise ValueError("need 0 <= i < j < n")
-    out = np.eye(n)
-    c, s = np.cos(angle), np.sin(angle)
-    out[i, i] = c
-    out[j, j] = c
-    out[i, j] = -s
-    out[j, i] = s
-    return out
+    The rotation in the plane of s and t: with K = t s^T - s t^T,
+    R = I + K + K K / (1 + s.t).  Where s.t < 0, a half-turn
+    P = I - 2 (s s^T + a a^T) first takes s to -s, with a the coordinate
+    axis least aligned with s orthogonalized against s, and R is
+    R(-s -> t) P; so the denominator is always at least 1.  SO(1) = {1}
+    maps each of +-1 only onto itself.
+    """
+    s, t = np.broadcast_arrays(np.asarray(source, dtype=float), np.asarray(target, dtype=float))
+    n = s.shape[-1]
+    s_norm, t_norm = norms(s), norms(t)
+    if not (np.all(np.abs(s_norm - 1.0) <= 1e-9) and np.all(np.abs(t_norm - 1.0) <= 1e-9)):
+        raise ValueError("source and target must be unit vectors")
+    # rescaled, so that R stays orthogonal at the edge of the 1e-9 tolerance
+    s, t = s / s_norm[..., None], t / t_norm[..., None]
+    c = dots(s, t)
+    if n == 1:
+        if not np.all(c > 0):
+            raise ValueError("SO(1) holds no rotation between -1 and +1")
+        return np.ones(c.shape + (1, 1))
+    flip = c < 0
+    a = (np.arange(n) == np.argmin(np.abs(s), axis=-1)[..., None]).astype(float)
+    a = a - dots(a, s)[..., None] * s
+    a = a / norms(a)[..., None]
+    ss, aa = s[..., :, None] * s[..., None, :], a[..., :, None] * a[..., None, :]
+    half_turn = np.eye(n) - 2.0 * (ss + aa)
+    s = np.where(flip[..., None], -s, s)
+    k = t[..., :, None] * s[..., None, :] - s[..., :, None] * t[..., None, :]
+    r = np.eye(n) + k + (k @ k) / (1.0 + np.abs(c))[..., None, None]
+    return np.where(flip[..., None, None], r @ half_turn, r)
 
 
 def sample_special_orthogonal(

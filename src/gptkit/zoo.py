@@ -26,8 +26,7 @@ from .core import (
     unit_effect,
     zero_effect,
 )
-from .minkowski import spatial_rotation
-from .rotations import circle_point, norms, plane_rotation
+from .rotations import circle_point, norms
 
 DEFAULT_NORM_TOL = 1e-9
 
@@ -151,8 +150,10 @@ def euclidean_ball(d: int) -> TheorySpec:
 
     Extremal effects are half the pure-state vectors, and the reversible maps
     are the special-orthogonal rotations of the reduced coordinates.  The
-    stored generators are quarter-turn coordinate-plane rotations; Haar-like
-    samples are `spatial_rotation(sample_special_orthogonal(d, rng, size))`.
+    stored generators are the quarter-turns of the coordinate planes, each
+    the signed permutation e_i -> e_j, e_j -> -e_i (i < j), so every entry
+    is exactly -1.0, 0.0 or 1.0; Haar-like samples are
+    `minkowski.spatial_rotation(sample_special_orthogonal(d, rng, size))`.
     d = 3 reproduces the qubit: the pairing of an extremal effect with a pure
     state is (1 + cos)/2 of the angle between their axes.
     """
@@ -162,9 +163,12 @@ def euclidean_ball(d: int) -> TheorySpec:
         reversibles: tuple[np.ndarray, ...] = (np.eye(2),)
     else:
         gens = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                gens.append(spatial_rotation(plane_rotation(d, i, j, np.pi / 2)))
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                quarter_turn = np.eye(d + 1)
+                quarter_turn[i, i] = quarter_turn[j, j] = 0.0
+                quarter_turn[j, i], quarter_turn[i, j] = 1.0, -1.0
+                gens.append(quarter_turn)
         reversibles = tuple(gens)
     return TheorySpec(
         name=f"ball:{d}",

@@ -864,6 +864,12 @@ def test_chsh_rejects_malformed_measurements():
         chsh_value(scenario)
 
 
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]])
+def test_ball_measurement_rejects_a_direction_without_a_unit_vector(direction):
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        ball_measurement(np.array(direction))
+
+
 def test_a_pair_that_misses_the_unit_by_1e_7_is_rejected(monkeypatch):
     # the miss is in coordinate 0, where the unit reads 1: np.allclose's
     # default rtol of 1e-5 would let it pass a check at 1e-9

@@ -31,7 +31,6 @@ from gptkit.minkowski import (
 )
 from gptkit.rotations import (
     rotation_between,
-    rotation_taking_first_axis,
     sample_special_orthogonal,
 )
 
@@ -128,19 +127,25 @@ def test_boost_x():
         boost_x(1.0, 0.0, 3)
 
 
+def test_boost_x_rejects_a_nan_zero_or_negative_mass():
+    for mass in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            boost_x(1.0, mass, 1)
+
+
 def test_rotation_to_axis():
     e1 = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(rotation_taking_first_axis(e1), np.eye(3))
-    block = rotation_taking_first_axis(-e1)
+    assert np.allclose(rotation_between(e1, e1), np.eye(3))
+    block = rotation_between(e1, -e1)
     assert np.allclose(block @ e1, -e1, atol=1e-12)
     assert abs(np.linalg.det(block) - 1.0) < 1e-12
     # rotation by pi in the (1,2) plane
     assert np.allclose(block, np.diag([-1.0, -1.0, 1.0]))
-    b2 = rotation_taking_first_axis(np.array([0.0, 1.0, 0.0]))
+    b2 = rotation_between(e1, np.array([0.0, 1.0, 0.0]))
     assert np.allclose(b2 @ e1, [0.0, 1.0, 0.0], atol=1e-12)
     assert np.max(np.abs(b2.T @ b2 - np.eye(3))) < 1e-12
     with pytest.raises(ValueError):
-        rotation_taking_first_axis(np.array([0.0, 0.5, 0.0]))
+        rotation_between(e1, np.array([0.0, 0.5, 0.0]))
 
 
 def test_standard_boost_maps_rest_to_target():
@@ -234,15 +239,16 @@ def test_massive_momentum_validation():
             MassiveMomentum(np.array(vector), mass)
 
 
-def test_rotation_taking_first_axis_rejects_nan_and_minus_e1_in_so1():
-    e3 = np.array([0.0, 0.0, 1.0])
+def test_rotation_from_e1_rejects_nan_and_minus_e1_in_so1():
+    e1, e3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
     for bad in (np.array([np.nan, 0.0, 1.0]), np.vstack([e3, [0.0, np.nan, 1.0], e3])):
         with pytest.raises(ValueError, match="unit vector"):
-            rotation_taking_first_axis(bad)
-    assert np.array_equal(rotation_taking_first_axis(np.array([1.0])), [[1.0]])
+            rotation_between(e1, bad)
+    plus = np.array([1.0])
+    assert np.array_equal(rotation_between(plus, plus), [[1.0]])
     for bad in (np.array([-1.0]), np.array([[1.0], [-1.0]])):
         with pytest.raises(ValueError, match="SO\\(1\\)"):
-            rotation_taking_first_axis(bad)
+            rotation_between(plus, bad)
 
 
 def test_rotation_between_in_so1_is_the_identity_or_nothing():
@@ -255,6 +261,38 @@ def test_rotation_between_in_so1_is_the_identity_or_nothing():
             rotation_between(source, target)
     with pytest.raises(ValueError, match="unit vector"):
         rotation_between(np.array([np.nan]), minus)
+
+
+# 0, tiny angles, generic ones and angles just short of a half-turn
+_ANGLES = np.concatenate(
+    [[0.0], 10.0 ** np.arange(-13.0, -3.0), [0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+     np.pi - 10.0 ** np.arange(-4.0, -13.0, -1.0), [np.pi]]
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rotation_between_is_exact_at_every_angle(n):
+    rng = np.random.default_rng(70 + n)
+    randoms = rng.standard_normal((3, n))
+    for s in np.vstack([np.eye(n)[:1], randoms / np.linalg.norm(randoms, axis=1, keepdims=True)]):
+        u = rng.standard_normal(n)
+        u -= (u @ s) * s
+        u /= np.linalg.norm(u)
+        targets = np.cos(_ANGLES)[:, None] * s + np.sin(_ANGLES)[:, None] * u
+        sources = np.broadcast_to(s, targets.shape)
+        for a, b in ((sources, targets), (targets, sources)):
+            stacked = rotation_between(a, b)
+            assert np.array_equal(stacked, [rotation_between(x, y) for x, y in zip(a, b)])
+            assert np.max(np.abs((stacked @ a[:, :, None])[:, :, 0] - b)) <= 1e-14
+            gram = np.swapaxes(stacked, -1, -2) @ stacked
+            assert np.max(np.abs(gram - np.eye(n))) <= 1e-14
+            assert np.max(np.abs(np.linalg.det(stacked) - 1.0)) <= 1e-14
+        # a single source broadcasts against the stack of targets
+        assert np.array_equal(rotation_between(s, targets), rotation_between(sources, targets))
+        # directions at the edge of the unit tolerance still give rotations
+        edge = rotation_between((1.0 + 9e-10) * s, (1.0 - 9e-10) * targets)
+        assert np.max(np.abs(np.swapaxes(edge, -1, -2) @ edge - np.eye(n))) <= 1e-14
+        assert np.max(np.abs(edge @ s - targets)) <= 1e-14
 
 
 def test_little_group_element_identity_case():
@@ -426,6 +464,24 @@ def _ref_rotation_taking_first_axis(d):
     return h2 @ h1
 
 
+def _ref_rotation_between(s, t):
+    """The closed form of rotation_between for one pair, as scalar code."""
+    n = s.shape[0]
+    s, t = s / np.linalg.norm(s), t / np.linalg.norm(t)
+    c = float(s @ t)
+    flip = c < 0
+    if flip:
+        a = np.zeros(n)
+        a[int(np.argmin(np.abs(s)))] = 1.0
+        a = a - (a @ s) * s
+        a = a / np.sqrt(a @ a)
+        half_turn = np.eye(n) - 2.0 * (np.outer(s, s) + np.outer(a, a))
+        s, c = -s, -c
+    k = np.outer(t, s) - np.outer(s, t)
+    r = np.eye(n) + k + (k @ k) / (1.0 + c)
+    return r @ half_turn if flip else r
+
+
 def _ref_lorentz_inverse(m):
     return metric(m.shape[0] - 1) @ m.T @ metric(m.shape[0] - 1)
 
@@ -559,12 +615,16 @@ def test_batched_kernels_match_scalar_references(n):
         near_minus_e1 = -e1 + 1e-10 * np.eye(n)[1]
         dirs = np.vstack([rng.standard_normal((10, n)), near_minus_e1])
         dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True), e1, -e1])
-    # the Householder rotations take no squares (only the boosts' gamma
-    # does, where a stacked square and libm pow may round apart), so they
-    # agree bit for bit
+    # the rotations take no squares (only the boosts' gamma does, where a
+    # stacked square and libm pow may round apart), so they agree bit for bit
     _assert_matches(
-        rotation_taking_first_axis(dirs),
-        [_ref_rotation_taking_first_axis(d) for d in dirs],
+        rotation_between(e1, dirs),
+        [_ref_rotation_between(e1, d) for d in dirs],
+        bitwise_expected=True,
+    )
+    _assert_matches(
+        rotation_between(dirs, dirs[::-1]),
+        [_ref_rotation_between(s, t) for s, t in zip(dirs, dirs[::-1])],
         bitwise_expected=True,
     )
 

@@ -225,6 +225,15 @@ def test_ball_rotations_act_transitively():
         assert np.max(np.abs(moved - np.concatenate([[1.0], b]))) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_ball_quarter_turns_are_signed_permutations(d):
+    ball = euclidean_ball(d)
+    assert len(ball.reversibles) == d * (d - 1) // 2
+    for m in ball.reversibles:
+        assert set(m.ravel().tolist()) <= {0.0, 1.0, -1.0}
+        assert is_reversible(ball, m)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_sample_ball_rotations_equal_draws_in_a_row(d):
     # Haar-like ball maps: a stack of SO(d) draws lifted to 1 (+) O, each a
