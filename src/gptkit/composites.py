@@ -371,13 +371,16 @@ def singlet_state() -> JointState:
 
 def ball_measurement(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two effects (1, +-v)/2 of the unit vector v along `direction`;
-    a zero, NaN or infinite direction (or one whose norm overflows or
-    underflows) has no unit vector and is rejected."""
+    a zero, NaN or infinite direction has no unit vector and is rejected.
+    v is scaled by the power of two nearest below max|v| before the norm is
+    taken, so v.v neither underflows nor overflows; the scaling is exact, so
+    wherever v.v stays in range the result is that of v / |v| bit for bit."""
     v = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(v)
-    if not 0 < norm < np.inf:
+    scale = np.abs(v).max()
+    if not 0 < scale < np.inf:
         raise ValueError("measurement direction must be nonzero and finite")
-    v = v / norm
+    v = np.ldexp(v, 1 - np.frexp(scale)[1])
+    v = v / np.linalg.norm(v)
     return 0.5 * np.concatenate([[1.0], v]), 0.5 * np.concatenate([[1.0], -v])
 
 

@@ -371,9 +371,14 @@ def apply_map(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _row_permutation(rows: np.ndarray, moved: np.ndarray, tol: float) -> np.ndarray | None:
     """`perm` with moved[i] = rows[perm[i]] entrywise within `tol`, one to
-    one, or None.  A moved row that matches two rows matches none."""
-    matches = [np.flatnonzero(np.abs(rows - r).max(axis=1) <= tol) for r in moved]
-    perm = [int(m[0]) for m in matches if len(m) == 1]
+    one, or None.  A moved row that matches two rows matches none, and the
+    first moved row without a unique match ends the search."""
+    perm = []
+    for r in moved:
+        match = np.flatnonzero(np.abs(rows - r).max(axis=1) <= tol)
+        if len(match) != 1:
+            return None
+        perm.append(int(match[0]))
     return np.array(perm) if len(set(perm)) == len(rows) else None
 
 

@@ -5,7 +5,8 @@ A reversible map g of a local theory that permutes that side's constraint
 rows (rows @ g is rows reordered) maps the maximal tensor product onto
 itself through X -> ga X gb.T, so the LP with objective C has the same
 optimum as the one with ga.T C gb.  `maximize_chsh` solves one LP per class
-of objectives related this way.
+of objectives related this way.  A polygon's stored rotation and mirror
+generate its dihedral group D_N, so its classes are those of D_N x D_N.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ def symmetry_classes(objectives, group_a, group_b) -> np.ndarray:
              if (np.abs(images[i][k:k + 1] - c).max(axis=1) <= 1e-12).any()),
             j,
         )
-        if classes[j] == j:
+        # a representative's images can only join later rows, so the last
+        # row of the pass builds none
+        if classes[j] == j and j < len(objectives) - 1:
             images[j] = np.einsum(
                 "aki,kl,blm->abim", group_a, c.reshape(shape), group_b
             ).reshape(-1, c.size)

@@ -51,6 +51,9 @@ def polygon_rotation(sides: int, j: int) -> np.ndarray:
 def polygon_theory(sides: int) -> TheorySpec:
     """Regular polygon system: N pure states on a circle of radius sqrt(sec(pi/N)).
 
+    The stored reversibles generate the dihedral group D_N (Janotta,
+    Gogolin, Barrett & Brunner, NJP 13, 063024 (2011)): the rotation by
+    2 pi / N and the mirror y -> -y, which fixes the vertex at angle 0.
     Even N ships the N extremal effects at half the vertex vectors rotated by
     half a step; odd N ships N extremal effects aligned with the vertices,
     scaled by 1/(1 + r^2), together with their complements.  Both conventions
@@ -78,7 +81,7 @@ def polygon_theory(sides: int) -> TheorySpec:
         dim=2,
         states=Polytope(states),
         effects=PolytopeEffects(generators),
-        reversibles=(polygon_rotation(sides, 1),),
+        reversibles=(polygon_rotation(sides, 1), np.diag([1.0, 1.0, -1.0])),
         effect_convention="all-normalized",
     )
 

@@ -314,6 +314,8 @@ REFERENCE_CASES = [
     ("bit", "bit", False),
     ("bit", "polygon:4", False),
     ("ball:3", "polygon:4", False),
+    ("polygon:5", "polygon:5", False),
+    ("polygon:8", "polygon:8", False),
     ("polygon:4", "polygon:4", True),
     ("bit", "polygon:4", True),
 ]
@@ -389,10 +391,12 @@ def test_maximize_chsh_equals_the_full_scan(name_a, name_b, exact):
 
 # LPs solved with one LP per symmetry class
 PER_CLASS_LPS = {
-    ("polygon:5", "polygon:5"): 16,
-    ("polygon:8", "polygon:8"): 10,
-    ("ball:3", "polygon:4"): 30,  # ball:3 keeps no symmetry
-    ("polygon:3", "polygon:3"): 5,
+    ("polygon:5", "polygon:5"): 4,
+    ("polygon:8", "polygon:8"): 4,
+    ("ball:3", "polygon:4"): 15,  # ball:3 keeps no symmetry
+    ("polygon:3", "polygon:3"): 2,
+    ("polygon:6", "polygon:6"): 1,
+    ("polygon:4", "polygon:4"): 1,
     ("simplex:2", "simplex:2"): 2,
     ("bit", "bit"): 1,
 }
@@ -406,6 +410,8 @@ PER_CLASS_LPS = {
         ("polygon:8", "polygon:8", 144),
         ("ball:3", "polygon:4", 60),
         # best = 2: the repeated settings are solved too
+        ("polygon:6", "polygon:6", 36),
+        ("polygon:4", "polygon:4", 4),
         ("polygon:3", "polygon:3", 81),
         ("simplex:2", "simplex:2", 81),
         ("bit", "bit", 1),
@@ -461,16 +467,17 @@ def test_row_symmetries_drop_generators_that_move_the_rows():
     rows = _scenario_rows(ball, binary_measurements(ball))
     assert len(ball.reversibles) == 3
     assert len(row_symmetries(ball, rows)) == 1
-    # a hexagon from JSON with an off-angle turn before its 60-degree one:
-    # the off-angle turn moves each extremal effect nearest to the next, so
-    # only the row check drops it, and the 60-degree turn closes to six
+    # a hexagon from JSON with an off-angle turn before its 60-degree one
+    # and its mirror: the off-angle turn moves each extremal effect nearest
+    # to the next, so only the row check drops it, and the 60-degree turn
+    # and the mirror close to the twelve elements of D_6
     doc = theory_to_dict(get_theory("polygon:6"))
     c, s = np.cos(0.6), np.sin(0.6)
     doc["reversibles"].insert(0, [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     hexagon = theory_from_dict(doc)
     rows = _scenario_rows(hexagon, binary_measurements(hexagon))
     group = row_symmetries(hexagon, rows)
-    assert len(hexagon.reversibles) == 2 and len(group) == 6
+    assert len(hexagon.reversibles) == 3 and len(group) == 12
     for g in group:
         gaps = np.abs((rows @ g)[:, None, :] - rows[None, :, :]).max(axis=-1)
         assert gaps.min(axis=1).max() <= 1e-9
@@ -868,6 +875,16 @@ def test_chsh_rejects_malformed_measurements():
 def test_ball_measurement_rejects_a_direction_without_a_unit_vector(direction):
     with pytest.raises(ValueError, match="nonzero and finite"):
         ball_measurement(np.array(direction))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_ball_measurement_accepts_directions_whose_square_leaves_the_float_range(scale):
+    # v . v underflows to 0 at 1e-170 and overflows at 1e160
+    for direction in ([scale, 0.0, 0.0], [scale, -scale, 2.0 * scale]):
+        e, f = ball_measurement(np.array(direction))
+        v = np.array(direction) / scale
+        assert np.abs(2.0 * e - np.concatenate([[1.0], v / np.linalg.norm(v)])).max() <= 1e-15
+        assert np.abs(e + f - np.array([1.0, 0.0, 0.0, 0.0])).max() == 0.0
 
 
 def test_a_pair_that_misses_the_unit_by_1e_7_is_rejected(monkeypatch):

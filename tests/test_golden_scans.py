@@ -6,7 +6,9 @@ with `--exact`, `scenarios.csv` for `--scenario scenarios.json`, and
 `joint-vectors.csv` and `joint-vectors-exact.csv` for `--scenario
 joint-vectors.json` without and with `--exact`.  A change that moves a
 printed value or verdict shows up as a diff of these files.  The exact scans
-of `polygon:5` (about 5 s) and `polygon:8` (about 2 s) are left out.
+of `polygon:5` and `polygon:8` were written when each polygon's class LPs
+came from its rotations alone; they now solve one LP per class of the full
+dihedral group.
 
 `joint-vectors.json` holds the 24 vertices of box world's maximal tensor
 product, product mixtures, PR-box mixtures and points outside, one document
@@ -25,10 +27,10 @@ from gptkit.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 SCANS = [
-    *[(name, exact) for name in ("bit", "simplex:2", "polygon:3", "polygon:4", "polygon:6")
+    *[(name, exact)
+      for name in ("bit", "simplex:2", "polygon:3", "polygon:4", "polygon:5", "polygon:6",
+                   "polygon:8")
       for exact in (False, True)],
-    ("polygon:5", False),
-    ("polygon:8", False),
 ]
 
 

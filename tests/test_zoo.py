@@ -138,6 +138,30 @@ def test_polygon_quarter_turn_is_a_signed_permutation(sides):
         assert turned.tobytes() == np.roll(rows, -(sides // 4), axis=0).tobytes()
 
 
+@pytest.mark.parametrize("sides", range(3, 9))
+def test_polygon_generators_close_to_the_dihedral_group(sides):
+    # the stored rotation and mirror generate D_N: 2N maps, N of them
+    # mirrors, each a reversible permuting the vertices in its own way
+    theory = polygon_theory(sides)
+    vertices = theory.states.vertices
+    group = [np.eye(3)]
+    for m in group:  # grows while it is read
+        for g in theory.reversibles:
+            h = g @ m
+            if not any(np.abs(h - k).max() <= 1e-9 for k in group):
+                group.append(h)
+        assert len(group) <= 2 * sides
+    assert len(group) == 2 * sides
+    assert sum(np.linalg.det(h) < 0 for h in group) == sides
+    perms = set()
+    for h in group:
+        assert is_reversible(theory, h)
+        gaps = np.abs(np.einsum("ij,vj->vi", h, vertices)[:, None] - vertices[None]).max(axis=-1)
+        assert gaps.min(axis=1).max() <= 1e-9
+        perms.add(tuple(gaps.argmin(axis=1).tolist()))
+    assert len(perms) == 2 * sides
+
+
 def test_odd_polygon_complements_are_normalized():
     for sides in (3, 5, 7, 9, 11):
         theory = polygon_theory(sides)
