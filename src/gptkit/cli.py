@@ -196,18 +196,15 @@ def invariance_suite(n: int, mass: float, samples: int, seed: int, tol: float) -
     return rows
 
 
-def chsh_rows(locals_name: str, exact: bool, scenario_path: str | None) -> list[dict]:
+def chsh_rows(locals_name: str | None, exact: bool, scenario_path: str | None) -> list[dict]:
+    """The scenario file's rows, else those of `locals_name` (default
+    polygon:4) facing itself."""
     if scenario_path:
         with open(scenario_path, "r", encoding="utf-8") as fh:
             docs = composites.load_scenarios(fh.read())
     else:
-        docs = [
-            {
-                "id": f"{locals_name}x{locals_name}",
-                "local_a": locals_name,
-                "local_b": locals_name,
-            }
-        ]
+        name = "polygon:4" if locals_name is None else locals_name
+        docs = [{"id": f"{name}x{name}", "local_a": name, "local_b": name}]
     return composites.run_scenarios(docs, exact=exact)
 
 
@@ -263,14 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_zoo = sub.add_parser("zoo", help="export a theory as JSON or list the registry")
-    p_zoo.add_argument("--name", type=str, default=None)
-    p_zoo.add_argument("--list", action="store_true")
+    which = p_zoo.add_mutually_exclusive_group()
+    which.add_argument("--name", type=str, default=None)
+    which.add_argument("--list", action="store_true")
     p_zoo.add_argument("--out", type=str, default=None)
 
     p_chsh = sub.add_parser("chsh-scan", help="CHSH optimization over named locals")
-    p_chsh.add_argument("--locals", type=str, default="polygon:4")
-    p_chsh.add_argument("--scenario", type=str, default=None, help="scenario JSON file")
-    p_chsh.add_argument("--exact", action="store_true", help="exact rational pivoting")
+    source = p_chsh.add_mutually_exclusive_group()
+    source.add_argument("--locals", type=str, default=None, help="default polygon:4")
+    source.add_argument("--scenario", type=str, default=None, help="scenario JSON file")
+    p_chsh.add_argument("--exact", action="store_true",
+                        help="exact rational pivoting; a ball side stays on the float path")
     p_chsh.add_argument("--out", type=str, default=None)
     p_chsh.add_argument("--format", choices=("json", "csv"), default="csv")
 

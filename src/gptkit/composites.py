@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .core import BALL_EFFECT_COUNT, BALL_STATE_COUNT, Ball, BallEffects, Polytope, TheorySpec
-from .core import _effect_floor, _extreme_rays
+from .core import BALL_EFFECT_COUNT, BALL_STATE_COUNT, DEFAULT_TOL, Ball, BallEffects, Polytope
+from .core import TheorySpec, _effect_floor, _extreme_rays
 # binary_measurements and its ball count are core's, read here by callers
 from .core import BALL_MEASUREMENT_COUNT, _dedupe_rows, binary_measurements  # noqa: F401
 from .symmetry import _chsh_objectives, product_maximum, row_symmetries, symmetry_classes
@@ -99,12 +99,13 @@ class SeparabilityVerdict:
         return self.status
 
 
-def is_separable(phi: JointState, tol: float = 1e-9, exact: bool = False) -> SeparabilityVerdict:
+def is_separable(phi: JointState, exact: bool = False) -> SeparabilityVerdict:
     """Decide membership in the hull of products of local extreme states.
 
-    The margin is the l1 residual of the best decomposition, and `tol`
-    decides membership on both paths; the exact path computes the margin
-    exactly from the given floats.  Polytope locals give definite verdicts.
+    The margin is the l1 residual of the best decomposition, and a margin
+    up to `lp.FEASIBILITY_SLACK` (1e-9) is membership on both paths; the
+    exact path computes the margin exactly from the given floats.  Polytope
+    locals give definite verdicts.
     A ball local contributes the K = `core.BALL_STATE_COUNT` fixed sphere
     states of `extreme_states`, so only "separable" and "inconclusive" can
     be returned, with `resolution` K; the margin is then the distance by
@@ -116,18 +117,18 @@ def is_separable(phi: JointState, tol: float = 1e-9, exact: bool = False) -> Sep
     the exact path, two polytope sides, lists them.  This is `_verdicts`
     on a stack of one.
     """
-    return _verdicts(phi.local_a, phi.local_b, [phi.vector], tol, exact)[0]
+    return _verdicts(phi.local_a, phi.local_b, [phi.vector], exact)[0]
 
 
-def _verdicts(local_a, local_b, vectors, tol, exact) -> list[SeparabilityVerdict]:
+def _verdicts(local_a, local_b, vectors, exact) -> list[SeparabilityVerdict]:
     """`is_separable` of each joint vector over the two locals, as one
     `lp` stack of hull LPs."""
     discretized = isinstance(local_a.states, Ball) or isinstance(local_b.states, Ball)
     xa, xb = local_a.extreme_states(), local_b.extreme_states()
     if exact and not discretized:
-        stack = lp.hull_memberships(_product_rows(xa, xb), vectors, tol, exact=True)
+        stack = lp.hull_memberships(_product_rows(xa, xb), vectors, exact=True)
     else:
-        stack = lp.product_hull_memberships(xa, xb, vectors, tol)
+        stack = lp.product_hull_memberships(xa, xb, vectors)
     resolution = BALL_STATE_COUNT if discretized else None
     return [
         SeparabilityVerdict("separable", res.margin, res.weights, resolution) if res.member
@@ -137,25 +138,26 @@ def _verdicts(local_a, local_b, vectors, tol, exact) -> list[SeparabilityVerdict
     ]
 
 
-def in_max_tensor(phi: JointState, tol: float = 1e-9) -> bool:
+def in_max_tensor(phi: JointState) -> bool:
     """Normalization plus nonnegativity on all product effects.
 
-    Two polytope sides are checked on every pair of their `effect_rows`.  A
-    ball side is closed analytically (`core._effect_floor`) against the other
-    side's `effect_rows`, and each of two ball sides against the other's.
+    Both hold within `core.DEFAULT_TOL`.  Two polytope sides are checked on
+    every pair of their `effect_rows`.  A ball side is closed analytically
+    (`core._effect_floor`) against the other side's `effect_rows`, and each
+    of two ball sides against the other's.
     """
     mat = phi.matrix
-    if abs(mat[0, 0] - 1.0) > tol:
+    if abs(mat[0, 0] - 1.0) > DEFAULT_TOL:
         return False
     a, b = phi.local_a, phi.local_b
     a_ball = isinstance(a.effects, BallEffects)
     floors = [_effect_floor(a, (mat @ b.effect_rows().T).T)] if a_ball else []
     if isinstance(b.effects, BallEffects) or not a_ball:
         floors.append(_effect_floor(b, a.effect_rows() @ mat))
-    return all(f.min() >= -tol for f in floors)
+    return all(f.min() >= -DEFAULT_TOL for f in floors)
 
 
-def no_signalling_check(phi: JointState, tol: float = 1e-9) -> bool:
+def no_signalling_check(phi: JointState) -> bool:
     """Marginals of either side must not depend on the other side's choice.
 
     Every binary measurement (e, u - e) sums to the unit effect, so summing
@@ -166,7 +168,7 @@ def no_signalling_check(phi: JointState, tol: float = 1e-9) -> bool:
     tensor product, whose states are no-signalling by construction (Barrett,
     PRA 75, 032304, 2007).
     """
-    return in_max_tensor(phi, tol)
+    return in_max_tensor(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +198,20 @@ def correlator(phi: JointState, a_pair, b_pair) -> float:
     return float(da @ phi.matrix @ db)
 
 
-def _check_measurement(pair, unit, tol):
-    # the largest entry miss: np.allclose would add its rtol of 1e-5 to tol
-    if len(pair) != 2 or not np.abs(pair[0] + pair[1] - unit).max() <= tol:
+def _check_measurement(pair, unit):
+    # the largest entry miss: np.allclose would add its rtol of 1e-5 to it
+    if len(pair) != 2 or not np.abs(pair[0] + pair[1] - unit).max() <= DEFAULT_TOL:
         raise ValueError("measurement pair does not sum to the unit effect")
 
 
-def chsh_value(s: ChshScenario, tol: float = 1e-9) -> float:
+def chsh_value(s: ChshScenario) -> float:
     """S = E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1)."""
     ua = s.state.local_a.unit
     ub = s.state.local_b.unit
     for pair in (s.a0, s.a1):
-        _check_measurement(pair, ua, tol)
+        _check_measurement(pair, ua)
     for pair in (s.b0, s.b1):
-        _check_measurement(pair, ub, tol)
+        _check_measurement(pair, ub)
     return (
         correlator(s.state, s.a0, s.b0)
         + correlator(s.state, s.a0, s.b1)
@@ -253,28 +255,35 @@ def maximize_chsh(
     side's constraint rows are its `effect_rows` plus the scenario's
     effects: exact optima for polytopes under exact pivoting (one
     `lp.exact_linprog` per class), an outer relaxation through the
-    `core.BALL_EFFECT_COUNT` extremal effects for a ball.  On the float path
-    a pass is one `lp.linear_programs` stack: HiGHS solves the LP dual,
-    whose right-hand side is the objective, so from one class to the next
-    only row bounds change and each solve starts warm from the last optimal
-    basis, on a basis of (d_A + 1)(d_B + 1) rows.  At a degenerate optimum
-    the witness may be any optimal vertex.
+    `core.BALL_EFFECT_COUNT` extremal effects for a ball, solved in floating
+    point even when `exact` is set.  On the float path a pass is one
+    `lp.linear_programs` stack: HiGHS solves the LP dual, whose right-hand
+    side is the objective, so from one class to the next only row bounds
+    change and each solve starts warm from the last optimal basis, on a
+    basis of (d_A + 1)(d_B + 1) rows.  At a degenerate optimum the witness
+    may be any optimal vertex.
     """
     meas_a = measurements_a if measurements_a is not None else binary_measurements(local_a)
     meas_b = measurements_b if measurements_b is not None else binary_measurements(local_b)
     if not meas_a or not meas_b:
         raise ValueError("both sites need at least one binary measurement")
+    # a ball side's rows are an outer relaxation, definite in neither
+    # arithmetic, and too many rows for the rational simplex
+    exact = exact and not any(isinstance(t.effects, BallEffects) for t in (local_a, local_b))
     rows_a = _scenario_rows(local_a, meas_a)
     rows_b = _scenario_rows(local_b, meas_b)
-    group_a = row_symmetries(local_a, rows_a)
-    same = local_b is local_a and np.array_equal(rows_a, rows_b)
-    group_b = group_a if same else row_symmetries(local_b, rows_b)
+    choices = np.indices((len(meas_a),) * 2 + (len(meas_b),) * 2).reshape(4, -1).T
+    if len(choices) == 1:  # one assignment forms no class, so no group is built
+        group_a, group_b = np.eye(local_a.dim + 1)[None], np.eye(local_b.dim + 1)[None]
+    else:
+        group_a = row_symmetries(local_a, rows_a)
+        same = local_b is local_a and np.array_equal(rows_a, rows_b)
+        group_b = group_a if same else row_symmetries(local_b, rows_b)
     constraint_rows = _product_rows(rows_a, rows_b)
     a_eq = tensor(local_a.unit, local_b.unit).reshape(1, -1)
     b_eq = np.array([1.0])
     a_ub = -constraint_rows
     b_ub = np.zeros(len(constraint_rows))
-    choices = np.indices((len(meas_a),) * 2 + (len(meas_b),) * 2).reshape(4, -1).T
     objectives = _chsh_objectives(meas_a, meas_b, choices)
     distinct = (choices[:, 0] != choices[:, 1]) & (choices[:, 2] != choices[:, 3])
     solutions: dict[int, lp.LpSolution] = {}
@@ -338,7 +347,7 @@ def _two_qubit_density(r_a, r_b, t) -> np.ndarray:
     return rho / 4.0
 
 
-def two_qubit_gpt(r_a, r_b, t, tol: float = 1e-9) -> JointState:
+def two_qubit_gpt(r_a, r_b, t) -> JointState:
     """Joint ball:3 state from local Bloch vectors and a correlation matrix.
 
     The layout is the A-major block matrix ((1, r_b), (r_a, T)); product
@@ -352,7 +361,7 @@ def two_qubit_gpt(r_a, r_b, t, tol: float = 1e-9) -> JointState:
     if r_a.shape != (3,) or r_b.shape != (3,) or t.shape != (3, 3):
         raise ValueError("need two Bloch vectors and a 3x3 correlation matrix")
     eigenvalues = np.linalg.eigvalsh(_two_qubit_density(r_a, r_b, t))
-    if eigenvalues.min() < -tol:
+    if eigenvalues.min() < -DEFAULT_TOL:
         raise ValueError(
             f"correlation data is non-physical (minimum eigenvalue {eigenvalues.min():.3g})"
         )
@@ -389,28 +398,26 @@ def ball_measurement(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def max_tensor_vertices(
-    local_a: TheorySpec, local_b: TheorySpec, tol: float = 1e-9
-) -> np.ndarray:
+def max_tensor_vertices(local_a: TheorySpec, local_b: TheorySpec) -> np.ndarray:
     """All vertices of the maximal tensor polytope of two polytope locals.
 
     The vertices are the extreme rays of the cone of product facets
     (e (x) f) . x >= 0, found by double description (`_extreme_rays`, with
-    `tol` the tight band), each scaled to the normalization x_0 = 1.  The
-    product of the local vertex centroids must clear every facet by more
-    than `tol`, and the facets must bound a polytope.  Coordinates below
-    1e-12 in magnitude are set to 0.0, so an exact zero is never left as
-    rounding noise or -0.0.  The rows come sorted lexicographically on their
-    values rounded to 9 decimals.
+    `core.DEFAULT_TOL` the tight band), each scaled to the normalization
+    x_0 = 1.  The product of the local vertex centroids must clear every
+    facet by more than that band, and the facets must bound a polytope.
+    Coordinates below 1e-12 in magnitude are set to 0.0, so an exact zero is
+    never left as rounding noise or -0.0.  The rows come sorted
+    lexicographically on their values rounded to 9 decimals.
     """
     if not (isinstance(local_a.states, Polytope) and isinstance(local_b.states, Polytope)):
         raise ValueError("vertex enumeration needs polytope locals")
     rows = _product_rows(local_a.extremal_effects(), local_b.extremal_effects())
     centre = tensor(local_a.states.vertices.mean(axis=0), local_b.states.vertices.mean(axis=0))
-    if not (rows @ centre).min() > tol:
+    if not (rows @ centre).min() > DEFAULT_TOL:
         raise ValueError("the product of the local centroids is not interior")
-    rays = _extreme_rays(rows, tol)
-    if not rays[:, 0].min() > tol:
+    rays = _extreme_rays(rows, DEFAULT_TOL)
+    if not rays[:, 0].min() > DEFAULT_TOL:
         raise ValueError("the product effects do not bound a polytope")
     vertices = rays / rays[:, :1]
     vertices[np.abs(vertices) < 1e-12] = 0.0
@@ -466,7 +473,7 @@ def run_scenarios(docs: list, exact: bool = False) -> list[dict]:
     for ks in stacks.values():
         _, local_a, local_b, *_ = scenarios[ks[0]]
         vectors = [scenarios[k][-1].vector for k in ks]
-        verdicts.update(zip(ks, _verdicts(local_a, local_b, vectors, 1e-9, exact)))
+        verdicts.update(zip(ks, _verdicts(local_a, local_b, vectors, exact)))
     rows = []
     for k, (doc, local_a, local_b, meas_a, meas_b, state) in enumerate(scenarios):
         if state is not None:
@@ -511,7 +518,7 @@ def _doc_measurements(doc, theory, key):
         raise ValueError(f"{key} must be a nonempty list of index pairs below {len(ext)}")
     measurements = [(ext[i].copy(), ext[j].copy()) for i, j in pairs]
     for measurement in measurements:
-        _check_measurement(measurement, theory.unit, 1e-9)
+        _check_measurement(measurement, theory.unit)
     return measurements
 
 

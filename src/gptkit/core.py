@@ -345,10 +345,9 @@ def _effect_floor(theory: TheorySpec, rows: np.ndarray) -> np.ndarray:
     return np.minimum(rows[..., 0], 0.5 * _pairing_range(Ball(theory.dim), rows)[0])
 
 
-def is_normalized_effect(
-    theory: TheorySpec, e: np.ndarray, tol: float = DEFAULT_TOL
-) -> bool:
-    """Does `e` give values in [0, 1] on the whole state space?
+def is_normalized_effect(theory: TheorySpec, e: np.ndarray) -> bool:
+    """Does `e` give values in [0, 1], within `DEFAULT_TOL`, on the whole
+    state space?
 
     `e` is one effect or a stack of them, one per row; a stack passes only
     if every row does.  Each row's range on the state space is its
@@ -358,7 +357,7 @@ def is_normalized_effect(
     if vec.ndim not in (1, 2) or vec.shape[-1] != theory.dim + 1:
         raise ValueError("effect has the wrong length for this theory")
     lo, hi = _pairing_range(theory.states, vec)
-    return bool(np.min(lo) >= -tol and np.max(hi) <= 1.0 + tol)
+    return bool(np.min(lo) >= -DEFAULT_TOL and np.max(hi) <= 1.0 + DEFAULT_TOL)
 
 
 def apply_map(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -442,39 +441,38 @@ def _extreme_rays(rows: np.ndarray, tol: float) -> np.ndarray:
     return rays
 
 
-def is_reversible(theory: TheorySpec, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_reversible(theory: TheorySpec, m: np.ndarray) -> bool:
     """Is `m` a reversible transformation of the theory?  Singular maps
     report False.  An affine bijection permutes a polytope's vertices, so a
     polytope map is reversible iff it permutes the distinct vertices within
-    `tol`; one of the ball fixes its centre, so a ball map is reversible iff
-    it is 1 (+) O(d): first row and column e0, block orthogonal.  No LP is
-    solved.
+    `DEFAULT_TOL`; one of the ball fixes its centre, so a ball map is
+    reversible iff it is 1 (+) O(d): first row and column e0, block
+    orthogonal.  No LP is solved.
     """
     mat = np.asarray(m, dtype=float)
     if mat.shape != (theory.dim + 1, theory.dim + 1):
         raise ValueError("transformation has the wrong shape for this theory")
-    if abs(np.linalg.det(mat)) <= tol:
+    if abs(np.linalg.det(mat)) <= DEFAULT_TOL:
         return False
     if isinstance(theory.states, Polytope):
         vertices = _dedupe_rows(theory.states.vertices)
         moved = np.einsum("ij,vj->vi", mat, vertices)
-        return _row_permutation(vertices, moved, tol) is not None
+        return _row_permutation(vertices, moved, DEFAULT_TOL) is not None
     e0, block = unit_effect(theory.dim), mat[1:, 1:]
     deviations = (mat[0] - e0, mat[:, 0] - e0, block.T @ block - np.eye(theory.dim))
-    return all(np.max(np.abs(x)) <= tol for x in deviations)
+    return all(np.max(np.abs(x)) <= DEFAULT_TOL for x in deviations)
 
 
-def convex_mix(
-    weighted: Iterable[tuple[float, np.ndarray]], tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Form the mixture sum_j q_j zeta_j of states with probabilities q_j."""
+def convex_mix(weighted: Iterable[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Form the mixture sum_j q_j zeta_j of states with probabilities q_j,
+    which must be nonnegative and sum to 1 within `DEFAULT_TOL`."""
     pairs = [(float(q), np.asarray(z, dtype=float)) for q, z in weighted]
     if not pairs:
         raise ValueError("empty mixture")
     weights = np.array([q for q, _ in pairs])
-    if weights.min() < -tol:
+    if weights.min() < -DEFAULT_TOL:
         raise ValueError("mixture weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > tol:
+    if abs(weights.sum() - 1.0) > DEFAULT_TOL:
         raise ValueError(f"mixture weights sum to {weights.sum()}, not 1")
     return sum(q * z for q, z in pairs)
 

@@ -259,11 +259,7 @@ def standard_boost(p: MassiveMomentum) -> np.ndarray:
 
 
 def little_group_element(
-    a: np.ndarray,
-    x: np.ndarray,
-    lam: np.ndarray,
-    p: MassiveMomentum,
-    tol: float = DEFAULT_TOL,
+    a: np.ndarray, x: np.ndarray, lam: np.ndarray, p: MassiveMomentum
 ) -> PoincareTransform:
     """Group element fixing the pair (0, p_rest) built from a frame change.
 
@@ -274,10 +270,10 @@ def little_group_element(
     stabilizer of the rest pair: a pure spatial rotation.
 
     Stacks of a, x, lam and p give a stack of elements.  Every frame change
-    in the stack must be proper orthochronous.
+    in the stack must be proper orthochronous within `DEFAULT_TOL`.
     """
     lam = np.asarray(lam, dtype=float)
-    if not is_proper_orthochronous(lam, tol):
+    if not is_proper_orthochronous(lam):
         raise ValueError("frame change must be proper orthochronous")
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -87,14 +87,14 @@ class GroupSample:
 def classical_pairing(
     effect: ClassicalMomentumEffect,
     state: ClassicalMomentumState,
-    p_tol: float = DEFAULT_P_TOL,
 ) -> float | np.ndarray:
-    """Kronecker label agreement times the internal dot product; an array of
-    them for leading sample axes."""
+    """Kronecker label agreement, labels within `DEFAULT_P_TOL` entrywise,
+    times the internal dot product; an array of them for leading sample
+    axes."""
     if effect.internal.shape[-1] != state.internal.shape[-1]:
         raise ValueError("effect and state internals belong to different theories")
     gap = np.max(np.abs(effect.momentum.vector - state.momentum.vector), axis=-1)
-    out = np.where(gap > p_tol, 0.0, dots(effect.internal, state.internal))
+    out = np.where(gap > DEFAULT_P_TOL, 0.0, dots(effect.internal, state.internal))
     return float(out) if out.ndim == 0 else out
 
 
@@ -112,9 +112,7 @@ def transform_classical(
     return type(z)(moved, apply_lorentz(r, z.internal))
 
 
-def invariance_deviation(
-    pairs, element, rep: RepMap, p_tol: float = DEFAULT_P_TOL
-) -> float:
+def invariance_deviation(pairs, element, rep: RepMap) -> float:
     """Worst change of an outcome probability under the frame change.
 
     Accepts (effect, state) pairs either as momentum-labelled objects (the
@@ -127,10 +125,10 @@ def invariance_deviation(
         return float(np.max(np.abs(after - dots(e, z))))
     worst = 0.0
     for effect, state in pairs:
-        before = classical_pairing(effect, state, p_tol)
+        before = classical_pairing(effect, state)
         state2 = transform_classical(element, state, rep)
         effect2 = transform_classical(element, effect, rep)
-        after = classical_pairing(effect2, state2, p_tol)
+        after = classical_pairing(effect2, state2)
         worst = np.maximum(worst, np.max(np.abs(after - before)))
     return float(worst)
 

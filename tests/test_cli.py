@@ -222,6 +222,9 @@ def test_invalid_config_rejected(capsys):
         ["minkowski-checks", "--samples", "2", "--out", "/nonexistent/dir/x.json"],
         ["minkowski-checks", "--samples", "5", "--log-transforms", "/nonexistent/dir/t.json"],
         ["zoo", "--name", "bit", "--out", "/nonexistent/dir/x.json"],
+        # options that would be silently ignored
+        ["chsh-scan", "--locals", "polygon:5", "--scenario", "tests/golden/scenarios.json"],
+        ["zoo", "--name", "polygon:4", "--list"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -173,6 +173,40 @@ def test_exact_flag_leaves_a_ball_hull_on_the_float_path(monkeypatch):
     assert str(verdict) == str(is_separable(singlet_state()))
 
 
+BALL_SIDE_PAIRS = [("ball:3", "polygon:4"), ("ball:2", "bit"), ("polygon:3", "ball:2")]
+
+
+@pytest.mark.parametrize("names", BALL_SIDE_PAIRS, ids=["x".join(p) for p in BALL_SIDE_PAIRS])
+def test_exact_flag_leaves_a_ball_side_chsh_on_the_float_path(names, monkeypatch):
+    local_a, local_b = (get_theory(name) for name in names)
+    expected = maximize_chsh(local_a, local_b)
+
+    def no_exact_lp(*args, **kwargs):
+        raise AssertionError("a ball side's CHSH relaxation reached the rational simplex")
+
+    monkeypatch.setattr(lp, "exact_linprog", no_exact_lp)
+    result = maximize_chsh(local_a, local_b, exact=True)
+    assert result.value == expected.value
+    assert result.measurement_choice == expected.measurement_choice
+    assert np.array_equal(result.witness.vector, expected.witness.vector)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_a_single_assignment_builds_no_symmetry_group(exact, monkeypatch):
+    def no_group(*args, **kwargs):
+        raise AssertionError("a single assignment built a symmetry group")
+
+    monkeypatch.setattr(composites, "row_symmetries", no_group)
+    # the two box-world scenarios of perfbench's `exact` workload, one measurement a side
+    docs = [
+        {"local_a": "polygon:4", "local_b": "polygon:4",
+         "measurements_a": ma, "measurements_b": mb}
+        for ma, mb in (([[0, 2]], [[0, 2]]), ([[2, 0]], [[1, 3]]))
+    ]
+    assert [row["chsh_value"] for row in run_scenarios(docs, exact=exact)] == [2.0, 2.0]
+    assert maximize_chsh(BIT, BIT, exact=exact).value == 2.0
+
+
 def test_deterministic_strategy_oracle():
     assert enumerate_deterministic_chsh() == 2.0
 

@@ -8,7 +8,9 @@ joint-vectors.json` without and with `--exact`.  A change that moves a
 printed value or verdict shows up as a diff of these files.  The exact scans
 of `polygon:5` and `polygon:8` were written when each polygon's class LPs
 came from its rotations alone; they now solve one LP per class of the full
-dihedral group.
+dihedral group.  `ball-2.csv` is the float scan of `ball:2`, an outer
+relaxation through its K extremal effects; with `--exact` a ball side stays
+on the float path and prints the same file.
 
 `joint-vectors.json` holds the 24 vertices of box world's maximal tensor
 product, product mixtures, PR-box mixtures and points outside, one document
@@ -31,6 +33,7 @@ SCANS = [
       for name in ("bit", "simplex:2", "polygon:3", "polygon:4", "polygon:5", "polygon:6",
                    "polygon:8")
       for exact in (False, True)],
+    ("ball:2", False),
 ]
 
 
@@ -58,3 +61,8 @@ def test_joint_vector_scan_matches_the_golden_file(exact, capsys):
     out = _scan(["--scenario", str(GOLDEN / "joint-vectors.json")] + (["--exact"] if exact else []),
                 capsys)
     assert out == (GOLDEN / f"joint-vectors{'-exact' if exact else ''}.csv").read_text()
+
+
+def test_exact_ball_scan_prints_the_float_file(capsys):
+    out = _scan(["--locals", "ball:2", "--exact"], capsys)
+    assert out == (GOLDEN / "ball-2.csv").read_text()

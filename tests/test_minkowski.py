@@ -815,9 +815,9 @@ def test_little_group_suite_draws_the_reference_samples(monkeypatch):
     calls = []
     real = minkowski.little_group_element
 
-    def recording(a, x, lam, p, tol=minkowski.DEFAULT_TOL):
+    def recording(a, x, lam, p):
         calls.append((np.array(a), np.array(x), np.array(lam), p.vector))
-        return real(a, x, lam, p, tol)
+        return real(a, x, lam, p)
 
     monkeypatch.setattr(minkowski, "little_group_element", recording)
     n, samples = 3, 30
